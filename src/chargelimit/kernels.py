@@ -1,42 +1,40 @@
-"""Numeric kernels for the detection simulator, in two twin backends.
+"""Numeric kernels for the detection simulator, vectorized in numpy.
 
 The per-trial work — Poisson sampling by CDF inversion, Gaussian noise
-via an inverse-normal transform, and moment accumulation — exists twice
-here: once as scalar loops compiled with numba (fast path) and once as
-vectorized numpy (fallback, selected when numba is unavailable or via
-``CHARGE_LIMIT_BACKEND=numpy``).
+via an inverse-normal transform, and moment accumulation — runs one
+block of trials at a time.  Seeded outputs must carry the same bits on
+every CPU and numpy build, and that drives three choices:
 
-The two implementations are kept operation-for-operation identical so
-their float64 outputs match *bitwise*, which the test suite enforces.
-That constraint drives two unusual choices:
-
-* ``np.log`` and libm ``log`` differ in the last ulp on some inputs, so
-  both backends use the same hand-rolled frexp + atanh-series logarithm
-  (accurate to ~2 ulp, plenty for the sqrt(-log(p)) tail argument it
-  feeds).
+* ``np.log`` takes SIMD paths that differ in the last ulp between CPUs
+  and builds, so the inverse normal uses a hand-rolled frexp +
+  atanh-series logarithm (accurate to ~2 ulp, plenty for the
+  sqrt(-log(p)) tail argument it feeds).
 * Per-block sums are reduced through an explicit balanced binary tree
-  with zero padding, the same pairing in both backends, so neither
-  numpy's pairwise summation nor loop order can make the partial sums
-  drift.
+  with zero padding, so numpy's pairwise-summation blocking cannot make
+  the partial sums drift.
+* Everything else is elementwise IEEE arithmetic (+, -, *, /, sqrt,
+  frexp), which rounds each element the same way whatever the array
+  length or alignment.  That is what lets each branch below run on its
+  own subset of the elements without changing a bit.
 
 The standard-normal quantile is the Wichura PPND16 rational
 approximation (Applied Statistics algorithm AS 241), good to ~1e-16.
+Each of its three branches is evaluated only on the elements it applies
+to: the central polynomial on |u - 0.5| <= 0.425, the portable log on
+the tails only, and the intermediate and far-tail polynomials on their
+own split of the tails.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError
 
 __all__ = [
     "LAMBDA_GAUSSIAN_CUTOFF",
-    "available_backends",
-    "active_backend",
     "poisson_cdf_table",
     "portable_log",
     "inverse_normal",
@@ -50,297 +48,58 @@ LAMBDA_GAUSSIAN_CUTOFF = 1.0e7
 #: would map to -inf and poison the moment sums.
 _TINY_UNIFORM = 2.0**-54
 
-_ENV_BACKEND = "CHARGE_LIMIT_BACKEND"
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without the extra
-    numba = None
-    _HAVE_NUMBA = False
-
-
-def _maybe_jit(func):
-    if _HAVE_NUMBA:
-        return numba.njit(cache=True, nogil=True)(func)
-    return func
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends usable in this process, fastest first."""
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def active_backend() -> str:
-    """Resolve the backend: CHARGE_LIMIT_BACKEND overrides, else fastest."""
-    choice = os.environ.get(_ENV_BACKEND)
-    if choice is None:
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ParameterError(
-            f"{_ENV_BACKEND} must be 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numba" and not _HAVE_NUMBA:
-        raise ParameterError(
-            f"{_ENV_BACKEND}=numba requested but numba is not importable"
-        )
-    return choice
-
-
-# --------------------------------------------------------------------------
-# Shared constants.  The scalar and vector code below must consume these in
-# the same order with the same operations; edit both twins together.
-# --------------------------------------------------------------------------
-
 # log(2) split high/low for exact exponent reconstruction (fdlibm split)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _SQRT_HALF = 0.7071067811865476
 
-# atanh-series coefficients 2/(2k+1) for log((1+z)/(1-z)), z = (m-1)/(m+1)
-_L21 = 2.0 / 21.0
-_L19 = 2.0 / 19.0
-_L17 = 2.0 / 17.0
-_L15 = 2.0 / 15.0
-_L13 = 2.0 / 13.0
-_L11 = 2.0 / 11.0
-_L9 = 2.0 / 9.0
-_L7 = 2.0 / 7.0
-_L5 = 2.0 / 5.0
-_L3 = 2.0 / 3.0
-
-# PPND16 rational-approximation coefficients (central |q| <= 0.425)
-_A0 = 3.3871328727963666080e0
-_A1 = 1.3314166789178437745e2
-_A2 = 1.9715909503065514427e3
-_A3 = 1.3731693765509461125e4
-_A4 = 4.5921953931549871457e4
-_A5 = 6.7265770927008700853e4
-_A6 = 3.3430575583588128105e4
-_A7 = 2.5090809287301226727e3
-_B1 = 4.2313330701600911252e1
-_B2 = 6.8718700749205790830e2
-_B3 = 5.3941960214247511077e3
-_B4 = 2.1213794301586595867e4
-_B5 = 3.9307895800092710610e4
-_B6 = 2.8729085735721942674e4
-_B7 = 5.2264952788528545610e3
-# intermediate tail, r = sqrt(-log(min(p, 1-p))) in (1.6, 5]
-_C0 = 1.42343711074968357734e0
-_C1 = 4.63033784615654529590e0
-_C2 = 5.76949722146069140550e0
-_C3 = 3.64784832476320460504e0
-_C4 = 1.27045825245236838258e0
-_C5 = 2.41780725177450611770e-1
-_C6 = 2.27238449892691845833e-2
-_C7 = 7.74545014278341407640e-4
-_D1 = 2.05319162663775882187e0
-_D2 = 1.67638483018380384940e0
-_D3 = 6.89767334985100004550e-1
-_D4 = 1.48103976427480074590e-1
-_D5 = 1.51986665636164571966e-2
-_D6 = 5.47593808499534494600e-4
-_D7 = 1.05075007164441684324e-9
-# far tail, r > 5
-_E0 = 6.65790464350110377720e0
-_E1 = 5.46378491116411436990e0
-_E2 = 1.78482653991729133580e0
-_E3 = 2.96560571828504891230e-1
-_E4 = 2.65321895265761230930e-2
-_E5 = 1.24266094738807843860e-3
-_E6 = 2.71155556874348757815e-5
-_E7 = 2.01033439929228813265e-7
-_F1 = 5.99832206555887937690e-1
-_F2 = 1.36929880922735805310e-1
-_F3 = 1.48753612908506148525e-2
-_F4 = 7.86869131145613259100e-4
-_F5 = 1.84631831751005468180e-5
-_F6 = 1.42151175831644588870e-7
-_F7 = 2.04426310338993978564e-15
+# Polynomial coefficients, lowest power first.
+# atanh series 2/(2k+1) in w = z*z, for log((1+z)/(1-z)), z = (m-1)/(m+1)
+_LOG_SERIES = tuple(2.0 / (2 * k + 1) for k in range(11))
+# PPND16 central branch, |q| <= 0.425, in r = 0.180625 - q*q
+_CENTRAL_NUM = (
+    3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+    3.3430575583588128105e4, 2.5090809287301226727e3,
+)
+_CENTRAL_DEN = (
+    1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+    2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+    5.2264952788528545610e3,
+)
+# intermediate tail, r = sqrt(-log(min(u, 1-u))) in (1.6, 5], in r - 1.6
+_MID_NUM = (
+    1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+    3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+    2.27238449892691845833e-2, 7.74545014278341407640e-4,
+)
+_MID_DEN = (
+    1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+    1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+    1.05075007164441684324e-9,
+)
+# far tail, r > 5, in r - 5
+_FAR_NUM = (
+    6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+    2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+    2.71155556874348757815e-5, 2.01033439929228813265e-7,
+)
+_FAR_DEN = (
+    1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+    7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+    2.04426310338993978564e-15,
+)
 
 
-# --------------------------------------------------------------------------
-# Scalar twins (numba fast path)
-# --------------------------------------------------------------------------
+def _horner(x, coeffs):
+    """sum(coeffs[k] * x**k) by Horner's rule from the highest power down."""
+    acc = coeffs[-1] * x
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= x
+        acc += c
+    return acc
 
-def _log_scalar_impl(x):
-    m, e = math.frexp(x)
-    if m < _SQRT_HALF:
-        m = m * 2.0
-        e = e - 1
-    z = (m - 1.0) / (m + 1.0)
-    w = z * z
-    s = _L21 * w + _L19
-    s = s * w + _L17
-    s = s * w + _L15
-    s = s * w + _L13
-    s = s * w + _L11
-    s = s * w + _L9
-    s = s * w + _L7
-    s = s * w + _L5
-    s = s * w + _L3
-    s = s * w + 2.0
-    lm = z * s
-    ef = float(e)
-    return ef * _LN2_HI + (lm + ef * _LN2_LO)
-
-
-_log_scalar = _maybe_jit(_log_scalar_impl)
-
-
-def _inverse_normal_scalar_impl(u):
-    if u < _TINY_UNIFORM:
-        u = _TINY_UNIFORM
-    q = u - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = _A7 * r + _A6
-        num = num * r + _A5
-        num = num * r + _A4
-        num = num * r + _A3
-        num = num * r + _A2
-        num = num * r + _A1
-        num = num * r + _A0
-        den = _B7 * r + _B6
-        den = den * r + _B5
-        den = den * r + _B4
-        den = den * r + _B3
-        den = den * r + _B2
-        den = den * r + _B1
-        den = den * r + 1.0
-        return q * num / den
-    if q < 0.0:
-        p = u
-    else:
-        p = 1.0 - u
-    r = math.sqrt(-_log_scalar(p))
-    if r <= 5.0:
-        r = r - 1.6
-        num = _C7 * r + _C6
-        num = num * r + _C5
-        num = num * r + _C4
-        num = num * r + _C3
-        num = num * r + _C2
-        num = num * r + _C1
-        num = num * r + _C0
-        den = _D7 * r + _D6
-        den = den * r + _D5
-        den = den * r + _D4
-        den = den * r + _D3
-        den = den * r + _D2
-        den = den * r + _D1
-        den = den * r + 1.0
-    else:
-        r = r - 5.0
-        num = _E7 * r + _E6
-        num = num * r + _E5
-        num = num * r + _E4
-        num = num * r + _E3
-        num = num * r + _E2
-        num = num * r + _E1
-        num = num * r + _E0
-        den = _F7 * r + _F6
-        den = den * r + _F5
-        den = den * r + _F4
-        den = den * r + _F3
-        den = den * r + _F2
-        den = den * r + _F1
-        den = den * r + 1.0
-    value = num / den
-    if q < 0.0:
-        return -value
-    return value
-
-
-_inverse_normal_scalar = _maybe_jit(_inverse_normal_scalar_impl)
-
-
-def _padded_size(n):
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
-
-
-def _tree_sum_inplace_impl(buf, padded):
-    half = padded >> 1
-    while half >= 1:
-        for i in range(half):
-            buf[i] = buf[2 * i] + buf[2 * i + 1]
-        half >>= 1
-    return buf[0]
-
-
-_tree_sum_inplace = _maybe_jit(_tree_sum_inplace_impl)
-
-
-def _open_block_scalar_impl(
-    u_count, u_thermal, cdf, k_lo, gaussian, lam, sqrt_shot, sigma, shift, threshold
-):
-    n = u_count.shape[0]
-    padded = 1
-    while padded < n:
-        padded <<= 1
-    q = np.zeros(padded, dtype=np.float64)
-    if gaussian:
-        for i in range(n):
-            q[i] = lam + sqrt_shot * _inverse_normal_scalar(u_count[i])
-    else:
-        size = cdf.shape[0]
-        for i in range(n):
-            u = u_count[i]
-            lo = 0
-            hi = size
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cdf[mid] <= u:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo > size - 1:
-                lo = size - 1
-            q[i] = float(k_lo + lo)
-    if sigma > 0.0:
-        for i in range(n):
-            q[i] = q[i] + sigma * _inverse_normal_scalar(u_thermal[i])
-    below = 0
-    for i in range(n):
-        if q[i] < threshold:
-            below += 1
-    d1 = np.zeros(padded, dtype=np.float64)
-    d2 = np.zeros(padded, dtype=np.float64)
-    d3 = np.zeros(padded, dtype=np.float64)
-    d4 = np.zeros(padded, dtype=np.float64)
-    for i in range(n):
-        dq = q[i] - shift
-        w = dq * dq
-        d1[i] = dq
-        d2[i] = w
-        d3[i] = w * dq
-        d4[i] = w * w
-    s1 = _tree_sum_inplace(d1, padded)
-    s2 = _tree_sum_inplace(d2, padded)
-    s3 = _tree_sum_inplace(d3, padded)
-    s4 = _tree_sum_inplace(d4, padded)
-    return s1, s2, s3, s4, below
-
-
-def _blocked_block_scalar_impl(u_thermal, sigma, threshold):
-    opens = 0
-    for i in range(u_thermal.shape[0]):
-        if sigma * _inverse_normal_scalar(u_thermal[i]) >= threshold:
-            opens += 1
-    return opens
-
-
-_open_block_numba = _maybe_jit(_open_block_scalar_impl)
-_blocked_block_numba = _maybe_jit(_blocked_block_scalar_impl)
-
-
-# --------------------------------------------------------------------------
-# Vector twins (numpy fallback)
-# --------------------------------------------------------------------------
 
 def _log_vector(x):
     m, e = np.frexp(x)
@@ -348,80 +107,41 @@ def _log_vector(x):
     m = np.where(small, m * 2.0, m)
     e = np.where(small, e - 1, e)
     z = (m - 1.0) / (m + 1.0)
-    w = z * z
-    s = _L21 * w + _L19
-    s = s * w + _L17
-    s = s * w + _L15
-    s = s * w + _L13
-    s = s * w + _L11
-    s = s * w + _L9
-    s = s * w + _L7
-    s = s * w + _L5
-    s = s * w + _L3
-    s = s * w + 2.0
-    lm = z * s
+    lm = z * _horner(z * z, _LOG_SERIES)
     ef = e.astype(np.float64)
     return ef * _LN2_HI + (lm + ef * _LN2_LO)
 
 
 def _inverse_normal_vector(u):
+    """AS 241 on a 1-D float64 array, each branch on its own elements.
+
+    Subsets are gathered and scattered through integer indices, which
+    numpy moves several times faster than boolean masks.
+    """
     u = np.maximum(u, _TINY_UNIFORM)
     q = u - 0.5
+    out = np.empty_like(q)
     central = np.abs(q) <= 0.425
-    r = 0.180625 - q * q
-    num = _A7 * r + _A6
-    num = num * r + _A5
-    num = num * r + _A4
-    num = num * r + _A3
-    num = num * r + _A2
-    num = num * r + _A1
-    num = num * r + _A0
-    den = _B7 * r + _B6
-    den = den * r + _B5
-    den = den * r + _B4
-    den = den * r + _B3
-    den = den * r + _B2
-    den = den * r + _B1
-    den = den * r + 1.0
-    central_value = q * num / den
-    p = np.where(q < 0.0, u, 1.0 - u)
-    r = np.sqrt(-_log_vector(p))
+    idx = np.flatnonzero(central)
+    qc = q.take(idx)
+    r = 0.180625 - qc * qc
+    out[idx] = qc * _horner(r, _CENTRAL_NUM) / _horner(r, _CENTRAL_DEN)
+
+    idx = np.flatnonzero(~central)
+    ut = u.take(idx)
+    lower = q.take(idx) < 0.0
+    r = np.sqrt(-_log_vector(np.where(lower, ut, 1.0 - ut)))
+    value = np.empty_like(r)
     mid = r <= 5.0
-    rm = r - 1.6
-    num = _C7 * rm + _C6
-    num = num * rm + _C5
-    num = num * rm + _C4
-    num = num * rm + _C3
-    num = num * rm + _C2
-    num = num * rm + _C1
-    num = num * rm + _C0
-    den = _D7 * rm + _D6
-    den = den * rm + _D5
-    den = den * rm + _D4
-    den = den * rm + _D3
-    den = den * rm + _D2
-    den = den * rm + _D1
-    den = den * rm + 1.0
-    mid_value = num / den
-    rf = r - 5.0
-    num = _E7 * rf + _E6
-    num = num * rf + _E5
-    num = num * rf + _E4
-    num = num * rf + _E3
-    num = num * rf + _E2
-    num = num * rf + _E1
-    num = num * rf + _E0
-    den = _F7 * rf + _F6
-    den = den * rf + _F5
-    den = den * rf + _F4
-    den = den * rf + _F3
-    den = den * rf + _F2
-    den = den * rf + _F1
-    den = den * rf + 1.0
-    far_value = num / den
-    tail_value = np.where(mid, mid_value, far_value)
-    tail_value = np.where(q < 0.0, -tail_value, tail_value)
-    return np.where(central, central_value, tail_value)
+    for part, shift, num, den in (
+        (np.flatnonzero(mid), 1.6, _MID_NUM, _MID_DEN),
+        (np.flatnonzero(~mid), 5.0, _FAR_NUM, _FAR_DEN),
+    ):
+        rs = r.take(part) - shift
+        value[part] = _horner(rs, num) / _horner(rs, den)
+    np.negative(value, out=value, where=lower)
+    out[idx] = value
+    return out
 
 
 def _tree_sum_vector(values, padded):
@@ -437,11 +157,11 @@ def _tree_sum_vector(values, padded):
     return float(buf[0])
 
 
-def _open_block_numpy(
+def _open_block(
     u_count, u_thermal, cdf, k_lo, gaussian, lam, sqrt_shot, sigma, shift, threshold
 ):
     n = u_count.shape[0]
-    padded = _padded_size(n)
+    padded = 1 << max(n - 1, 0).bit_length()
     if gaussian:
         q = lam + sqrt_shot * _inverse_normal_vector(u_count)
     else:
@@ -462,7 +182,7 @@ def _open_block_numpy(
     return s1, s2, s3, s4, below
 
 
-def _blocked_block_numpy(u_thermal, sigma, threshold):
+def _blocked_block(u_thermal, sigma, threshold):
     return int(np.count_nonzero(sigma * _inverse_normal_vector(u_thermal) >= threshold))
 
 
@@ -471,7 +191,7 @@ def _blocked_block_numpy(u_thermal, sigma, threshold):
 # --------------------------------------------------------------------------
 
 def portable_log(x: np.ndarray) -> np.ndarray:
-    """Backend-neutral natural log of positive float64 values (~2 ulp)."""
+    """Natural log of positive float64 values, the same bits everywhere (~2 ulp)."""
     return _log_vector(np.asarray(x, dtype=np.float64))
 
 
@@ -480,9 +200,10 @@ def inverse_normal(u: np.ndarray) -> np.ndarray:
 
     Inputs are clamped below at 2**-54 (the smallest value the uniform
     generator leaves unreachable anyway) so an exact 0 cannot return
-    -inf.
+    -inf.  The output has the shape of the input.
     """
-    return _inverse_normal_vector(np.asarray(u, dtype=np.float64))
+    u = np.asarray(u, dtype=np.float64)
+    return _inverse_normal_vector(u.ravel()).reshape(u.shape)
 
 
 def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
@@ -491,12 +212,15 @@ def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
     Returns ``(k_lo, cdf)`` where ``cdf[j] = P(K <= k_lo + j)`` over a
     window lam +/- (40*sqrt(lam) + 30); the probability mass outside is
     below ~1e-300 and unreachable from 53-bit uniforms.  Built once per
-    simulation on the host with scipy, then shared by both backends.
+    simulation.  scipy is imported here, on first use, because importing
+    it costs a CLI call more than everything else together.
     """
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ParameterError(f"Poisson mean must be >= 0 and finite, got {lam!r}")
     if lam == 0.0:
         return 0, np.ones(1, dtype=np.float64)
+    from scipy.special import gammaln
+
     half_width = 40.0 * math.sqrt(lam) + 30.0
     k_lo = max(0, int(math.floor(lam - half_width)))
     k_hi = int(math.ceil(lam + half_width))
@@ -505,17 +229,13 @@ def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
     return k_lo, np.cumsum(np.exp(log_pmf))
 
 
-def block_kernels(backend: str | None = None):
-    """Return ``(open_block, blocked_block)`` for the chosen backend.
+def block_kernels():
+    """Return ``(open_block, blocked_block)``, the per-block simulator kernels.
 
-    Both callables share the signature of their numpy twins; outputs are
-    bit-identical across backends.
+    ``open_block(u_count, u_thermal, cdf, k_lo, gaussian, lam, sqrt_shot,
+    sigma, shift, threshold)`` samples the open-state charge of one block
+    and returns its shifted power sums ``s1..s4`` and the count below
+    threshold; ``blocked_block(u_thermal, sigma, threshold)`` counts the
+    blocked-state trials whose thermal charge reaches the threshold.
     """
-    name = active_backend() if backend is None else backend
-    if name == "numba":
-        if not _HAVE_NUMBA:
-            raise ParameterError("numba backend requested but numba is not importable")
-        return _open_block_numba, _blocked_block_numba
-    if name == "numpy":
-        return _open_block_numpy, _blocked_block_numpy
-    raise ParameterError(f"unknown backend {name!r}")
+    return _open_block, _blocked_block

@@ -27,9 +27,9 @@ no error criterion of their own, so nothing is asserted against them.
 Reproducibility contract: outcomes are a pure function of the config.
 Randomness is keyed by (seed, role, block-of-trials) with a fixed block
 size, partial results are reduced in block order, and the per-trial
-arithmetic is bit-identical across the numba and numpy backends (see
-:mod:`chargelimit.kernels`), so the worker count and backend choice can
-never change a single output bit.
+arithmetic uses only operations that round the same on every CPU and
+numpy build (see :mod:`chargelimit.kernels`), so neither the worker
+count nor the machine can change a single output bit.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 Every batch of uniforms is derived from ``(seed, stream, block)`` through
 a fresh Philox generator, so a given block of trials receives exactly the
-same numbers no matter how many workers run, in what order blocks
-execute, or which compute backend consumes them.  Nothing here is ever
-advanced statefully across calls.
+same numbers no matter how many workers run or in what order blocks
+execute.  Nothing here is ever advanced statefully across calls.
 """
 
 from __future__ import annotations

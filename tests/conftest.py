@@ -1,6 +1,6 @@
 import hypothesis
 
-# JIT warm-up on first use can blow the default per-example deadline, and
-# none of our properties are latency-sensitive.
+# None of our properties are latency-sensitive; a per-example deadline
+# would only make them flaky on a loaded machine.
 hypothesis.settings.register_profile("chargelimit", deadline=None)
 hypothesis.settings.load_profile("chargelimit")

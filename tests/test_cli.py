@@ -458,6 +458,14 @@ def test_entry_point_smoke():
     assert record["outputs"]["e_C"] == 1.602176634e-19
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.special is most of a CLI call's import time and only the
+    # Poisson CDF table needs it, so it is imported there, on first use.
+    code = "import chargelimit.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_byte_identical_across_runs_and_workers():
     args = (
         "simulate", "--current", "1.602176634e-13", "--df", "5e4",

@@ -1,5 +1,6 @@
-"""Numeric kernels: accuracy against scipy and bitwise backend equality."""
+"""Numeric kernels: accuracy against scipy and frozen output bits."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,17 +11,12 @@ from scipy.stats import poisson as scipy_poisson
 from chargelimit import ParameterError
 from chargelimit.kernels import (
     LAMBDA_GAUSSIAN_CUTOFF,
-    active_backend,
-    available_backends,
     block_kernels,
     inverse_normal,
     poisson_cdf_table,
     portable_log,
 )
 from chargelimit.rng import BLOCK, GENERATOR_ID, uniform_block
-
-HAVE_NUMBA = "numba" in available_backends()
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 
 
 # ----------------------------------------------------------- basic pieces
@@ -70,6 +66,51 @@ def test_inverse_normal_center_and_monotonic():
     assert np.all(np.diff(z) > 0.0)
 
 
+def _around(x, k=2):
+    """x and its k float64 neighbours on each side, ascending."""
+    lo = hi = x
+    out = [x]
+    for _ in range(k):
+        lo = np.nextafter(lo, 0.0)
+        hi = np.nextafter(hi, 1.0)
+        out = [lo, *out, hi]
+    return out
+
+
+def _edge_uniforms():
+    edges = [0.0, 5e-324, 1e-300, 2.0**-54, 0.5, 1.0 - 2.0**-53]
+    # Branch switches: |u - 0.5| <= 0.425 (central), exp(-25) (mid/far by
+    # the real log) and 0x1.e8a37a45fc300p-37, the smallest u that is
+    # still "mid" through portable_log, 46 ulp below exp(-25).
+    for x in (0.075, 0.925, math.exp(-25.0), float.fromhex("0x1.e8a37a45fc300p-37"),
+              1.0 - math.exp(-25.0)):
+        edges += _around(x)
+    return np.array(edges, dtype=np.float64)
+
+
+#: sha256 of inverse_normal(u).view(np.int64), frozen from the all-branch
+#: implementation; any rewrite of the kernel must reproduce every bit.
+FROZEN_INVERSE_NORMAL = {
+    "block": "2bb32e80ba747474576be09e379d17443f69404e3046c922e757bffb66659e99",
+    "edges": "0938233caf260dfe8360d3f31ba608376d8d6c968630b20573d21ed63c6b9ec1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_INVERSE_NORMAL))
+def test_inverse_normal_bits_frozen(name):
+    u = uniform_block(2024, 0, 0, BLOCK) if name == "block" else _edge_uniforms()
+    digest = hashlib.sha256(inverse_normal(u).view(np.int64).tobytes()).hexdigest()
+    assert digest == FROZEN_INVERSE_NORMAL[name]
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 4)])
+def test_inverse_normal_keeps_shape(shape):
+    u = np.linspace(0.01, 0.99, math.prod(shape)).reshape(shape)
+    z = inverse_normal(u)
+    assert z.shape == shape
+    assert np.array_equal(z.ravel(), inverse_normal(u.ravel()))
+
+
 @pytest.mark.parametrize("lam", [0.5, 10.0, 1000.0, 12345.6])
 def test_poisson_cdf_table_matches_scipy(lam):
     k_lo, cdf = poisson_cdf_table(lam)
@@ -107,31 +148,6 @@ def test_poisson_cdf_table_rejects_bad_mean(bad):
         poisson_cdf_table(bad)
 
 
-# --------------------------------------------------------------- backends
-
-
-def test_available_backends_include_numpy():
-    assert "numpy" in available_backends()
-
-
-def test_active_backend_env_override(monkeypatch):
-    monkeypatch.setenv("CHARGE_LIMIT_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("CHARGE_LIMIT_BACKEND", "bogus")
-    with pytest.raises(ParameterError):
-        active_backend()
-
-
-def test_active_backend_default(monkeypatch):
-    monkeypatch.delenv("CHARGE_LIMIT_BACKEND", raising=False)
-    assert active_backend() == ("numba" if HAVE_NUMBA else "numpy")
-
-
-def test_block_kernels_rejects_unknown():
-    with pytest.raises(ParameterError):
-        block_kernels("fortran")
-
-
 # ----------------------------------------------------------- RNG streams
 
 
@@ -167,7 +183,7 @@ def test_uniform_block_validation(seed, stream, block, count):
 
 
 def _case(gaussian, with_thermal, n=4096, lam=100.0, seed=9):
-    """Inputs for one open-block call, shared across backend comparisons."""
+    """Inputs for one open-block call."""
     sigma = 3.7 if with_thermal else 0.0
     if gaussian:
         k_lo, cdf = 0, np.empty(0, dtype=np.float64)
@@ -206,7 +222,7 @@ def _reference_charges(args):
 @pytest.mark.parametrize("with_thermal", [False, True])
 def test_open_block_against_reference(gaussian, with_thermal):
     args = _case(gaussian, with_thermal)
-    open_block, _ = block_kernels("numpy")
+    open_block, _ = block_kernels()
     s1, s2, s3, s4, below = open_block(*args)
     q = _reference_charges(args)
     d = q - args[8]  # shifted by lam
@@ -220,37 +236,8 @@ def test_open_block_against_reference(gaussian, with_thermal):
 def test_blocked_block_against_reference():
     u = uniform_block(21, 1, 0, 8192)
     sigma, threshold = 0.4, 0.5
-    _, blocked_block = block_kernels("numpy")
+    _, blocked_block = block_kernels()
     count = blocked_block(u, sigma, threshold)
     expected = int(np.count_nonzero(sigma * inverse_normal(u) >= threshold))
     assert count == expected
     assert 0 < count < u.size  # threshold at 1.25 sigma: both outcomes occur
-
-
-@needs_numba
-@pytest.mark.parametrize("gaussian", [False, True])
-@pytest.mark.parametrize("with_thermal", [False, True])
-def test_backends_bitwise_identical_open(gaussian, with_thermal):
-    args = _case(gaussian, with_thermal)
-    numba_open, _ = block_kernels("numba")
-    numpy_open, _ = block_kernels("numpy")
-    a = numba_open(*args)
-    b = numpy_open(*args)
-    assert tuple(a) == tuple(b)  # exact float equality, not approximate
-
-
-@needs_numba
-def test_backends_bitwise_identical_partial_block():
-    # A block length that is not a power of two exercises the padding.
-    args = _case(False, True, n=12345)
-    numba_open, _ = block_kernels("numba")
-    numpy_open, _ = block_kernels("numpy")
-    assert tuple(numba_open(*args)) == tuple(numpy_open(*args))
-
-
-@needs_numba
-def test_backends_bitwise_identical_blocked():
-    u = uniform_block(33, 1, 5, 10000)
-    _, numba_blocked = block_kernels("numba")
-    _, numpy_blocked = block_kernels("numpy")
-    assert numba_blocked(u, 1.3, 0.5) == numpy_blocked(u, 1.3, 0.5)

@@ -56,21 +56,6 @@ def test_workers_do_not_change_outputs():
     assert serial == threaded
 
 
-def test_backend_does_not_change_outputs(monkeypatch):
-    cfg = SimConfig(
-        on_current=1.602176634e-13,
-        bandwidth=5e4,
-        temperature=4.2,
-        conductance=1e-13,
-        trials=30000,
-        seed=99,
-    )
-    default = simulate_detection(cfg)
-    monkeypatch.setenv("CHARGE_LIMIT_BACKEND", "numpy")
-    forced = simulate_detection(cfg)
-    assert default == forced
-
-
 def test_as_dict_key_order():
     outcome = simulate_detection(LAM10)
     assert list(outcome.as_dict()) == [

@@ -44,11 +44,9 @@ from .constants import CONSTANTS
 from .devices import (
     QpcDevice,
     QpcGeometry,
-    SET_SPIN_DEGENERACY,
     SetGeometry,
     SnrResult,
     TransportState,
-    WIRE_CONDUCTANCE_PER_MODE,
     WireGeometry,
     qpc_pipeline_snr,
     qpc_snr,
@@ -139,44 +137,21 @@ def _quantity_type(kind: str):
     return lambda text: parse_quantity(text, kind)
 
 
-def _trials_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"trials must be >= 1, got {value}")
-    return value
+def _int_type(name: str, low: int, high_bits: int | None = None):
+    """argparse type for an integer >= low, or in [low, 2**high_bits)."""
+    high = None if high_bits is None else 2**high_bits
+    rule = f">= {low}" if high is None else f"in [{low}, 2**{high_bits})"
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
+        if value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {value}")
+        return value
 
-def _seed_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {value}")
-    return value
-
-
-def _points_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"points must be an integer, got {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"points must be >= 2, got {value}")
-    return value
-
-
-def _workers_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"workers must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value}")
-    return value
+    return parse
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +215,9 @@ def emit_json(
     generator: str | None = None,
     seed: int | None = None,
     deterministic: bool = False,
+    rows: list[str] | None = None,
 ) -> None:
+    """Print the envelope; ``rows`` are pre-rendered objects for outputs["rows"]."""
     record: dict = {
         "command": command,
         "inputs": _sanitize(inputs),
@@ -253,7 +230,10 @@ def emit_json(
         record["seed"] = seed
     if not deterministic:
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(record, indent=2))
+    text = json.dumps(record, indent=2)
+    if rows is not None:
+        text = text.replace('"rows": []', '"rows": [\n' + ",\n".join(rows) + "\n    ]", 1)
+    print(text)
 
 
 def _print_rows(rows: list[tuple[str, str]]) -> None:
@@ -267,7 +247,7 @@ def _human(value: float, unit: str = "") -> str:
     return f"{text} {unit}".rstrip()
 
 
-def _result_outputs(result: SnrResult, bias_override: float | None = None) -> dict:
+def _result_outputs(result: SnrResult) -> dict:
     """SnrResult -> flat output dict with CSV-aligned keys."""
     out = {
         "snr": result.snr,
@@ -287,12 +267,11 @@ def _result_outputs(result: SnrResult, bias_override: float | None = None) -> di
             current_a=transport.current,
         )
     else:
-        conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
-        bias = transport.blockade_voltage if bias_override is None else bias_override
+        op = result.operating_point
         out.update(
-            bias_v=bias,
-            conductance_s=conductance,
-            current_a=conductance * bias,
+            bias_v=op.bias,
+            conductance_s=op.conductance,
+            current_a=op.sense_current(),
             capacitance_f=transport.capacitance,
             charging_energy_j=transport.charging_energy,
             blockade_voltage_v=transport.blockade_voltage,
@@ -448,6 +427,20 @@ def _material_inputs(material: Material) -> dict:
     }
 
 
+def _device_output(args: argparse.Namespace, inputs: dict, result: SnrResult,
+                   title: str) -> int:
+    """The shared tail of wire/qpc/set: the JSON envelope or the human table."""
+    inputs.update(bandwidth_hz=args.df, bias_v=args.bias,
+                  temperature_k=args.temperature, modulation=args.modulation)
+    outputs = _result_outputs(result)
+    if args.json:
+        emit_json(args.command, inputs, outputs, result.flags,
+                  deterministic=args.deterministic)
+    else:
+        _print_result(title, outputs, result.flags)
+    return 0
+
+
 def cmd_wire(args: argparse.Namespace) -> int:
     material = resolve_material(args)
     pipeline = args.radius is not None or args.bias is not None or args.temperature > 0.0
@@ -467,20 +460,8 @@ def cmd_wire(args: argparse.Namespace) -> int:
         )
     else:
         result = wire_snr(material, args.df, modulation=args.modulation)
-    inputs = {
-        **_material_inputs(material),
-        "radius_m": args.radius,
-        "bandwidth_hz": args.df,
-        "bias_v": args.bias,
-        "temperature_k": args.temperature,
-        "modulation": args.modulation,
-    }
-    outputs = _result_outputs(result)
-    if args.json:
-        emit_json("wire", inputs, outputs, result.flags, deterministic=args.deterministic)
-        return 0
-    _print_result(f"wire detector, material {material.name}", outputs, result.flags)
-    return 0
+    inputs = {**_material_inputs(material), "radius_m": args.radius}
+    return _device_output(args, inputs, result, f"wire detector, material {material.name}")
 
 
 def cmd_qpc(args: argparse.Namespace) -> int:
@@ -493,20 +474,8 @@ def cmd_qpc(args: argparse.Namespace) -> int:
         )
     else:
         result = qpc_snr(geometry, material, args.df, modulation=args.modulation)
-    inputs = {
-        **_material_inputs(material),
-        "width_m": args.width,
-        "bandwidth_hz": args.df,
-        "bias_v": args.bias,
-        "temperature_k": args.temperature,
-        "modulation": args.modulation,
-    }
-    outputs = _result_outputs(result)
-    if args.json:
-        emit_json("qpc", inputs, outputs, result.flags, deterministic=args.deterministic)
-        return 0
-    _print_result(f"qpc detector, material {material.name}", outputs, result.flags)
-    return 0
+    inputs = {**_material_inputs(material), "width_m": args.width}
+    return _device_output(args, inputs, result, f"qpc detector, material {material.name}")
 
 
 def cmd_set(args: argparse.Namespace) -> int:
@@ -519,20 +488,10 @@ def cmd_set(args: argparse.Namespace) -> int:
         )
     else:
         result = set_snr(geometry, epsilon_r, args.df, modulation=args.modulation)
-    inputs = {
-        "island_radius_m": args.radius,
-        "epsilon_r": epsilon_r,
-        "bandwidth_hz": args.df,
-        "bias_v": args.bias,
-        "temperature_k": args.temperature,
-        "modulation": args.modulation,
-    }
-    outputs = _result_outputs(result, bias_override=args.bias)
-    if args.json:
-        emit_json("set", inputs, outputs, result.flags, deterministic=args.deterministic)
-        return 0
-    _print_result(f"set detector, island radius {_human(args.radius, 'm')}", outputs, result.flags)
-    return 0
+    inputs = {"island_radius_m": args.radius, "epsilon_r": epsilon_r}
+    return _device_output(
+        args, inputs, result, f"set detector, island radius {_human(args.radius, 'm')}"
+    )
 
 
 def _sweep_values(args: argparse.Namespace) -> np.ndarray:
@@ -551,40 +510,71 @@ def _sweep_values(args: argparse.Namespace) -> np.ndarray:
     return np.linspace(start, stop, args.points)
 
 
-def _sweep_point(args, material: Material, axis: str, value: float) -> SnrResult:
-    bandwidth = value if axis == "delta_f" else args.df
-    temperature = value if axis == "T" else args.temperature
-    if args.device == "wire":
-        if axis == "epsilon_r":
-            material = Material("custom", material.mass_ratio, value)
-        elif axis == "m_star_ratio":
-            material = Material("custom", value, material.epsilon_r)
-        radius = value if axis == "R" else args.radius
-        if radius is None:
-            radius = effective_scales(material).bohr_radius
-        return wire_pipeline_snr(
-            WireGeometry(radius), material, bandwidth, temperature=temperature
-        )
+def _axis_result(args: argparse.Namespace, material: Material | None,
+                 values: np.ndarray) -> SnrResult:
+    """One pipeline call with the axis ``values`` in place of their parameter."""
+
+    def pick(axis: str, default):
+        return values if args.axis == axis else default
+
+    bandwidth, temperature = pick("delta_f", args.df), pick("T", args.temperature)
+    if args.device == "set":
+        epsilon_r = pick("epsilon_r", args.epsr if args.epsr is not None else 1.0)
+        geometry = SetGeometry(pick("R_island", args.radius))
+        return set_pipeline_snr(geometry, epsilon_r, bandwidth, temperature=temperature)
+    if args.axis in ("epsilon_r", "m_star_ratio"):
+        material = Material("custom", pick("m_star_ratio", material.mass_ratio),
+                            pick("epsilon_r", material.epsilon_r))
     if args.device == "qpc":
-        if axis == "m_star_ratio":
-            material = Material("custom", value, material.epsilon_r)
-        width = value if axis == "W" else args.width
-        return qpc_pipeline_snr(
-            QpcGeometry(width), material, bandwidth, temperature=temperature
-        )
-    epsilon_r = value if axis == "epsilon_r" else (args.epsr if args.epsr is not None else 1.0)
-    radius = value if axis == "R_island" else args.radius
-    return set_pipeline_snr(
-        SetGeometry(radius), epsilon_r, bandwidth, temperature=temperature
-    )
+        geometry = QpcGeometry(pick("W", args.width))
+        return qpc_pipeline_snr(geometry, material, bandwidth, temperature=temperature)
+    radius = pick("R", args.radius)
+    if radius is None:
+        radius = effective_scales(material).bohr_radius
+    return wire_pipeline_snr(WireGeometry(radius), material, bandwidth, temperature=temperature)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _number_cells(column, empty: str) -> list[str]:
+    values = column.tolist()
+    if np.isfinite(column).all():
+        return list(map(repr, values))
+    return [repr(v) if math.isfinite(v) else empty for v in values]
+
+
+def _sweep_rows(args: argparse.Namespace, values: np.ndarray, result: SnrResult) -> list[str]:
+    """Sweep rows, written column by column: CSV lines, or JSON objects as
+    ``emit_json`` would indent them in ``outputs["rows"]``.  Constant columns
+    go into a row template that the others fill.  Floats are ``repr``;
+    inapplicable and non-finite cells are empty (CSV) or null (JSON)."""
+    json_rows = args.format == "json"
+    empty = "null" if json_rows else ""
+    columns = {
+        "axis": args.axis,
+        "value": values,
+        **_result_outputs(result),
+        "flags": ";".join(result.flags),
+    }
+    parts, filled = [], []
+    for key in SWEEP_HEADER:
+        column = columns.get(key)
+        if isinstance(column, str):
+            part = json.dumps(column) if json_rows else column
+        elif column is None:
+            part = empty
+        elif np.ndim(column) == 0:
+            part = _number_cells(np.array([float(column)]), empty)[0]
+        else:
+            filled.append(_number_cells(column, empty))
+            parts.append("%s")
+            continue
+        parts.append(part.replace("%", "%%"))
+    if json_rows:
+        template = "      {\n" + ",\n".join(
+            f'        "{key}": {part}' for key, part in zip(SWEEP_HEADER, parts)
+        ) + "\n      }"
+    else:
+        template = ",".join(parts)
+    return [template % cells for cells in zip(*filled)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -603,18 +593,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         resolve_material(args) if args.device in ("wire", "qpc") else None
     )
     values = _sweep_values(args)
-    rows = []
-    for value in values:
-        result = _sweep_point(args, material, axis, float(value))
-        cells = dict.fromkeys(SWEEP_HEADER)
-        cells["axis"] = axis
-        cells["value"] = float(value)
-        cells.update(
-            (key, _finite_or_none(val))
-            for key, val in _result_outputs(result).items()
-        )
-        cells["flags"] = ";".join(result.flags)
-        rows.append(cells)
+    try:
+        result = _axis_result(args, material, values)
+    except ParameterError as exc:
+        if exc.index is None:
+            raise
+        raise ParameterError(f"{exc} (at {axis} = {values[exc.index].item()!r})") from None
+    rows = _sweep_rows(args, values, result)
     if args.format == "json":
         inputs = {
             "device": args.device,
@@ -629,13 +614,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if material is not None:
             inputs.update(_material_inputs(material))
         emit_json(
-            "sweep", inputs, {"header": list(SWEEP_HEADER), "rows": rows}, [],
-            deterministic=args.deterministic,
+            "sweep", inputs, {"header": list(SWEEP_HEADER), "rows": []}, [],
+            deterministic=args.deterministic, rows=rows,
         )
         return 0
-    print(",".join(SWEEP_HEADER))
-    for cells in rows:
-        print(",".join(_csv_cell(cells[key]) for key in SWEEP_HEADER))
+    sys.stdout.write(",".join(SWEEP_HEADER) + "\n" + "\n".join(rows) + "\n")
     return 0
 
 
@@ -651,12 +634,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         fano=args.fano,
     )
     outcome = simulate_detection(cfg, workers=args.workers)
-    if outcome.snr_stderr > 0.0:
-        n_sigma = abs(outcome.empirical_snr - outcome.analytic_snr) / outcome.snr_stderr
-    elif outcome.empirical_snr == outcome.analytic_snr:
-        n_sigma = 0.0
-    else:
-        n_sigma = math.inf
+    n_sigma = outcome.n_sigma()
     outputs = outcome.as_dict()
     outputs["n_sigma"] = n_sigma
     outputs["within_3_sigma"] = bool(n_sigma <= 3.0)
@@ -840,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=tuple(SWEEP_AXES), required=True)
     p.add_argument("--start", required=True, help="axis start (unit suffix allowed)")
     p.add_argument("--stop", required=True, help="axis stop (unit suffix allowed)")
-    p.add_argument("--points", type=_points_type, default=21)
+    p.add_argument("--points", type=_int_type("points", 2), default=21)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_material_flags(p)
@@ -866,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--df", "--bandwidth", dest="df", type=_quantity_type("frequency"),
         required=True, help="measurement bandwidth",
     )
-    p.add_argument("--trials", type=_trials_type, required=True)
-    p.add_argument("--seed", type=_seed_type, required=True)
+    p.add_argument("--trials", type=_int_type("trials", 2), required=True)
+    p.add_argument("--seed", type=_int_type("seed", 0, 64), required=True)
     p.add_argument(
         "--temperature", type=_quantity_type("temperature"), default=0.0,
         help="temperature in K (default 0)",
@@ -884,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fano", type=_quantity_type("dimensionless"), default=1.0,
         help="shot-noise Fano factor (default 1; != 1 forces Gaussian sampling)",
     )
-    p.add_argument("--workers", type=_workers_type, default=1)
+    p.add_argument("--workers", type=_int_type("workers", 1), default=1)
     p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("report", parents=[common], help="headline checks with pass/fail")

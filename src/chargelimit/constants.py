@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParameterError
+import numpy as np
+
+from .errors import require, require_nonnegative
 
 __all__ = [
     "PhysicalConstants",
@@ -75,8 +77,7 @@ CONSTANTS = PhysicalConstants()
 
 
 def _require_finite(value: float, name: str) -> None:
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
+    require(np.isfinite(value), f"{name} must be finite", value)
 
 
 def energy_to_frequency(energy: float) -> float:
@@ -115,8 +116,5 @@ def thermal_voltage_threshold(temperature: float) -> float:
     temperature : float
         Temperature in kelvin, >= 0.
     """
-    if temperature < 0.0 or not math.isfinite(temperature):
-        raise ParameterError(
-            f"temperature must be >= 0 and finite, got {temperature!r}"
-        )
+    require_nonnegative(temperature, "temperature")
     return 2.0 * CONSTANTS.k_B * temperature / CONSTANTS.e

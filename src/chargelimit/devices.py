@@ -30,11 +30,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .constants import CONSTANTS
-from .errors import ParameterError
+from .errors import (
+    float_range_checked, require, require_dielectric, require_nonnegative,
+    require_positive, square,
+)
 from .materials import Material, effective_scales
-from .noise import NoiseBreakdown, OperatingPoint, noise_breakdown
-from .noise import snr as amplitude_snr
+from .noise import NoiseBreakdown, OperatingPoint, noise_breakdown, signal_to_noise
 
 __all__ = [
     "WireGeometry",
@@ -88,11 +92,6 @@ class ModelValidityWarning(UserWarning):
     """A parameter choice leaves the regime where the model is trustworthy."""
 
 
-def _require_positive(value: float, name: str) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ParameterError(f"{name} must be > 0 and finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class WireGeometry:
     """Cylindrical FET channel of radius ``radius`` (m, > 0)."""
@@ -100,7 +99,7 @@ class WireGeometry:
     radius: float
 
     def __post_init__(self) -> None:
-        _require_positive(self.radius, "radius")
+        require_positive(self.radius, "radius")
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class QpcGeometry:
     width: float
 
     def __post_init__(self) -> None:
-        _require_positive(self.width, "width")
+        require_positive(self.width, "width")
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ class SetGeometry:
     island_radius: float
 
     def __post_init__(self) -> None:
-        _require_positive(self.island_radius, "island_radius")
+        require_positive(self.island_radius, "island_radius")
 
 
 @dataclass(frozen=True)
@@ -147,10 +146,7 @@ class SetDevice:
     epsilon_r: float
 
     def __post_init__(self) -> None:
-        if not (self.epsilon_r >= 1.0 and math.isfinite(self.epsilon_r)):
-            raise ParameterError(
-                f"epsilon_r must be >= 1 (vacuum), got {self.epsilon_r!r}"
-            )
+        require_dielectric(self.epsilon_r)
 
 
 DeviceSpec = Union[WireDevice, QpcDevice, SetDevice]
@@ -184,6 +180,9 @@ class SetElectrostatics:
 class SnrResult:
     """SNR of a detector at one bandwidth, plus its unity-SNR summary.
 
+    The pipelines accept an array for any swept input (a size, df, T, m*
+    or epsilon_r) and then give arrays with the bits of one call per point.
+
     Attributes
     ----------
     snr : float
@@ -196,6 +195,8 @@ class SnrResult:
         Shot/thermal noise split at the operating point used.
     transport : TransportState or SetElectrostatics
         The physical state behind the numbers.
+    operating_point : OperatingPoint
+        The (G, V) the noise was evaluated at, for every device kind.
     flags : tuple of str
         Model-validity annotations (e.g. ``"bias-above-optimal"``);
         empty when the result is inside the model's comfort zone.
@@ -206,18 +207,37 @@ class SnrResult:
     sensitivity: float
     breakdown: NoiseBreakdown
     transport: TransportState | SetElectrostatics
+    operating_point: OperatingPoint
     flags: tuple[str, ...] = ()
 
 
 def _check_modulation(modulation: float) -> None:
-    if not (0.0 < modulation <= 1.0):
-        raise ParameterError(
-            f"modulation depth must be in (0, 1], got {modulation!r}"
-        )
+    require((modulation > 0.0) & (modulation <= 1.0), "modulation depth must be in (0, 1]",
+            modulation)
 
 
 def _sensitivity_from_unity(f_unity: float) -> float:
+    if isinstance(f_unity, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.sqrt(f_unity)
     return 1.0 / math.sqrt(f_unity) if f_unity > 0.0 else math.inf
+
+
+def _closed_form_result(f_base: float, modulation: float, op: OperatingPoint,
+                        transport: TransportState | SetElectrostatics) -> SnrResult:
+    """Closed-form tail: f_unity = modulation^2 * f_base, snr = sqrt(f_unity/df)."""
+    f_unity = modulation**2 * f_base
+    value = modulation * math.sqrt(f_base / op.bandwidth)
+    require((f_unity > 0.0) & np.isfinite(f_unity) & np.isfinite(value),
+            "the inputs put f_unity or the SNR outside the float range", f_unity)
+    return SnrResult(
+        snr=value,
+        f_unity=f_unity,
+        sensitivity=_sensitivity_from_unity(f_unity),
+        breakdown=noise_breakdown(op),
+        transport=transport,
+        operating_point=op,
+    )
 
 
 def _pipeline_result(
@@ -236,22 +256,24 @@ def _pipeline_result(
     is evaluated at the full current, so a partial modulation depth
     scales the SNR linearly and f_unity quadratically.  Both intrinsic
     noise terms grow linearly with bandwidth, hence snr^2 * bandwidth is
-    bandwidth-independent and equals f_unity at any temperature.
+    bandwidth-independent and equals f_unity at any temperature.  Only
+    an explicit zero bias may give f_unity = 0; any other zero or
+    non-finite f_unity left the float range and is a ParameterError.
     """
-    op = OperatingPoint(
-        conductance=conductance,
-        bias=bias,
-        temperature=temperature,
-        bandwidth=bandwidth,
-    )
-    value = modulation * amplitude_snr(op)
+    op = OperatingPoint(conductance=conductance, bias=bias, temperature=temperature,
+                        bandwidth=bandwidth)
+    breakdown = noise_breakdown(op)
+    value = modulation * signal_to_noise(op.sense_current(), breakdown)
     f_unity = value * value * bandwidth
+    require(np.isfinite(f_unity) & ((f_unity > 0.0) | (bias == 0.0)),
+            "the inputs put f_unity outside the float range", f_unity)
     return SnrResult(
         snr=value,
         f_unity=f_unity,
         sensitivity=_sensitivity_from_unity(f_unity),
-        breakdown=noise_breakdown(op),
+        breakdown=breakdown,
         transport=transport,
+        operating_point=op,
         flags=flags,
     )
 
@@ -268,9 +290,13 @@ def wire_optimal_bias(geometry: WireGeometry, material: Material) -> float:
     which caps the bias at e/(epsilon_r * R) (Gaussian form); in SI that
     is e/(4*pi*eps0*epsilon_r*R).
     """
-    return CONSTANTS.e_sq_gauss / (
-        CONSTANTS.e * material.epsilon_r * geometry.radius
-    )
+    charge_length = CONSTANTS.e * material.epsilon_r * geometry.radius
+    require((charge_length > 0.0) & np.isfinite(charge_length),
+            "radius * epsilon_r is outside the float range", geometry.radius)
+    bias = CONSTANTS.e_sq_gauss / charge_length
+    require(bias > 0.0, "radius * epsilon_r is too large: the optimal bias underflows",
+            geometry.radius)
+    return bias
 
 
 def wire_mode_count(
@@ -302,9 +328,8 @@ def wire_mode_count(
         If True, floor the continuous mode count to an integer.  The
         closed-form cancellations hold only in the continuous default.
     """
-    if not (bias >= 0.0 and math.isfinite(bias)):
-        raise ParameterError(f"bias must be >= 0 and finite, got {bias!r}")
-    if bias > wire_optimal_bias(geometry, material):
+    require_nonnegative(bias, "bias")
+    if np.any(bias > wire_optimal_bias(geometry, material)):
         warnings.warn(
             "bias exceeds the pinch-off-limited optimum; mode count is "
             "evaluated anyway but single-charge switching is no longer assured",
@@ -312,8 +337,10 @@ def wire_mode_count(
             stacklevel=2,
         )
     mass = material.mass_ratio * CONSTANTS.m_e
-    count = mass * geometry.radius**2 * CONSTANTS.e * bias / CONSTANTS.hbar**2
-    return float(math.floor(count)) if floor_modes else count
+    count = mass * square(geometry.radius, "radius") * CONSTANTS.e * bias / CONSTANTS.hbar**2
+    if floor_modes:
+        count = np.floor(count) if isinstance(count, np.ndarray) else float(np.floor(count))
+    return count
 
 
 def wire_sense_current(material: Material) -> float:
@@ -340,11 +367,7 @@ def wire_snr(
     the reference radius R = a_star where exactly one mode conducts.
     """
     _check_modulation(modulation)
-    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise ParameterError(f"bandwidth must be > 0 and finite, got {bandwidth!r}")
     scales = effective_scales(material)
-    f_unity = modulation**2 * scales.rydberg_frequency
-    value = modulation * math.sqrt(scales.rydberg_frequency / bandwidth)
     reference = WireGeometry(radius=scales.bohr_radius)
     bias = wire_optimal_bias(reference, material)
     current = wire_sense_current(material)
@@ -359,16 +382,10 @@ def wire_snr(
         conductance=conductance,
         current=current,
     )
-    return SnrResult(
-        snr=value,
-        f_unity=f_unity,
-        sensitivity=_sensitivity_from_unity(f_unity),
-        breakdown=noise_breakdown(op),
-        transport=transport,
-        flags=(),
-    )
+    return _closed_form_result(scales.rydberg_frequency, modulation, op, transport)
 
 
+@float_range_checked
 def wire_pipeline_snr(
     geometry: WireGeometry,
     material: Material,
@@ -392,7 +409,7 @@ def wire_pipeline_snr(
     flags: tuple[str, ...] = ()
     if bias is None:
         bias = optimal
-    elif bias > optimal:
+    elif np.any(bias > optimal):
         flags = ("bias-above-optimal",)
     modes = wire_mode_count(geometry, material, bias, floor_modes=floor_modes)
     if floor_modes:
@@ -406,13 +423,8 @@ def wire_pipeline_snr(
         current=conductance * bias,
     )
     return _pipeline_result(
-        conductance=conductance,
-        bias=bias,
-        temperature=temperature,
-        bandwidth=bandwidth,
-        modulation=modulation,
-        transport=transport,
-        flags=flags,
+        conductance=conductance, bias=bias, temperature=temperature, bandwidth=bandwidth,
+        modulation=modulation, transport=transport, flags=flags,
     )
 
 
@@ -429,9 +441,12 @@ def qpc_subband_spacing(geometry: QpcGeometry, material: Material) -> float:
         spacing = 3*pi^2*hbar^2 / (2*m* *W^2)
     """
     mass = material.mass_ratio * CONSTANTS.m_e
-    return (
-        3.0 * math.pi**2 * CONSTANTS.hbar**2 / (2.0 * mass * geometry.width**2)
-    )
+    denominator = 2.0 * mass * square(geometry.width, "width")
+    message = "width and m* put the sub-band spacing outside the float range"
+    require((denominator > 0.0) & np.isfinite(denominator), message, geometry.width)
+    spacing = 3.0 * math.pi**2 * CONSTANTS.hbar**2 / denominator
+    require(spacing > 0.0, message, geometry.width)
+    return spacing
 
 
 def _qpc_transport(geometry: QpcGeometry, material: Material) -> TransportState:
@@ -466,29 +481,14 @@ def qpc_snr(
     and the tests hold the two forms together to relative 1e-12.
     """
     _check_modulation(modulation)
-    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise ParameterError(f"bandwidth must be > 0 and finite, got {bandwidth!r}")
-    spacing = qpc_subband_spacing(geometry, material)
-    f_base = spacing / CONSTANTS.h
-    f_unity = modulation**2 * f_base
-    value = modulation * math.sqrt(f_base / bandwidth)
     transport = _qpc_transport(geometry, material)
-    op = OperatingPoint(
-        conductance=transport.conductance,
-        bias=transport.bias,
-        temperature=0.0,
-        bandwidth=bandwidth,
-    )
-    return SnrResult(
-        snr=value,
-        f_unity=f_unity,
-        sensitivity=_sensitivity_from_unity(f_unity),
-        breakdown=noise_breakdown(op),
-        transport=transport,
-        flags=(),
-    )
+    op = OperatingPoint(conductance=transport.conductance, bias=transport.bias,
+                        temperature=0.0, bandwidth=bandwidth)
+    f_base = transport.kinetic_energy / CONSTANTS.h
+    return _closed_form_result(f_base, modulation, op, transport)
 
 
+@float_range_checked
 def qpc_pipeline_snr(
     geometry: QpcGeometry,
     material: Material,
@@ -505,27 +505,20 @@ def qpc_pipeline_snr(
     relative 1e-12.
     """
     _check_modulation(modulation)
-    reference = _qpc_transport(geometry, material)
     if bias is None:
-        bias = reference.bias
-    if not (bias >= 0.0 and math.isfinite(bias)):
-        raise ParameterError(f"bias must be >= 0 and finite, got {bias!r}")
-    conductance = reference.conductance
+        bias = _qpc_transport(geometry, material).bias
+    require_nonnegative(bias, "bias")
+    conductance = QPC_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
     transport = TransportState(
-        n_modes=reference.n_modes,
+        n_modes=QPC_SPIN_DEGENERACY,
         kinetic_energy=CONSTANTS.e * bias,
         bias=bias,
         conductance=conductance,
         current=conductance * bias,
     )
     return _pipeline_result(
-        conductance=conductance,
-        bias=bias,
-        temperature=temperature,
-        bandwidth=bandwidth,
-        modulation=modulation,
-        transport=transport,
-        flags=(),
+        conductance=conductance, bias=bias, temperature=temperature, bandwidth=bandwidth,
+        modulation=modulation, transport=transport, flags=(),
     )
 
 
@@ -539,9 +532,12 @@ def set_island_capacitance(geometry: SetGeometry, epsilon_r: float) -> float:
     The Gaussian-units disk capacitance 2*epsilon_r*R/pi (a length)
     becomes C = 8*eps0*epsilon_r*R in SI.
     """
-    if not (epsilon_r >= 1.0 and math.isfinite(epsilon_r)):
-        raise ParameterError(f"epsilon_r must be >= 1 (vacuum), got {epsilon_r!r}")
-    return 8.0 * CONSTANTS.eps0 * epsilon_r * geometry.island_radius
+    require_dielectric(epsilon_r)
+    capacitance = 8.0 * CONSTANTS.eps0 * epsilon_r * geometry.island_radius
+    require((capacitance > 0.0) & np.isfinite(capacitance),
+            "island_radius and epsilon_r put the capacitance outside the float range",
+            geometry.island_radius)
+    return capacitance
 
 
 def set_blockade(geometry: SetGeometry, epsilon_r: float) -> SetElectrostatics:
@@ -552,6 +548,9 @@ def set_blockade(geometry: SetGeometry, epsilon_r: float) -> SetElectrostatics:
     """
     capacitance = set_island_capacitance(geometry, epsilon_r)
     blockade_voltage = CONSTANTS.e / (2.0 * capacitance)
+    require(blockade_voltage > 0.0,
+            "island_radius and epsilon_r are too large: the blockade voltage underflows",
+            geometry.island_radius)
     return SetElectrostatics(
         capacitance=capacitance,
         charging_energy=CONSTANTS.e * blockade_voltage,
@@ -578,29 +577,15 @@ def set_snr(
     which the tests hold to relative 1e-12.
     """
     _check_modulation(modulation)
-    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise ParameterError(f"bandwidth must be > 0 and finite, got {bandwidth!r}")
     electrostatics = set_blockade(geometry, epsilon_r)
+    op = OperatingPoint(conductance=SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE,
+                        bias=electrostatics.blockade_voltage, temperature=0.0,
+                        bandwidth=bandwidth)
     f_base = electrostatics.charging_energy / CONSTANTS.h
-    f_unity = modulation**2 * f_base
-    value = modulation * math.sqrt(f_base / bandwidth)
-    conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
-    op = OperatingPoint(
-        conductance=conductance,
-        bias=electrostatics.blockade_voltage,
-        temperature=0.0,
-        bandwidth=bandwidth,
-    )
-    return SnrResult(
-        snr=value,
-        f_unity=f_unity,
-        sensitivity=_sensitivity_from_unity(f_unity),
-        breakdown=noise_breakdown(op),
-        transport=electrostatics,
-        flags=(),
-    )
+    return _closed_form_result(f_base, modulation, op, electrostatics)
 
 
+@float_range_checked
 def set_pipeline_snr(
     geometry: SetGeometry,
     epsilon_r: float,
@@ -619,17 +604,11 @@ def set_pipeline_snr(
     electrostatics = set_blockade(geometry, epsilon_r)
     if bias is None:
         bias = electrostatics.blockade_voltage
-    if not (bias >= 0.0 and math.isfinite(bias)):
-        raise ParameterError(f"bias must be >= 0 and finite, got {bias!r}")
+    require_nonnegative(bias, "bias")
     conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
     return _pipeline_result(
-        conductance=conductance,
-        bias=bias,
-        temperature=temperature,
-        bandwidth=bandwidth,
-        modulation=modulation,
-        transport=electrostatics,
-        flags=(),
+        conductance=conductance, bias=bias, temperature=temperature, bandwidth=bandwidth,
+        modulation=modulation, transport=electrostatics, flags=(),
     )
 
 
@@ -681,10 +660,7 @@ def unity_snr_bandwidth(device: DeviceSpec) -> float:
     if isinstance(device, QpcDevice):
         return qpc_subband_spacing(device.geometry, device.material) / CONSTANTS.h
     if isinstance(device, SetDevice):
-        return (
-            set_blockade(device.geometry, device.epsilon_r).charging_energy
-            / CONSTANTS.h
-        )
+        return set_blockade(device.geometry, device.epsilon_r).charging_energy / CONSTANTS.h
     raise TypeError(f"unknown device kind: {type(device).__name__}")
 
 

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import require_nonnegative
 
 __all__ = [
     "LAMBDA_GAUSSIAN_CUTOFF",
@@ -215,8 +215,7 @@ def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
     simulation.  scipy is imported here, on first use, because importing
     it costs a CLI call more than everything else together.
     """
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ParameterError(f"Poisson mean must be >= 0 and finite, got {lam!r}")
+    require_nonnegative(lam, "Poisson mean")
     if lam == 0.0:
         return 0, np.ones(1, dtype=np.float64)
     from scipy.special import gammaln

@@ -14,14 +14,17 @@ handled by the CLI.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .constants import CONSTANTS
-from .errors import ParameterError
+from .errors import (
+    ParameterError, float_range_checked, require, require_dielectric, require_positive, square,
+)
 
 __all__ = [
     "Material",
@@ -55,14 +58,8 @@ class Material:
     epsilon_r: float
 
     def __post_init__(self) -> None:
-        if not (self.mass_ratio > 0.0 and math.isfinite(self.mass_ratio)):
-            raise ParameterError(
-                f"mass_ratio must be > 0 and finite, got {self.mass_ratio!r}"
-            )
-        if not (self.epsilon_r >= 1.0 and math.isfinite(self.epsilon_r)):
-            raise ParameterError(
-                f"epsilon_r must be >= 1 (vacuum), got {self.epsilon_r!r}"
-            )
+        require_positive(self.mass_ratio, "mass_ratio")
+        require_dielectric(self.epsilon_r)
 
 
 @dataclass(frozen=True)
@@ -75,29 +72,28 @@ class EffectiveScales:
     scale_factor: float      # (m*/m_e) / epsilon_r^2, dimensionless
 
 
+@float_range_checked
 def effective_scales(material: Material) -> EffectiveScales:
     """Return the effective Rydberg and Bohr radius inside a material.
 
     The binding-energy scale picks up (m*/m_e)/epsilon_r**2 and the
     length scale the inverse, epsilon_r/(m*/m_e).  For vacuum
-    (mass_ratio = 1, epsilon_r = 1) the returned values equal the
-    vacuum constants exactly, not merely to rounding.
+    (mass_ratio = 1, epsilon_r = 1) the scale factor is exactly 1, so
+    the returned values equal the vacuum constants exactly, not merely
+    to rounding; that holds element by element for array fields too.
     """
-    scale = material.mass_ratio / material.epsilon_r**2
-    if material.mass_ratio == 1.0 and material.epsilon_r == 1.0:
-        # Exact degeneracy with vacuum; skip the multiply/divide round trips.
-        return EffectiveScales(
-            rydberg_energy=CONSTANTS.rydberg_energy,
-            rydberg_frequency=CONSTANTS.rydberg_frequency,
-            bohr_radius=CONSTANTS.bohr_radius,
-            scale_factor=1.0,
-        )
-    return EffectiveScales(
+    scale = material.mass_ratio / square(material.epsilon_r, "epsilon_r")
+    scales = EffectiveScales(
         rydberg_energy=CONSTANTS.rydberg_energy * scale,
         rydberg_frequency=CONSTANTS.rydberg_frequency * scale,
         bohr_radius=CONSTANTS.bohr_radius * material.epsilon_r / material.mass_ratio,
         scale_factor=scale,
     )
+    require((scale > 0.0) & np.isfinite(scales.rydberg_frequency)
+            & np.isfinite(scales.bohr_radius),
+            "mass_ratio and epsilon_r put the effective scales outside the float range",
+            material.mass_ratio)
+    return scales
 
 
 def canonical_name(name: str) -> str:

@@ -45,7 +45,7 @@ import numpy as np
 from . import kernels, rng
 from .constants import CONSTANTS
 from .devices import DeviceSpec, ModelValidityWarning, device_operating_point
-from .errors import ParameterError
+from .errors import ParameterError, require, require_nonnegative, require_positive
 from .noise import OperatingPoint
 from .noise import snr as analytic_amplitude_snr
 
@@ -103,36 +103,17 @@ class SimConfig:
     fano: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.on_current >= 0.0 and math.isfinite(self.on_current)):
-            raise ParameterError(
-                f"on_current must be >= 0 and finite, got {self.on_current!r}"
-            )
-        if not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
-            raise ParameterError(
-                f"bandwidth must be > 0 and finite, got {self.bandwidth!r}"
-            )
-        if not (self.temperature >= 0.0 and math.isfinite(self.temperature)):
-            raise ParameterError(
-                f"temperature must be >= 0 and finite, got {self.temperature!r}"
-            )
-        if self.conductance is not None and not (
-            self.conductance >= 0.0 and math.isfinite(self.conductance)
-        ):
-            raise ParameterError(
-                f"conductance must be >= 0 and finite, got {self.conductance!r}"
-            )
+        require_nonnegative(self.on_current, "on_current")
+        require_positive(self.bandwidth, "bandwidth")
+        require_nonnegative(self.temperature, "temperature")
+        if self.conductance is not None:
+            require_nonnegative(self.conductance, "conductance")
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ParameterError(f"trials must be an int >= 1, got {self.trials!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ParameterError(
-                f"seed must be an int in [0, 2**64), got {self.seed!r}"
-            )
-        if not (self.threshold >= 0.0 and math.isfinite(self.threshold)):
-            raise ParameterError(
-                f"threshold must be >= 0 and finite, got {self.threshold!r}"
-            )
-        if not (self.fano > 0.0 and math.isfinite(self.fano)):
-            raise ParameterError(f"fano must be > 0 and finite, got {self.fano!r}")
+            raise ParameterError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
+        require_nonnegative(self.threshold, "threshold")
+        require_positive(self.fano, "fano")
 
 
 class Ci95(NamedTuple):
@@ -169,6 +150,12 @@ class SimOutcome:
     gaussian_fallback: bool
     seed_used: int
     generator: str
+
+    def n_sigma(self) -> float:
+        """|empirical - analytic| SNR in units of the estimator's stderr."""
+        if self.snr_stderr > 0.0:
+            return abs(self.empirical_snr - self.analytic_snr) / self.snr_stderr
+        return 0.0 if self.empirical_snr == self.analytic_snr else math.inf
 
     def as_dict(self) -> dict:
         """Plain-types view in a fixed key order, ready for JSON."""
@@ -254,6 +241,8 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
         raise ParameterError(f"workers must be an int >= 1, got {workers!r}")
     window = 1.0 / (2.0 * cfg.bandwidth)
     lam = cfg.on_current * window / CONSTANTS.e
+    require(math.isfinite(lam), "on_current and bandwidth put the expected count outside "
+            "the float range", lam)
     conductance = 0.0 if cfg.conductance is None else cfg.conductance
     thermal_sq = 4.0 * CONSTANTS.k_B * cfg.temperature * conductance * cfg.bandwidth
     sigma = math.sqrt(thermal_sq) * window / CONSTANTS.e
@@ -393,12 +382,7 @@ def validate_device(
         threshold=threshold,
     )
     outcome = simulate_detection(cfg, workers=workers)
-    if outcome.snr_stderr > 0.0:
-        n_sigma = abs(outcome.empirical_snr - outcome.analytic_snr) / outcome.snr_stderr
-    elif outcome.empirical_snr == outcome.analytic_snr:
-        n_sigma = 0.0
-    else:
-        n_sigma = math.inf
+    n_sigma = outcome.n_sigma()
     return DeviceValidation(
         analytic_snr=outcome.analytic_snr,
         empirical_snr=outcome.empirical_snr,

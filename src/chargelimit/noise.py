@@ -18,8 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .constants import CONSTANTS
-from .errors import ParameterError
+from .errors import ParameterError, require, require_nonnegative, require_positive
 
 __all__ = [
     "OperatingPoint",
@@ -27,6 +29,7 @@ __all__ = [
     "ShotDominance",
     "noise_breakdown",
     "snr",
+    "signal_to_noise",
     "shot_dominated",
 ]
 
@@ -66,32 +69,20 @@ class OperatingPoint:
     temperature: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
-            raise ParameterError(
-                f"bandwidth must be > 0 and finite, got {self.bandwidth!r}"
-            )
-        if not (self.temperature >= 0.0 and math.isfinite(self.temperature)):
-            raise ParameterError(
-                f"temperature must be >= 0 and finite, got {self.temperature!r}"
-            )
+        require_positive(self.bandwidth, "bandwidth")
+        require_nonnegative(self.temperature, "temperature")
         for name in ("current", "conductance", "bias"):
             value = getattr(self, name)
-            if value is not None and not (value >= 0.0 and math.isfinite(value)):
-                raise ParameterError(
-                    f"{name} must be >= 0 and finite, got {value!r}"
-                )
+            if value is not None:
+                require_nonnegative(value, name)
         if self.current is None and (self.conductance is None or self.bias is None):
             raise ParameterError(
                 "operating point needs either a current or both a conductance and a bias"
             )
-        if (
-            self.current is not None
-            and self.conductance is not None
-            and self.bias is not None
-        ):
+        if all(v is not None for v in (self.current, self.conductance, self.bias)):
             product = self.conductance * self.bias
-            scale = max(abs(self.current), abs(product))
-            if scale > 0.0 and abs(self.current - product) > _CONSISTENCY_RTOL * scale:
+            scale = np.maximum(np.abs(self.current), np.abs(product))
+            if np.any(np.abs(self.current - product) > _CONSISTENCY_RTOL * scale):
                 raise ParameterError(
                     f"inconsistent operating point: current={self.current!r} but "
                     f"conductance*bias={product!r}"
@@ -113,8 +104,10 @@ class OperatingPoint:
         """
         if self.conductance is not None:
             return self.conductance
-        if self.bias is not None and self.bias > 0.0 and self.current is not None:
-            return self.current / self.bias
+        if self.bias is not None and self.current is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(self.bias > 0.0, np.divide(self.current, self.bias), 0.0)
+            return ratio if np.ndim(ratio) else float(ratio)
         return 0.0
 
 
@@ -140,6 +133,7 @@ def noise_breakdown(op: OperatingPoint, fano: float = 1.0) -> NoiseBreakdown:
     Parameters
     ----------
     op : OperatingPoint
+        Its fields may be arrays that broadcast together; so are the terms.
     fano : float, optional
         Multiplier on the shot-noise variance.  1 (default) is the
         uncorrelated-tunneling value; values below 1 model correlation-
@@ -152,17 +146,25 @@ def noise_breakdown(op: OperatingPoint, fano: float = 1.0) -> NoiseBreakdown:
         shot_sq = fano*2*e*I*df, thermal_sq = 4*k_B*T*G*df and the rms
         of their sum.
     """
-    if not (fano >= 0.0 and math.isfinite(fano)):
-        raise ParameterError(f"fano must be >= 0 and finite, got {fano!r}")
+    require_nonnegative(fano, "fano")
     current = op.sense_current()
     conductance = op.channel_conductance()
     shot_sq = fano * 2.0 * CONSTANTS.e * current * op.bandwidth
     thermal_sq = 4.0 * CONSTANTS.k_B * op.temperature * conductance * op.bandwidth
-    return NoiseBreakdown(
-        shot_sq=shot_sq,
-        thermal_sq=thermal_sq,
-        total_rms=math.sqrt(shot_sq + thermal_sq),
-    )
+    variance = shot_sq + thermal_sq
+    require(np.isfinite(variance) & ((variance > 0.0) | (current == 0.0)),
+            "bandwidth and current put the noise variance outside the float range",
+            variance)
+    sqrt = np.sqrt if isinstance(variance, np.ndarray) else math.sqrt
+    return NoiseBreakdown(shot_sq=shot_sq, thermal_sq=thermal_sq, total_rms=sqrt(variance))
+
+
+def signal_to_noise(current, breakdown: NoiseBreakdown):
+    """Mean current over rms noise current; 0 where the current is 0."""
+    if isinstance(breakdown.total_rms, np.ndarray):
+        return np.divide(current, breakdown.total_rms, where=current != 0.0,
+                         out=np.zeros(np.shape(breakdown.total_rms)))
+    return 0.0 if current == 0.0 else current / breakdown.total_rms
 
 
 def snr(op: OperatingPoint, fano: float = 1.0) -> float:
@@ -173,11 +175,7 @@ def snr(op: OperatingPoint, fano: float = 1.0) -> float:
     0 for zero current (sweeps pass through pinch-off) since the noise
     floor also vanishes there at T = 0.
     """
-    current = op.sense_current()
-    if current == 0.0:
-        return 0.0
-    total_rms = noise_breakdown(op, fano=fano).total_rms
-    return current / total_rms
+    return signal_to_noise(op.sense_current(), noise_breakdown(op, fano=fano))
 
 
 def shot_dominated(op: OperatingPoint) -> ShotDominance:

@@ -198,6 +198,34 @@ def test_negative_bandwidth_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["qpc", "--width", "1e-300m"], ["width"]),
+        (["sweep", "--device", "qpc", "--axis", "W", "--start", "1e-300m",
+          "--stop", "1e-299m", "--points", "3"], ["width", "W = 1e-300"]),
+        (["sweep", "--device", "wire", "--axis", "R", "--start", "1e200m",
+          "--stop", "1e201m", "--points", "2"], ["radius", "R = 1e+200"]),
+        (["sweep", "--device", "wire", "--axis", "R", "--start", "1e-200m",
+          "--stop", "1e-199m", "--points", "2"], ["radius", "R = 1e-200"]),
+        (["sweep", "--device", "wire", "--axis", "m_star_ratio", "--start", "1",
+          "--stop", "1e300", "--points", "2"], ["mass_ratio", "m_star_ratio = 1e+300"]),
+        (["simulate", "--current", "1e-13A", "--df", "1e-300Hz", "--trials", "10",
+          "--seed", "1"], ["bandwidth"]),
+        (["wire", "--mass-ratio", "1e-300", "--epsr", "1e300"], ["epsilon_r"]),
+        (["set", "--radius", "1e300m", "--df", "1e-300Hz"], ["f_unity"]),
+    ],
+)
+def test_out_of_float_range_is_one_error_line(capsys, argv, names):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for name in names:
+        assert name in lines[0]
+
+
 # ------------------------------------------------------------------ sweep
 
 
@@ -414,6 +442,36 @@ def test_simulate_trials_zero_is_usage_error():
              "--trials", "0", "--seed", "1"]
         )
     assert err.value.code == 2
+
+
+def test_simulate_single_trial_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--current", "1pA", "--df", "1kHz", "--trials", "1", "--seed", "1"])
+    assert err.value.code == 2
+    assert "trials must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--trials", "ten", "trials must be an integer, got 'ten'"),
+        ("--seed", "-1", "seed must be in [0, 2**64), got -1"),
+        ("--workers", "0", "workers must be >= 1, got 0"),
+    ],
+)
+def test_integer_flag_messages(capsys, flag, text, message):
+    argv = {"--current": "1pA", "--df": "1kHz", "--trials": "10", "--seed": "1", flag: text}
+    with pytest.raises(SystemExit):
+        main(["simulate", *(item for pair in argv.items() for item in pair)])
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_points_below_two_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--device", "wire", "--axis", "R", "--start", "1nm",
+              "--stop", "1um", "--points", "1"])
+    assert err.value.code == 2
+    assert "points must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_simulate_seed_overflow_is_usage_error():

@@ -529,3 +529,105 @@ def test_wire_pipeline_radius_free_property(radius, mass_ratio):
     piped = wire_pipeline_snr(WireGeometry(radius), material, 1e6)
     closed = wire_snr(material, 1e6)
     assert rel(piped.snr, closed.snr) < 1e-12
+
+
+# ------------------------------------------------- array calls, point by point
+
+_RNG = np.random.default_rng(20201005)
+
+
+def _log_uniform(low, high, n):
+    return np.exp(_RNG.uniform(np.log(low), np.log(high), n))
+
+
+def _square_traps(candidates):
+    """The values whose numpy square rounds differently from ``v ** 2``."""
+    python = np.array([v ** 2 for v in candidates.tolist()])
+    return candidates[candidates * candidates != python]
+
+
+#: Includes radii on which x*x and Python's x**2 (C pow) disagree.
+_RADII = np.concatenate(
+    (_log_uniform(1e-10, 1e-5, 250), _square_traps(_log_uniform(1e-10, 1e-5, 200_000))[:50])
+)
+_BANDWIDTHS = _log_uniform(1.0, 1e12, 300)
+_TEMPERATURES = np.concatenate(([0.0], _RNG.uniform(0.0, 300.0, 299)))
+#: Passes exactly through 1.0, the vacuum point of the effective scales.
+_RATIOS = np.linspace(0.5, 1.5, 301)
+
+
+def _fields(result) -> dict:
+    """Every per-point number an SnrResult carries, by name."""
+    op = result.operating_point
+    out = {
+        "snr": result.snr, "f_unity": result.f_unity, "sensitivity": result.sensitivity,
+        **result.breakdown._asdict(), **vars(result.transport),
+        "op.conductance": op.conductance, "op.bias": op.bias,
+        "op.current": op.sense_current(), "op.temperature": op.temperature,
+        "op.bandwidth": op.bandwidth,
+    }
+    return out
+
+
+_ARRAY_CASES = {
+    "wire R": (lambda v: wire_pipeline_snr(WireGeometry(v), GAAS_LIKE, 1e6), _RADII),
+    "wire R thermal": (
+        lambda v: wire_pipeline_snr(WireGeometry(v), GAAS_LIKE, 1e3, temperature=4.2), _RADII),
+    "wire df": (lambda v: wire_pipeline_snr(
+        WireGeometry(20e-9), GAAS_LIKE, v, temperature=1.0), _BANDWIDTHS),
+    "wire T": (lambda v: wire_pipeline_snr(
+        WireGeometry(20e-9), GAAS_LIKE, 1e3, temperature=v), _TEMPERATURES),
+    "wire m*": (lambda v: wire_pipeline_snr(
+        WireGeometry(20e-9), Material("custom", v, 1.0), 1e6), _RATIOS),
+    "wire m* bohr radius": (lambda v: wire_pipeline_snr(
+        WireGeometry(effective_scales(Material("custom", v, 1.0)).bohr_radius),
+        Material("custom", v, 1.0), 1e6), _RATIOS),
+    "wire eps": (lambda v: wire_pipeline_snr(
+        WireGeometry(20e-9), Material("custom", 1.0, v), 1e6), _RATIOS + 0.5),
+    "qpc W": (lambda v: qpc_pipeline_snr(QpcGeometry(v), GAAS_LIKE, 1e9), _RADII),
+    "qpc T": (lambda v: qpc_pipeline_snr(
+        QpcGeometry(20e-9), GAAS_LIKE, 1e9, temperature=v), _TEMPERATURES),
+    "qpc m*": (lambda v: qpc_pipeline_snr(
+        QpcGeometry(20e-9), Material("custom", v, 1.0), 1e9), _RATIOS),
+    "set R": (lambda v: set_pipeline_snr(SetGeometry(v), 12.9, 1e6), _RADII),
+    "set df": (lambda v: set_pipeline_snr(
+        SetGeometry(50e-9), 12.9, v, temperature=0.1), _BANDWIDTHS),
+    "set eps": (lambda v: set_pipeline_snr(SetGeometry(50e-9), v, 1e6), _RATIOS + 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ARRAY_CASES))
+def test_array_call_equals_point_calls_bit_for_bit(case):
+    call, values = _ARRAY_CASES[case]
+    whole = _fields(call(values))
+    points = [_fields(call(v)) for v in values.tolist()]
+    for name, column in whole.items():
+        column = np.broadcast_to(column, values.shape).tolist()
+        got = [repr(v) for v in column]
+        want = [repr(point[name]) for point in points]
+        assert got == want, name
+
+
+def test_scalar_call_returns_python_floats():
+    result = wire_pipeline_snr(WireGeometry(20e-9), GAAS_LIKE, 1e6, temperature=4.2)
+    for name, value in _fields(result).items():
+        assert type(value) is float, name
+
+
+@pytest.mark.parametrize(
+    "call, parameter",
+    [
+        (lambda: wire_pipeline_snr(WireGeometry(np.array([1e-9, 1e200])), VACUUM, 1.0),
+         "radius"),
+        (lambda: wire_pipeline_snr(WireGeometry(np.array([1e-9, 1e-200])), VACUUM, 1.0),
+         "radius"),
+        (lambda: qpc_pipeline_snr(QpcGeometry(np.array([1e-8, 1e-300])), GAAS_LIKE, 1.0),
+         "width"),
+        (lambda: set_pipeline_snr(SetGeometry(np.array([5e-8, 1e-320])), 1.0, 1.0),
+         "island_radius"),
+    ],
+)
+def test_array_out_of_float_range_names_first_bad_point(call, parameter):
+    with pytest.raises(ParameterError, match=parameter) as err:
+        call()
+    assert err.value.index == 1

@@ -1,5 +1,6 @@
 """Counting simulator: reproducibility contract and statistical agreement."""
 
+import dataclasses
 import math
 
 import pytest
@@ -261,3 +262,12 @@ def test_validate_device_warns_on_sparse_counts():
     device = SetDevice(SetGeometry(50e-9), 12.9)
     with pytest.warns(ModelValidityWarning):
         validate_device(device, 1e11, trials=2000, seed=5)
+
+
+def test_n_sigma_score():
+    outcome = simulate_detection(LAM10)
+    gap = abs(outcome.empirical_snr - outcome.analytic_snr)
+    assert outcome.n_sigma() == gap / outcome.snr_stderr
+    exact = dataclasses.replace(outcome, snr_stderr=0.0, empirical_snr=outcome.analytic_snr)
+    assert exact.n_sigma() == 0.0
+    assert dataclasses.replace(outcome, snr_stderr=0.0).n_sigma() == math.inf

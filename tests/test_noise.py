@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -264,3 +265,16 @@ def test_shot_dominated_boundary_is_strict():
 def test_shot_dominated_requires_bias():
     with pytest.raises(ParameterError):
         shot_dominated(op_current(1e-9, 1e6))
+
+
+def test_array_operating_points_match_scalar_ones():
+    current = np.array([1e-9, 2e-9, 0.0])
+    bias = np.array([1e-3, 0.0, 0.0])
+    whole = noise_breakdown(OperatingPoint(current=current, bias=bias, bandwidth=1e3,
+                                           temperature=4.2))
+    for i, (c, v) in enumerate(zip(current.tolist(), bias.tolist())):
+        point = noise_breakdown(OperatingPoint(current=c, bias=v, bandwidth=1e3, temperature=4.2))
+        assert [float(term[i]) for term in whole] == list(point)
+    consistent = OperatingPoint(current=current, conductance=1e-6, bias=current / 1e-6,
+                                bandwidth=1e3)
+    assert np.array_equal(consistent.sense_current(), current)

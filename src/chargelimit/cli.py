@@ -877,10 +877,15 @@ def main(argv=None) -> int:
     if args.command == "material" and args.action == "show" and args.name is None:
         args.parser.error("material show requires a material name")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader must surface here, not at exit
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # stdout to devnull, so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -338,6 +338,8 @@ def wire_mode_count(
         )
     mass = material.mass_ratio * CONSTANTS.m_e
     count = mass * square(geometry.radius, "radius") * CONSTANTS.e * bias / CONSTANTS.hbar**2
+    require(np.isfinite(count) & ((count > 0.0) | (bias == 0.0)),
+            "radius and m* put the wire mode count outside the float range", geometry.radius)
     if floor_modes:
         count = np.floor(count) if isinstance(count, np.ndarray) else float(np.floor(count))
     return count

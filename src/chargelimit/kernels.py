@@ -23,6 +23,11 @@ Each of its three branches is evaluated only on the elements it applies
 to: the central polynomial on |u - 0.5| <= 0.425, the portable log on
 the tails only, and the intermediate and far-tail polynomials on their
 own split of the tails.
+
+Poisson inversion uses a guide table (Chen & Asau 1974; Devroye 1986,
+§III.2) built once per simulation: one lookup per uniform, and a binary
+search only where a bucket spans several CDF entries, so every count
+equals the clamped ``searchsorted(cdf, u, "right")``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .errors import require_nonnegative
 __all__ = [
     "LAMBDA_GAUSSIAN_CUTOFF",
     "poisson_cdf_table",
+    "poisson_guide_table",
     "portable_log",
     "inverse_normal",
     "block_kernels",
@@ -157,17 +163,28 @@ def _tree_sum_vector(values, padded):
     return float(buf[0])
 
 
+def _poisson_counts(u, cdf, k_lo, guide):
+    """``k_lo + min(searchsorted(cdf, u, "right"), len(cdf) - 1)`` as float64,
+    through the guide table of :func:`poisson_guide_table`."""
+    base, cut = guide
+    bucket = (u * base.shape[0]).astype(np.intp)
+    q = base.take(bucket)
+    q += cut.take(bucket) <= u
+    wide = np.flatnonzero(np.isnan(q))
+    idx = np.searchsorted(cdf, u.take(wide), side="right")
+    q[wide] = k_lo + np.minimum(idx, cdf.shape[0] - 1)
+    return q
+
+
 def _open_block(
-    u_count, u_thermal, cdf, k_lo, gaussian, lam, sqrt_shot, sigma, shift, threshold
+    u_count, u_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot, sigma, shift, threshold
 ):
     n = u_count.shape[0]
     padded = 1 << max(n - 1, 0).bit_length()
     if gaussian:
         q = lam + sqrt_shot * _inverse_normal_vector(u_count)
     else:
-        idx = np.searchsorted(cdf, u_count, side="right")
-        idx = np.minimum(idx, cdf.shape[0] - 1)
-        q = (k_lo + idx).astype(np.float64)
+        q = _poisson_counts(u_count, cdf, k_lo, guide)
     if sigma > 0.0:
         q = q + sigma * _inverse_normal_vector(u_thermal)
     below = int(np.count_nonzero(q < threshold))
@@ -228,13 +245,33 @@ def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
     return k_lo, np.cumsum(np.exp(log_pmf))
 
 
+def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int) -> np.ndarray:
+    """``(2, m)`` guide table: ``k_lo + g`` and the cut ``cdf[g]`` per bucket.
+
+    m, a power of two (so ``u*m`` and ``j/m`` are exact), is at least
+    ``min(len(cdf), trials)``: the build costs at most about one binary
+    search per trial.  Bucket j starts at
+    ``g = min(searchsorted(cdf, j/m, "right"), len(cdf) - 1)``; where the
+    next one starts at most one entry later, u in it samples
+    ``k_lo + g + (cdf[g] <= u)``.  Wider buckets get a NaN base (searched
+    instead); the cut is inf where the clamp alone decides.
+    """
+    m = 1 << (min(cdf.shape[0], trials) - 1).bit_length()
+    last = cdf.shape[0] - 1
+    start = np.minimum(np.searchsorted(cdf, np.arange(m + 1) / m, side="right"), last)
+    base = (k_lo + start[:-1]).astype(np.float64)
+    base[np.diff(start) > 1] = np.nan
+    cut = np.where(start[:-1] < last, cdf[start[:-1]], np.inf)
+    return np.stack([base, cut])
+
+
 def block_kernels():
     """Return ``(open_block, blocked_block)``, the per-block simulator kernels.
 
-    ``open_block(u_count, u_thermal, cdf, k_lo, gaussian, lam, sqrt_shot,
-    sigma, shift, threshold)`` samples the open-state charge of one block
-    and returns its shifted power sums ``s1..s4`` and the count below
-    threshold; ``blocked_block(u_thermal, sigma, threshold)`` counts the
+    ``open_block(u_count, u_thermal, cdf, k_lo, guide, gaussian, lam,
+    sqrt_shot, sigma, shift, threshold)`` samples the open-state charge of
+    one block and returns its shifted power sums ``s1..s4`` and the count
+    below threshold; ``blocked_block(u_thermal, sigma, threshold)`` counts the
     blocked-state trials whose thermal charge reaches the threshold.
     """
     return _open_block, _blocked_block

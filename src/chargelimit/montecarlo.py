@@ -45,7 +45,8 @@ import numpy as np
 from . import kernels, rng
 from .constants import CONSTANTS
 from .devices import DeviceSpec, ModelValidityWarning, device_operating_point
-from .errors import ParameterError, require, require_nonnegative, require_positive
+from .errors import ParameterError, float_range_checked, require, require_nonnegative
+from .errors import require_positive
 from .noise import OperatingPoint
 from .noise import snr as analytic_amplitude_snr
 
@@ -249,9 +250,10 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     gaussian = lam > kernels.LAMBDA_GAUSSIAN_CUTOFF or cfg.fano != 1.0
     sqrt_shot = math.sqrt(cfg.fano * lam)
     if gaussian:
-        k_lo, cdf = 0, np.empty(0, dtype=np.float64)
+        k_lo, cdf, guide = 0, np.empty(0, dtype=np.float64), None
     else:
         k_lo, cdf = kernels.poisson_cdf_table(lam)
+        guide = kernels.poisson_guide_table(k_lo, cdf, cfg.trials)
     open_block, blocked_block = kernels.block_kernels()
 
     trials = cfg.trials
@@ -259,6 +261,7 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     shift = lam
     no_thermal = np.empty(0, dtype=np.float64)
 
+    @float_range_checked
     def run_block(index: int):
         n_b = min(rng.BLOCK, trials - index * rng.BLOCK)
         if sigma > 0.0:
@@ -268,7 +271,7 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
             u_count = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, n_b)
             u_thermal = no_thermal
         stats = open_block(
-            u_count, u_thermal, cdf, k_lo, gaussian, lam, sqrt_shot,
+            u_count, u_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot,
             sigma, shift, cfg.threshold,
         )
         if sigma > 0.0:
@@ -294,11 +297,18 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
         below += p_below
         false_open += p_false
 
-    mean, m2, m3, m4 = _central_moments(shift, trials, s1, s2, s3, s4)
+    try:  # Python's float ** raises where numpy's power gives inf
+        mean, m2, m3, m4 = _central_moments(shift, trials, s1, s2, s3, s4)
+        stderr = _snr_stderr(trials, mean, m2, m3, m4)
+    except OverflowError:
+        stderr = math.inf
+    require(math.isfinite(s4 + stderr), "on_current, bandwidth, fano, temperature and "
+            "conductance put the charge moments outside the float range", s4 + stderr)
+    require(m2 > 0.0 or not gaussian or lam == 0.0, "on_current and bandwidth put the "
+            "Gaussian shot noise below the float resolution of the expected count", lam)
     sample_var = m2 * trials / (trials - 1) if trials > 1 else 0.0
     std = math.sqrt(max(sample_var, 0.0))
     empirical_snr = mean / std if std > 0.0 else 0.0
-    stderr = _snr_stderr(trials, mean, m2, m3, m4)
 
     err_open = below / trials
     if sigma > 0.0:

@@ -214,6 +214,19 @@ def test_negative_bandwidth_is_domain_error(capsys):
           "--seed", "1"], ["bandwidth"]),
         (["wire", "--mass-ratio", "1e-300", "--epsr", "1e300"], ["epsilon_r"]),
         (["set", "--radius", "1e300m", "--df", "1e-300Hz"], ["f_unity"]),
+        (["wire", "--radius", "1e-160m"], ["radius"]),
+        # Gaussian path, lam ~ 3e218 and 3e304: sqrt(lam) is below lam's float spacing.
+        (["simulate", "--current", "1e200A", "--df", "1Hz", "--trials", "1000",
+          "--seed", "1"], ["on_current", "bandwidth", "shot noise"]),
+        (["simulate", "--current", "1e-4A", "--df", "1e-290Hz", "--trials", "70000",
+          "--seed", "1", "--workers", "2"], ["on_current", "bandwidth", "shot noise"]),
+        # dq**4 overflows in the block sums; then only the stderr's m2**3 does.
+        (["simulate", "--current", "1e-7A", "--df", "1Hz", "--fano", "1e200",
+          "--trials", "70000", "--seed", "1", "--workers", "2"], ["on_current", "fano"]),
+        (["simulate", "--current", "1e-7A", "--df", "1Hz", "--fano", "1e95",
+          "--trials", "1000", "--seed", "1"], ["on_current", "fano"]),
+        (["simulate", "--current", "1e-13A", "--df", "5e4Hz", "--temperature", "1e300K",
+          "--conductance", "1e300S", "--trials", "100", "--seed", "1"], ["temperature"]),
     ],
 )
 def test_out_of_float_range_is_one_error_line(capsys, argv, names):
@@ -522,6 +535,22 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import chargelimit.cli, sys; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_stdout_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chargelimit", "simulate", "--current",
+             "1.602176634e-13A", "--df", "5e4Hz", "--trials", "1000", "--seed", "1",
+             "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_simulate_byte_identical_across_runs_and_workers():

@@ -5,8 +5,10 @@ reproduce the stdout recorded in ``tests/data/golden/<case>.json``.  The
 cases cover every sampling path: Poisson inversion at lam 0.5, 10 and
 1e3 with T = 0, Poisson plus 4.2 K thermal noise, the Gaussian fallback
 reached both through lam > 1e7 and through ``--fano``, and partial last
-blocks (100 000 and 65 537 trials are not multiples of the 65 536-trial
-block).  Kernel work must leave these bits alone.  Regenerate the
+blocks (100 000, 70 000 and 65 537 trials are not multiples of the
+65 536-trial block).  The lam = 9e6 case has a 240 061-entry CDF table,
+more than its guide table has buckets, so many of its counts go through
+the guide table's binary-search fallback.  Kernel work must leave these bits alone.  Regenerate the
 records only for a deliberate, documented change to the sampled numbers:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -43,6 +45,9 @@ CASES = {
     "gaussian_fano_thermal": [
         "--current", "1.602176634e-13A", *_DF, "--trials", "100000", "--seed", "7",
         "--fano", "0.5", *_THERMAL,
+    ],
+    "lam9e6_partial": [
+        "--current", "1.4419589706e-7A", *_DF, "--trials", "70000", "--seed", "9",
     ],
     "partial_65537_thermal": [
         "--current", "1.602176634e-13A", *_DF, "--trials", "65537", "--seed", "8",

@@ -11,9 +11,11 @@ from scipy.stats import poisson as scipy_poisson
 from chargelimit import ParameterError
 from chargelimit.kernels import (
     LAMBDA_GAUSSIAN_CUTOFF,
+    _poisson_counts,
     block_kernels,
     inverse_normal,
     poisson_cdf_table,
+    poisson_guide_table,
     portable_log,
 )
 from chargelimit.rng import BLOCK, GENERATOR_ID, uniform_block
@@ -148,6 +150,62 @@ def test_poisson_cdf_table_rejects_bad_mean(bad):
         poisson_cdf_table(bad)
 
 
+def _guide_edge_uniforms(cdf, m):
+    """0, 2**-54, 1 - 2**-53, and every CDF value and bucket edge j/m in
+    [0, 1) with its float64 neighbours."""
+    points = np.concatenate([cdf[cdf < 1.0], np.arange(m) / m])
+    u = np.concatenate([
+        [0.0, 2.0**-54, 1.0 - 2.0**-53],
+        points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def test_guide_cases_cover_both_cdf_ends():
+    assert poisson_cdf_table(10.0)[1][-1] > 1.0
+    assert poisson_cdf_table(1e3)[1][-1] < 1.0
+    assert poisson_cdf_table(9e6)[1][-1] < 1.0
+
+
+def _check_guide(k_lo, cdf, trials, blocks):
+    """The guide lookup equals the clamped binary search on every uniform."""
+    guide = poisson_guide_table(k_lo, cdf, trials)
+    m = guide.shape[1]
+    assert m == 1 << (min(cdf.size, trials) - 1).bit_length()
+    for u in [*blocks, _guide_edge_uniforms(cdf, m)]:
+        expected = k_lo + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        counts = _poisson_counts(u, cdf, k_lo, guide)
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, expected.astype(np.float64))
+    return guide
+
+
+@pytest.mark.parametrize("lam", [0.5, 10.0, 1e3, 9e6])
+@pytest.mark.parametrize("trials", [3, 1000, 10**6])
+def test_guide_lookup_equals_clamped_searchsorted(lam, trials):
+    k_lo, cdf = poisson_cdf_table(lam)
+    blocks = [uniform_block(seed, 0, 0, BLOCK) for seed in (31, 32, 33)]
+    guide = _check_guide(k_lo, cdf, trials, blocks)
+    # Some of the seeded uniforms take the binary-search fallback.
+    bucket = (blocks[0] * guide.shape[1]).astype(np.intp)
+    assert np.isnan(guide[0].take(bucket)).any()
+
+
+@pytest.mark.parametrize(
+    "cdf",
+    [
+        [1.0],
+        [0.1, 0.3, 0.6, 0.8],  # distinct top entries; the clamp maps u >= 0.8 to 3
+        [0.1, 0.3, 0.6],  # cdf[-1] < 3/4: the last bucket lies wholly past it
+        [0.0, 0.0, 0.5, 0.5, 1.0, 1.0],  # ties, and entries on bucket edges
+        [0.5, 1.0, 1.5],  # last entries above 1
+    ],
+)
+@pytest.mark.parametrize("trials", [1, 2, 5, 1000])
+def test_guide_lookup_on_hand_built_tables(cdf, trials):
+    _check_guide(7, np.array(cdf), trials, [uniform_block(34, 0, 0, 4096)])
+
+
 # ----------------------------------------------------------- RNG streams
 
 
@@ -186,9 +244,10 @@ def _case(gaussian, with_thermal, n=4096, lam=100.0, seed=9):
     """Inputs for one open-block call."""
     sigma = 3.7 if with_thermal else 0.0
     if gaussian:
-        k_lo, cdf = 0, np.empty(0, dtype=np.float64)
+        k_lo, cdf, guide = 0, np.empty(0, dtype=np.float64), None
     else:
         k_lo, cdf = poisson_cdf_table(lam)
+        guide = poisson_guide_table(k_lo, cdf, n)
     u_count = uniform_block(seed, 0, 0, n)
     u_thermal = uniform_block(seed, 1, 0, n) if with_thermal else np.empty(0)
     return (
@@ -196,6 +255,7 @@ def _case(gaussian, with_thermal, n=4096, lam=100.0, seed=9):
         u_thermal,
         cdf,
         k_lo,
+        guide,
         gaussian,
         lam,
         math.sqrt(lam),
@@ -207,7 +267,7 @@ def _case(gaussian, with_thermal, n=4096, lam=100.0, seed=9):
 
 def _reference_charges(args):
     """Recompute the per-trial charges with plain numpy + public helpers."""
-    u_count, u_thermal, cdf, k_lo, gaussian, lam, sqrt_shot, sigma, _, _ = args
+    u_count, u_thermal, cdf, k_lo, _, gaussian, lam, sqrt_shot, sigma, _, _ = args
     if gaussian:
         q = lam + sqrt_shot * inverse_normal(u_count)
     else:
@@ -225,12 +285,12 @@ def test_open_block_against_reference(gaussian, with_thermal):
     open_block, _ = block_kernels()
     s1, s2, s3, s4, below = open_block(*args)
     q = _reference_charges(args)
-    d = q - args[8]  # shifted by lam
+    d = q - args[9]  # shifted by lam
     assert abs(s1 - math.fsum(d)) <= 1e-9 * max(1.0, abs(math.fsum(d)))
     assert abs(s2 - math.fsum(d * d)) <= 1e-9 * math.fsum(d * d)
     assert abs(s3 - math.fsum(d**3)) <= 1e-8 * max(1.0, abs(math.fsum(d**3)))
     assert abs(s4 - math.fsum(d**4)) <= 1e-9 * math.fsum(d**4)
-    assert below == int(np.count_nonzero(q < args[9]))
+    assert below == int(np.count_nonzero(q < args[10]))
 
 
 def test_blocked_block_against_reference():

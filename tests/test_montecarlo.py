@@ -129,6 +129,15 @@ def test_zero_current_is_degenerate():
     assert outcome.err_open == 1.0  # a zero count never crosses threshold 0.5
 
 
+def test_zero_current_gaussian_path_is_degenerate():
+    # No shot noise to resolve: a zero spread is the right answer here.
+    cfg = SimConfig(on_current=0.0, bandwidth=5e4, trials=1000, seed=1, fano=0.5)
+    outcome = simulate_detection(cfg)
+    assert outcome.gaussian_fallback
+    assert outcome.std_charge == 0.0
+    assert outcome.empirical_snr == outcome.analytic_snr == 0.0
+
+
 def test_thermal_noise_degrades_snr():
     sigma = 2.0
     g = conductance_for_sigma(sigma, 4.2, 5e4)

@@ -36,20 +36,24 @@ import math
 import os
 import re
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .constants import CONSTANTS
 from .devices import (
+    ModelValidityWarning,
     QpcDevice,
     QpcGeometry,
+    SetDevice,
     SetGeometry,
     SnrResult,
     TransportState,
+    WireDevice,
     WireGeometry,
+    device_snr,
     qpc_pipeline_snr,
-    qpc_snr,
     set_pipeline_snr,
     set_snr,
     wire_pipeline_snr,
@@ -100,6 +104,15 @@ SWEEP_AXES = {
     "epsilon_r": ("dimensionless", ("wire", "set")),
     "m_star_ratio": ("dimensionless", ("wire", "qpc")),
     "T": ("temperature", ("wire", "qpc", "set")),
+}
+
+#: device command -> (help, size flag, size input key, size help)
+_DEVICE_COMMANDS = {
+    "wire": ("cylindrical-wire FET detector", "radius", "radius_m",
+             "channel radius (default: effective bohr radius; SNR is radius-free)"),
+    "qpc": ("quantum point contact detector", "width", "width_m", "constriction width"),
+    "set": ("single-electron transistor detector", "radius", "island_radius_m",
+            "island disk radius"),
 }
 
 _UNIT_TABLES = {
@@ -297,17 +310,6 @@ _HUMAN_UNITS = {
 }
 
 
-def _print_result(title: str, outputs: dict, flags) -> None:
-    print(title)
-    rows = []
-    for key, value in outputs.items():
-        unit = _HUMAN_UNITS.get(key, "")
-        rows.append((key, _human(value, unit)))
-    if flags:
-        rows.append(("flags", ";".join(flags)))
-    _print_rows(rows)
-
-
 # --------------------------------------------------------------------------
 # Command handlers
 # --------------------------------------------------------------------------
@@ -427,71 +429,31 @@ def _material_inputs(material: Material) -> dict:
     }
 
 
-def _device_output(args: argparse.Namespace, inputs: dict, result: SnrResult,
-                   title: str) -> int:
-    """The shared tail of wire/qpc/set: the JSON envelope or the human table."""
+def cmd_device(args: argparse.Namespace) -> int:
+    """wire, qpc or set: one detector at one operating point."""
+    material = None if args.device == "set" else resolve_material(args)
+    result = _axis_result(args, material)
+    _, size, size_key, _ = _DEVICE_COMMANDS[args.device]
+    inputs = {size_key: getattr(args, size)}
+    if material is None:
+        inputs["epsilon_r"] = args.epsr
+        subject = f"island radius {_human(args.radius, 'm')}"
+    else:
+        inputs = {**_material_inputs(material), **inputs}
+        subject = f"material {material.name}"
     inputs.update(bandwidth_hz=args.df, bias_v=args.bias,
                   temperature_k=args.temperature, modulation=args.modulation)
     outputs = _result_outputs(result)
     if args.json:
         emit_json(args.command, inputs, outputs, result.flags,
                   deterministic=args.deterministic)
-    else:
-        _print_result(title, outputs, result.flags)
+        return 0
+    print(f"{args.device} detector, {subject}")
+    rows = [(key, _human(value, _HUMAN_UNITS[key])) for key, value in outputs.items()]
+    if result.flags:
+        rows.append(("flags", ";".join(result.flags)))
+    _print_rows(rows)
     return 0
-
-
-def cmd_wire(args: argparse.Namespace) -> int:
-    material = resolve_material(args)
-    pipeline = args.radius is not None or args.bias is not None or args.temperature > 0.0
-    if pipeline:
-        radius = (
-            args.radius
-            if args.radius is not None
-            else effective_scales(material).bohr_radius
-        )
-        result = wire_pipeline_snr(
-            WireGeometry(radius),
-            material,
-            args.df,
-            bias=args.bias,
-            temperature=args.temperature,
-            modulation=args.modulation,
-        )
-    else:
-        result = wire_snr(material, args.df, modulation=args.modulation)
-    inputs = {**_material_inputs(material), "radius_m": args.radius}
-    return _device_output(args, inputs, result, f"wire detector, material {material.name}")
-
-
-def cmd_qpc(args: argparse.Namespace) -> int:
-    material = resolve_material(args)
-    geometry = QpcGeometry(args.width)
-    if args.bias is not None or args.temperature > 0.0:
-        result = qpc_pipeline_snr(
-            geometry, material, args.df,
-            bias=args.bias, temperature=args.temperature, modulation=args.modulation,
-        )
-    else:
-        result = qpc_snr(geometry, material, args.df, modulation=args.modulation)
-    inputs = {**_material_inputs(material), "width_m": args.width}
-    return _device_output(args, inputs, result, f"qpc detector, material {material.name}")
-
-
-def cmd_set(args: argparse.Namespace) -> int:
-    geometry = SetGeometry(args.radius)
-    epsilon_r = args.epsr if args.epsr is not None else 1.0
-    if args.bias is not None or args.temperature > 0.0:
-        result = set_pipeline_snr(
-            geometry, epsilon_r, args.df,
-            bias=args.bias, temperature=args.temperature, modulation=args.modulation,
-        )
-    else:
-        result = set_snr(geometry, epsilon_r, args.df, modulation=args.modulation)
-    inputs = {"island_radius_m": args.radius, "epsilon_r": epsilon_r}
-    return _device_output(
-        args, inputs, result, f"set detector, island radius {_human(args.radius, 'm')}"
-    )
 
 
 def _sweep_values(args: argparse.Namespace) -> np.ndarray:
@@ -511,27 +473,42 @@ def _sweep_values(args: argparse.Namespace) -> np.ndarray:
 
 
 def _axis_result(args: argparse.Namespace, material: Material | None,
-                 values: np.ndarray) -> SnrResult:
-    """One pipeline call with the axis ``values`` in place of their parameter."""
+                 values: np.ndarray | None = None) -> SnrResult:
+    """One pipeline call with the axis ``values`` in place of their parameter.
+
+    A one-shot command has no axis and passes no values.  At T = 0 with
+    the default bias (and, for the wire, the default radius) it takes the
+    closed form instead; any other temperature reaches the pipeline's
+    checks.
+    """
 
     def pick(axis: str, default):
         return values if args.axis == axis else default
 
-    bandwidth, temperature = pick("delta_f", args.df), pick("T", args.temperature)
     if args.device == "set":
         epsilon_r = pick("epsilon_r", args.epsr if args.epsr is not None else 1.0)
-        geometry = SetGeometry(pick("R_island", args.radius))
-        return set_pipeline_snr(geometry, epsilon_r, bandwidth, temperature=temperature)
-    if args.axis in ("epsilon_r", "m_star_ratio"):
-        material = Material("custom", pick("m_star_ratio", material.mass_ratio),
-                            pick("epsilon_r", material.epsilon_r))
-    if args.device == "qpc":
-        geometry = QpcGeometry(pick("W", args.width))
-        return qpc_pipeline_snr(geometry, material, bandwidth, temperature=temperature)
-    radius = pick("R", args.radius)
-    if radius is None:
-        radius = effective_scales(material).bohr_radius
-    return wire_pipeline_snr(WireGeometry(radius), material, bandwidth, temperature=temperature)
+        device = SetDevice(SetGeometry(pick("R_island", args.radius)), epsilon_r)
+    else:
+        if args.axis in ("epsilon_r", "m_star_ratio"):
+            material = Material("custom", pick("m_star_ratio", material.mass_ratio),
+                                pick("epsilon_r", material.epsilon_r))
+        if args.device == "qpc":
+            device = QpcDevice(QpcGeometry(pick("W", args.width)), material)
+        else:
+            radius = pick("R", args.radius)
+            if radius is None:
+                radius = effective_scales(material).bohr_radius
+            device = WireDevice(WireGeometry(radius), material)
+    bandwidth = pick("delta_f", args.df)
+    if (values is None and args.bias is None and args.temperature == 0.0
+            and (args.device != "wire" or args.radius is None)):
+        return device_snr(device, bandwidth, modulation=args.modulation)
+    options = dict(bias=args.bias, temperature=pick("T", args.temperature),
+                   modulation=args.modulation)
+    if args.device == "set":
+        return set_pipeline_snr(device.geometry, device.epsilon_r, bandwidth, **options)
+    pipeline = qpc_pipeline_snr if args.device == "qpc" else wire_pipeline_snr
+    return pipeline(device.geometry, device.material, bandwidth, **options)
 
 
 def _number_cells(column, empty: str) -> list[str]:
@@ -667,47 +644,25 @@ def _report_rows() -> list[dict]:
     gaas_wire = wire_snr(GAAS_LIKE, 1.0)
     set_result = set_snr(SetGeometry(50e-9), 12.9, 1.0)
     ratio = vacuum_wire.sensitivity / 2.0e-8
-    rows = [
-        {
-            "label": "wire sensitivity, vacuum host",
-            "device": "wire",
-            "inputs": {"material": "vacuum", "bandwidth_hz": 1.0},
-            "f_unity_hz": vacuum_wire.f_unity,
-            "sensitivity_e_per_rthz": vacuum_wire.sensitivity,
-            "target": "2e-08 e/sqrt(Hz) within factor 1.25",
-            "within_target": bool(max(ratio, 1.0 / ratio) <= 1.25),
-        },
-        {
-            "label": "wire unity-SNR bandwidth, GaAs-like host",
-            "device": "wire",
-            "inputs": {"material": "gaas", "bandwidth_hz": 1.0},
-            "f_unity_hz": gaas_wire.f_unity,
-            "sensitivity_e_per_rthz": gaas_wire.sensitivity,
-            "target": "0.5e12 to 2e12 Hz",
-            "within_target": bool(0.5e12 <= gaas_wire.f_unity <= 2.0e12),
-        },
-        {
-            "label": "wire sensitivity, GaAs-like host",
-            "device": "wire",
-            "inputs": {"material": "gaas", "bandwidth_hz": 1.0},
-            "f_unity_hz": gaas_wire.f_unity,
-            "sensitivity_e_per_rthz": gaas_wire.sensitivity,
-            "target": "5e-07 to 2e-06 e/sqrt(Hz)",
-            "within_target": bool(5.0e-7 <= gaas_wire.sensitivity <= 2.0e-6),
-        },
-        {
-            "label": "set sensitivity, 50 nm island, eps_r 12.9",
-            "device": "set",
-            "inputs": {"island_radius_m": 50e-9, "epsilon_r": 12.9, "bandwidth_hz": 1.0},
-            "f_unity_hz": set_result.f_unity,
-            "sensitivity_e_per_rthz": set_result.sensitivity,
-            "target": "1e-07 to 1e-06 e/sqrt(Hz), order-of-magnitude",
-            "within_target": bool(
-                1.0e-7 / _SQRT_TEN <= set_result.sensitivity <= 1.0e-6 * _SQRT_TEN
-            ),
-        },
+    gaas = {"material": "gaas", "bandwidth_hz": 1.0}
+    checks = [  # label, device, inputs, result, target, within target
+        ("wire sensitivity, vacuum host", "wire", {"material": "vacuum", "bandwidth_hz": 1.0},
+         vacuum_wire, "2e-08 e/sqrt(Hz) within factor 1.25", max(ratio, 1.0 / ratio) <= 1.25),
+        ("wire unity-SNR bandwidth, GaAs-like host", "wire", gaas, gaas_wire,
+         "0.5e12 to 2e12 Hz", 0.5e12 <= gaas_wire.f_unity <= 2.0e12),
+        ("wire sensitivity, GaAs-like host", "wire", gaas, gaas_wire,
+         "5e-07 to 2e-06 e/sqrt(Hz)", 5.0e-7 <= gaas_wire.sensitivity <= 2.0e-6),
+        ("set sensitivity, 50 nm island, eps_r 12.9", "set",
+         {"island_radius_m": 50e-9, "epsilon_r": 12.9, "bandwidth_hz": 1.0}, set_result,
+         "1e-07 to 1e-06 e/sqrt(Hz), order-of-magnitude",
+         1.0e-7 / _SQRT_TEN <= set_result.sensitivity <= 1.0e-6 * _SQRT_TEN),
     ]
-    return rows
+    return [
+        {"label": label, "device": device, "inputs": inputs, "f_unity_hz": result.f_unity,
+         "sensitivity_e_per_rthz": result.sensitivity, "target": target,
+         "within_target": bool(ok)}
+        for label, device, inputs, result, target, ok in checks
+    ]
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -733,12 +688,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 # Parser construction
 # --------------------------------------------------------------------------
 
-def _add_material_flags(parser: argparse.ArgumentParser) -> None:
+def _add_material_flags(parser: argparse.ArgumentParser,
+                        epsr_help: str = "custom epsilon_r") -> None:
     parser.add_argument("--material", help="material name from the table (default vacuum)")
     parser.add_argument(
         "--mass-ratio", type=_quantity_type("dimensionless"),
         help="custom m*/m_e (with --epsr, instead of --material)",
     )
+    parser.add_argument("--epsr", type=_quantity_type("dimensionless"), help=epsr_help)
 
 
 def _add_common_device_flags(parser: argparse.ArgumentParser) -> None:
@@ -781,37 +738,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", help="material name (for show)")
     p.set_defaults(func=cmd_material, parser=p)
 
-    p = sub.add_parser("wire", parents=[common], help="cylindrical-wire FET detector")
-    _add_material_flags(p)
-    p.add_argument("--epsr", type=_quantity_type("dimensionless"), help="custom epsilon_r")
-    p.add_argument(
-        "--radius", type=_quantity_type("length"),
-        help="channel radius (default: effective bohr radius; SNR is radius-free)",
-    )
-    _add_common_device_flags(p)
-    p.set_defaults(func=cmd_wire, parser=p)
-
-    p = sub.add_parser("qpc", parents=[common], help="quantum point contact detector")
-    _add_material_flags(p)
-    p.add_argument("--epsr", type=_quantity_type("dimensionless"), help="custom epsilon_r")
-    p.add_argument(
-        "--width", type=_quantity_type("length"), required=True,
-        help="constriction width",
-    )
-    _add_common_device_flags(p)
-    p.set_defaults(func=cmd_qpc, parser=p)
-
-    p = sub.add_parser("set", parents=[common], help="single-electron transistor detector")
-    p.add_argument(
-        "--radius", type=_quantity_type("length"), required=True,
-        help="island disk radius",
-    )
-    p.add_argument(
-        "--epsr", type=_quantity_type("dimensionless"),
-        help="relative dielectric constant of the host (default 1)",
-    )
-    _add_common_device_flags(p)
-    p.set_defaults(func=cmd_set, parser=p)
+    for kind, (summary, size, _, size_help) in _DEVICE_COMMANDS.items():
+        p = sub.add_parser(kind, parents=[common], help=summary)
+        if kind != "set":
+            _add_material_flags(p)
+        p.add_argument(f"--{size}", type=_quantity_type("length"), required=kind != "wire",
+                       help=size_help)
+        if kind == "set":
+            p.add_argument(
+                "--epsr", type=_quantity_type("dimensionless"), default=1.0,
+                help="relative dielectric constant of the host (default 1)",
+            )
+        _add_common_device_flags(p)
+        p.set_defaults(func=cmd_device, parser=p, device=kind, axis=None)
 
     p = sub.add_parser("sweep", parents=[common], help="sweep one parameter axis")
     p.add_argument("--device", choices=("wire", "qpc", "set"), required=True)
@@ -821,8 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_int_type("points", 2), default=21)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_material_flags(p)
-    p.add_argument("--epsr", type=_quantity_type("dimensionless"), help="epsilon_r (set device or custom material)")
+    _add_material_flags(p, "epsilon_r (set device or custom material)")
     p.add_argument("--radius", type=_quantity_type("length"), help="wire or island radius")
     p.add_argument("--width", type=_quantity_type("length"), help="qpc width")
     p.add_argument(
@@ -833,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--temperature", type=_quantity_type("temperature"), default=0.0,
         help="temperature when not the axis (default 0 K)",
     )
-    p.set_defaults(func=cmd_sweep, parser=p)
+    p.set_defaults(func=cmd_sweep, parser=p, bias=None, modulation=1.0)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo counting simulation")
     p.add_argument(
@@ -877,7 +815,9 @@ def main(argv=None) -> int:
     if args.command == "material" and args.action == "show" and args.name is None:
         args.parser.error("material show requires a material name")
     try:
-        status = args.func(args)
+        with warnings.catch_warnings():  # a result reports it in its flags
+            warnings.simplefilter("ignore", ModelValidityWarning)
+            status = args.func(args)
         sys.stdout.flush()  # a closed reader must surface here, not at exit
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,14 +18,24 @@ Three archetypes are modeled:
 * **set** — a single-electron transistor whose island is a thin
   conducting disk; the energy window is the charging energy e^2/2C.
 
-Every device exposes both a closed-form SNR and a step-by-step pipeline
-(bias -> conductance -> current -> generic noise SNR); the two routes
-agree to relative 1e-12 and the tests enforce it.
+Each device kind supplies one on-state: its conductance G and bias V,
+the transport state behind them, and its unity-SNR bandwidth at full
+modulation (the effective Rydberg frequency for the wire, the sub-band
+spacing or the charging energy over h for the QPC and the SET).
+:func:`device_snr`, :func:`device_operating_point`,
+:func:`unity_snr_bandwidth` and :func:`sensitivity` read every kind
+through that one lookup; the closed form is snr = sqrt(f_unity/df).
+
+Every device also has a step-by-step pipeline (bias -> conductance ->
+current -> generic noise SNR) that shares only the default bias with the
+on-state; the two routes agree to relative 1e-12 and the tests enforce
+it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -223,34 +233,20 @@ def _sensitivity_from_unity(f_unity: float) -> float:
     return 1.0 / math.sqrt(f_unity) if f_unity > 0.0 else math.inf
 
 
-def _closed_form_result(f_base: float, modulation: float, op: OperatingPoint,
-                        transport: TransportState | SetElectrostatics) -> SnrResult:
-    """Closed-form tail: f_unity = modulation^2 * f_base, snr = sqrt(f_unity/df)."""
-    f_unity = modulation**2 * f_base
-    value = modulation * math.sqrt(f_base / op.bandwidth)
-    require((f_unity > 0.0) & np.isfinite(f_unity) & np.isfinite(value),
-            "the inputs put f_unity or the SNR outside the float range", f_unity)
-    return SnrResult(
-        snr=value,
-        f_unity=f_unity,
-        sensitivity=_sensitivity_from_unity(f_unity),
-        breakdown=noise_breakdown(op),
-        transport=transport,
-        operating_point=op,
-    )
-
-
 def _pipeline_result(
     *,
-    conductance: float,
+    n_modes: float,
     bias: float,
     temperature: float,
     bandwidth: float,
     modulation: float,
-    transport: TransportState | SetElectrostatics,
-    flags: tuple[str, ...],
+    electrostatics: SetElectrostatics | None = None,
+    flags: tuple[str, ...] = (),
 ) -> SnrResult:
     """Generic pipeline tail: operating point -> SNR -> unity bandwidth.
+
+    The channel carries ``n_modes`` modes of e^2/h each; its transport
+    state is reported unless an SET's ``electrostatics`` are given.
 
     The signal is ``modulation`` times the sense current while the noise
     is evaluated at the full current, so a partial modulation depth
@@ -260,6 +256,14 @@ def _pipeline_result(
     an explicit zero bias may give f_unity = 0; any other zero or
     non-finite f_unity left the float range and is a ParameterError.
     """
+    conductance = n_modes * WIRE_CONDUCTANCE_PER_MODE
+    transport = electrostatics if electrostatics is not None else TransportState(
+        n_modes=n_modes,
+        kinetic_energy=CONSTANTS.e * bias,
+        bias=bias,
+        conductance=conductance,
+        current=conductance * bias,
+    )
     op = OperatingPoint(conductance=conductance, bias=bias, temperature=temperature,
                         bandwidth=bandwidth)
     breakdown = noise_breakdown(op)
@@ -355,6 +359,22 @@ def wire_sense_current(material: Material) -> float:
     return 2.0 * CONSTANTS.e * effective_scales(material).rydberg_frequency
 
 
+def _wire_on_state(device: WireDevice) -> tuple:
+    """Optimal bias at the device's radius, carrying the radius-free current."""
+    rydberg_frequency = effective_scales(device.material).rydberg_frequency
+    bias = wire_optimal_bias(device.geometry, device.material)
+    current = wire_sense_current(device.material)
+    conductance = current / bias
+    transport = TransportState(
+        n_modes=conductance / WIRE_CONDUCTANCE_PER_MODE,
+        kinetic_energy=CONSTANTS.e * bias,
+        bias=bias,
+        conductance=conductance,
+        current=current,
+    )
+    return conductance, bias, transport, rydberg_frequency
+
+
 def wire_snr(
     material: Material,
     bandwidth: float,
@@ -368,23 +388,8 @@ def wire_snr(
     independent of channel radius.  The transport state reported uses
     the reference radius R = a_star where exactly one mode conducts.
     """
-    _check_modulation(modulation)
-    scales = effective_scales(material)
-    reference = WireGeometry(radius=scales.bohr_radius)
-    bias = wire_optimal_bias(reference, material)
-    current = wire_sense_current(material)
-    conductance = current / bias
-    op = OperatingPoint(
-        conductance=conductance, bias=bias, temperature=0.0, bandwidth=bandwidth
-    )
-    transport = TransportState(
-        n_modes=conductance / WIRE_CONDUCTANCE_PER_MODE,
-        kinetic_energy=CONSTANTS.e * bias,
-        bias=bias,
-        conductance=conductance,
-        current=current,
-    )
-    return _closed_form_result(scales.rydberg_frequency, modulation, op, transport)
+    reference = WireGeometry(radius=effective_scales(material).bohr_radius)
+    return device_snr(WireDevice(reference, material), bandwidth, modulation=modulation)
 
 
 @float_range_checked
@@ -416,17 +421,9 @@ def wire_pipeline_snr(
     modes = wire_mode_count(geometry, material, bias, floor_modes=floor_modes)
     if floor_modes:
         flags = flags + ("floored-modes",)
-    conductance = modes * WIRE_CONDUCTANCE_PER_MODE
-    transport = TransportState(
-        n_modes=modes,
-        kinetic_energy=CONSTANTS.e * bias,
-        bias=bias,
-        conductance=conductance,
-        current=conductance * bias,
-    )
     return _pipeline_result(
-        conductance=conductance, bias=bias, temperature=temperature, bandwidth=bandwidth,
-        modulation=modulation, transport=transport, flags=flags,
+        n_modes=modes, bias=bias, temperature=temperature, bandwidth=bandwidth,
+        modulation=modulation, flags=flags,
     )
 
 
@@ -451,17 +448,19 @@ def qpc_subband_spacing(geometry: QpcGeometry, material: Material) -> float:
     return spacing
 
 
-def _qpc_transport(geometry: QpcGeometry, material: Material) -> TransportState:
-    spacing = qpc_subband_spacing(geometry, material)
+def _qpc_on_state(device: QpcDevice) -> tuple:
+    """One spin-degenerate sub-band biased across the sub-band spacing."""
+    spacing = qpc_subband_spacing(device.geometry, device.material)
     bias = spacing / CONSTANTS.e
     conductance = QPC_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
-    return TransportState(
+    transport = TransportState(
         n_modes=QPC_SPIN_DEGENERACY,
         kinetic_energy=spacing,
         bias=bias,
         conductance=conductance,
         current=conductance * bias,
     )
+    return conductance, bias, transport, spacing / CONSTANTS.h
 
 
 def qpc_snr(
@@ -482,12 +481,7 @@ def qpc_snr(
 
     and the tests hold the two forms together to relative 1e-12.
     """
-    _check_modulation(modulation)
-    transport = _qpc_transport(geometry, material)
-    op = OperatingPoint(conductance=transport.conductance, bias=transport.bias,
-                        temperature=0.0, bandwidth=bandwidth)
-    f_base = transport.kinetic_energy / CONSTANTS.h
-    return _closed_form_result(f_base, modulation, op, transport)
+    return device_snr(QpcDevice(geometry, material), bandwidth, modulation=modulation)
 
 
 @float_range_checked
@@ -508,19 +502,11 @@ def qpc_pipeline_snr(
     """
     _check_modulation(modulation)
     if bias is None:
-        bias = _qpc_transport(geometry, material).bias
+        bias = qpc_subband_spacing(geometry, material) / CONSTANTS.e
     require_nonnegative(bias, "bias")
-    conductance = QPC_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
-    transport = TransportState(
-        n_modes=QPC_SPIN_DEGENERACY,
-        kinetic_energy=CONSTANTS.e * bias,
-        bias=bias,
-        conductance=conductance,
-        current=conductance * bias,
-    )
     return _pipeline_result(
-        conductance=conductance, bias=bias, temperature=temperature, bandwidth=bandwidth,
-        modulation=modulation, transport=transport, flags=(),
+        n_modes=QPC_SPIN_DEGENERACY, bias=bias, temperature=temperature, bandwidth=bandwidth,
+        modulation=modulation,
     )
 
 
@@ -560,6 +546,14 @@ def set_blockade(geometry: SetGeometry, epsilon_r: float) -> SetElectrostatics:
     )
 
 
+def _set_on_state(device: SetDevice) -> tuple:
+    """Biased at the blockade voltage with on-state conductance 2e^2/h."""
+    electrostatics = set_blockade(device.geometry, device.epsilon_r)
+    conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
+    return (conductance, electrostatics.blockade_voltage, electrostatics,
+            electrostatics.charging_energy / CONSTANTS.h)
+
+
 def set_snr(
     geometry: SetGeometry,
     epsilon_r: float,
@@ -578,13 +572,7 @@ def set_snr(
 
     which the tests hold to relative 1e-12.
     """
-    _check_modulation(modulation)
-    electrostatics = set_blockade(geometry, epsilon_r)
-    op = OperatingPoint(conductance=SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE,
-                        bias=electrostatics.blockade_voltage, temperature=0.0,
-                        bandwidth=bandwidth)
-    f_base = electrostatics.charging_energy / CONSTANTS.h
-    return _closed_form_result(f_base, modulation, op, electrostatics)
+    return device_snr(SetDevice(geometry, epsilon_r), bandwidth, modulation=modulation)
 
 
 @float_range_checked
@@ -607,63 +595,71 @@ def set_pipeline_snr(
     if bias is None:
         bias = electrostatics.blockade_voltage
     require_nonnegative(bias, "bias")
-    conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
     return _pipeline_result(
-        conductance=conductance, bias=bias, temperature=temperature, bandwidth=bandwidth,
-        modulation=modulation, transport=electrostatics, flags=(),
+        n_modes=SET_SPIN_DEGENERACY, bias=bias, temperature=temperature, bandwidth=bandwidth,
+        modulation=modulation, electrostatics=electrostatics,
     )
 
 
 # --------------------------------------------------------------------------
-# Dispatch over device kinds
+# Every device kind through its on-state
 # --------------------------------------------------------------------------
+
+_ON_STATES = {WireDevice: _wire_on_state, QpcDevice: _qpc_on_state, SetDevice: _set_on_state}
+
+
+def _on_state(device: DeviceSpec) -> tuple:
+    """(G, V, transport state, unity-SNR bandwidth at full modulation)."""
+    on_state = _ON_STATES.get(type(device))
+    if on_state is None:
+        raise TypeError(f"unknown device kind: {type(device).__name__}")
+    return on_state(device)
+
 
 def device_snr(
     device: DeviceSpec, bandwidth: float, *, modulation: float = 1.0
 ) -> SnrResult:
-    """Closed-form SNR for any device kind at the given bandwidth."""
-    if isinstance(device, WireDevice):
-        return wire_snr(device.material, bandwidth, modulation=modulation)
-    if isinstance(device, QpcDevice):
-        return qpc_snr(device.geometry, device.material, bandwidth, modulation=modulation)
-    if isinstance(device, SetDevice):
-        return set_snr(device.geometry, device.epsilon_r, bandwidth, modulation=modulation)
-    raise TypeError(f"unknown device kind: {type(device).__name__}")
+    """Closed-form SNR for any device kind at the given bandwidth.
+
+    f_unity = modulation^2 * f_on and snr = modulation * sqrt(f_on/df),
+    with f_on the on-state's unity-SNR bandwidth; the breakdown is the
+    noise of the on-state at T = 0.
+    """
+    _check_modulation(modulation)
+    conductance, bias, transport, f_on = _on_state(device)
+    op = OperatingPoint(conductance=conductance, bias=bias, temperature=0.0, bandwidth=bandwidth)
+    f_unity = modulation**2 * f_on
+    value = modulation * math.sqrt(f_on / bandwidth)
+    # Below the normal float range a square loses the precision that
+    # snr**2 * df = f_unity needs.
+    tiny = sys.float_info.min
+    require(np.isfinite(value) & (tiny <= f_unity) & (f_unity < math.inf),
+            "the inputs put f_unity or the SNR outside the float range", f_unity)
+    require(tiny <= modulation**2, "modulation**2 is below the normal float range", modulation)
+    require(tiny <= value * value < math.inf,
+            "bandwidth puts snr**2 outside the normal float range", bandwidth)
+    return SnrResult(
+        snr=value,
+        f_unity=f_unity,
+        sensitivity=_sensitivity_from_unity(f_unity),
+        breakdown=noise_breakdown(op),
+        transport=transport,
+        operating_point=op,
+    )
 
 
 def device_operating_point(
     device: DeviceSpec, bandwidth: float, temperature: float = 0.0
 ) -> OperatingPoint:
     """On-state operating point (G, V) of a device, for noise or Monte Carlo."""
-    if isinstance(device, WireDevice):
-        bias = wire_optimal_bias(device.geometry, device.material)
-        conductance = wire_sense_current(device.material) / bias
-    elif isinstance(device, QpcDevice):
-        state = _qpc_transport(device.geometry, device.material)
-        bias, conductance = state.bias, state.conductance
-    elif isinstance(device, SetDevice):
-        electrostatics = set_blockade(device.geometry, device.epsilon_r)
-        bias = electrostatics.blockade_voltage
-        conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
-    else:
-        raise TypeError(f"unknown device kind: {type(device).__name__}")
-    return OperatingPoint(
-        conductance=conductance,
-        bias=bias,
-        temperature=temperature,
-        bandwidth=bandwidth,
-    )
+    conductance, bias, _, _ = _on_state(device)
+    return OperatingPoint(conductance=conductance, bias=bias, temperature=temperature,
+                          bandwidth=bandwidth)
 
 
 def unity_snr_bandwidth(device: DeviceSpec) -> float:
     """Bandwidth (Hz) at which the device's amplitude SNR equals 1."""
-    if isinstance(device, WireDevice):
-        return effective_scales(device.material).rydberg_frequency
-    if isinstance(device, QpcDevice):
-        return qpc_subband_spacing(device.geometry, device.material) / CONSTANTS.h
-    if isinstance(device, SetDevice):
-        return set_blockade(device.geometry, device.epsilon_r).charging_energy / CONSTANTS.h
-    raise TypeError(f"unknown device kind: {type(device).__name__}")
+    return _on_state(device)[3]
 
 
 def sensitivity(device: DeviceSpec) -> float:

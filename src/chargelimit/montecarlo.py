@@ -300,7 +300,7 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     try:  # Python's float ** raises where numpy's power gives inf
         mean, m2, m3, m4 = _central_moments(shift, trials, s1, s2, s3, s4)
         stderr = _snr_stderr(trials, mean, m2, m3, m4)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # or m2**3 underflows to 0
         stderr = math.inf
     require(math.isfinite(s4 + stderr), "on_current, bandwidth, fano, temperature and "
             "conductance put the charge moments outside the float range", s4 + stderr)

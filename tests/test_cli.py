@@ -227,6 +227,20 @@ def test_negative_bandwidth_is_domain_error(capsys):
           "--trials", "1000", "--seed", "1"], ["on_current", "fano"]),
         (["simulate", "--current", "1e-13A", "--df", "5e4Hz", "--temperature", "1e300K",
           "--conductance", "1e300S", "--trials", "100", "--seed", "1"], ["temperature"]),
+        # Every count is 0 at lam ~ 7.8e-59; m2 is rounding residue and m2**3 underflows.
+        (["simulate", "--current", "3.25232e-12", "--df", "1.29746e+65", "--trials", "100",
+          "--seed", "1"], ["on_current", "bandwidth"]),
+        # Closed form: snr**2 (or modulation**2) below the normal float range.
+        (["qpc", "--width", "6.64002e+63", "--df", "1.94895e+239"], ["bandwidth"]),
+        (["wire", "--df", "1.81292e+208", "--mass-ratio", "5.29402e-17",
+          "--epsr", "4.37305e+84", "--modulation", "0.598"], ["bandwidth"]),
+        (["set", "--radius", "9.94471e+107", "--df", "3.9895e+117", "--epsr", "4.3173e+98"],
+         ["bandwidth"]),
+        (["set", "--radius", "1.0m", "--modulation", "1e-156"], ["modulation"]),
+        # Only T == 0 takes the closed form; a negative one reaches the checks.
+        (["wire", "--temperature=-1K"], ["temperature"]),
+        (["qpc", "--width", "20nm", "--temperature=-1K"], ["temperature"]),
+        (["set", "--radius", "50nm", "--temperature=-1K"], ["temperature"]),
     ],
 )
 def test_out_of_float_range_is_one_error_line(capsys, argv, names):
@@ -237,6 +251,23 @@ def test_out_of_float_range_is_one_error_line(capsys, argv, names):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     for name in names:
         assert name in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["wire", "--bias", "100V", "--json"], 0),
+        (["wire", "--df", "8.7533e+155", "--bias", "1e308", "--temperature", "5.36821e+280"], 1),
+    ],
+)
+def test_bias_above_optimal_is_reported_only_through_the_flag(argv, code):
+    proc = run_cli(*argv)
+    assert proc.returncode == code
+    if code == 0:
+        assert json.loads(proc.stdout)["flags"] == ["bias-above-optimal"]
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
 # ------------------------------------------------------------------ sweep

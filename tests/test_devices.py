@@ -474,6 +474,19 @@ def test_device_operating_point_dispatch():
     assert rel(op.bias, set_blockade(SetGeometry(50e-9), 12.9).blockade_voltage) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "device",
+    [
+        WireDevice(WireGeometry(20e-9), GAAS_LIKE),
+        QpcDevice(QpcGeometry(20e-9), GAAS_LIKE),
+        SetDevice(SetGeometry(50e-9), 12.9),
+    ],
+    ids=["wire", "qpc", "set"],
+)
+def test_closed_form_reports_the_device_operating_point(device):
+    assert device_snr(device, 1e6).operating_point == device_operating_point(device, 1e6)
+
+
 def test_dispatch_rejects_unknown_kind():
     with pytest.raises(TypeError, match="unknown device kind"):
         device_snr(object(), 1e6)

@@ -1,11 +1,14 @@
-"""Recorded ``sweep`` outputs, compared by sha256 of stdout.
+"""Recorded CLI outputs, compared by sha256 of stdout.
 
 Every valid device x axis pair is swept in CSV and in JSON and must
 reproduce the digest recorded in ``tests/data/sweep/digests.json``.  The
 cases use 2 000-point log axes, T axes that start at 0 K, and an
 ``m_star_ratio`` axis that passes exactly through 1.0 in vacuum (the
-degenerate case of the effective scales).  Evaluation or formatting work
-must leave these bytes alone.  Regenerate the digests only for a
+degenerate case of the effective scales).  The one-shot commands
+(``wire``, ``qpc``, ``set`` on the closed form and on each pipeline
+trigger, ``report`` and ``constants``) are recorded in human form and
+in ``--json --deterministic`` form in the same file.  Evaluation or
+formatting work must leave these bytes alone.  Regenerate the digests only for a
 deliberate, documented change to the published numbers:
 
     PYTHONPATH=src python tests/test_sweep_corpus.py
@@ -61,6 +64,36 @@ CASES = {
 }
 FORMATS = ("csv", "json")
 
+#: The closed form, and each flag that sends a one-shot command to the pipeline.
+ONE_SHOT = {
+    "wire_closed": ["wire", "--material", "gaas", "--df", "1MHz"],
+    "wire_closed_defaults": ["wire"],
+    "wire_closed_negative_zero_temperature": ["wire", "--material", "gaas", "--temperature=-0K"],
+    "wire_radius": ["wire", "--material", "gaas", "--radius", "20nm", "--df", "1MHz"],
+    "wire_bias": ["wire", "--material", "gaas", "--bias", "1mV"],
+    "wire_bias_above_optimal": ["wire", "--material", "gaas", "--radius", "20nm",
+                                "--bias", "1V"],
+    "wire_temperature": ["wire", "--mass-ratio", "0.067", "--epsr", "12.9",
+                         "--temperature", "4.2K", "--df", "1kHz"],
+    "wire_modulation": ["wire", "--material", "gaas", "--modulation", "0.3", "--df", "1GHz"],
+    "wire_all_triggers": ["wire", "--material", "gaas", "--radius", "5nm", "--bias", "2mV",
+                          "--temperature", "4.2K", "--modulation", "0.5"],
+    "qpc_closed": ["qpc", "--width", "20nm", "--material", "gaas", "--df", "1GHz"],
+    "qpc_bias": ["qpc", "--width", "20nm", "--material", "gaas", "--bias", "5mV"],
+    "qpc_temperature": ["qpc", "--width", "50nm", "--material", "gaas",
+                        "--temperature", "1K", "--df", "1MHz"],
+    "qpc_modulation": ["qpc", "--width", "20nm", "--mass-ratio", "0.19", "--epsr", "11.7",
+                       "--modulation", "0.5"],
+    "set_closed": ["set", "--radius", "50nm", "--epsr", "12.9", "--df", "1MHz"],
+    "set_closed_defaults": ["set", "--radius", "50nm"],
+    "set_bias": ["set", "--radius", "50nm", "--epsr", "12.9", "--bias", "0.1mV"],
+    "set_temperature": ["set", "--radius", "50nm", "--epsr", "12.9", "--temperature", "0.1K"],
+    "set_modulation": ["set", "--radius", "20nm", "--modulation", "0.25", "--df", "1kHz"],
+    "report": ["report"],
+    "constants": ["constants"],
+}
+ONE_SHOT_FORMATS = ("human", "json")
+
 
 def sweep_argv(case: str, fmt: str) -> list[str]:
     device, axis, *rest = CASES[case]
@@ -68,15 +101,24 @@ def sweep_argv(case: str, fmt: str) -> list[str]:
             "--format", fmt, "--deterministic"]
 
 
-def sweep_stdout(case: str, fmt: str) -> str:
+def one_shot_argv(case: str, fmt: str) -> list[str]:
+    argv = ONE_SHOT[case]
+    return argv if fmt == "human" else [*argv, "--json", "--deterministic"]
+
+
+def digest(argv: list[str]) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        assert cli.main(sweep_argv(case, fmt)) == 0
-    return buffer.getvalue()
+        assert cli.main(argv) == 0
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
 
 
-def digest(case: str, fmt: str) -> str:
-    return hashlib.sha256(sweep_stdout(case, fmt).encode()).hexdigest()
+def recorded_argvs() -> dict[str, list[str]]:
+    """Every recorded command by its digest key, ``<case>.<format>``."""
+    argvs = {f"{case}.{fmt}": sweep_argv(case, fmt) for case in sorted(CASES) for fmt in FORMATS}
+    argvs.update((f"{case}.{fmt}", one_shot_argv(case, fmt))
+                 for case in sorted(ONE_SHOT) for fmt in ONE_SHOT_FORMATS)
+    return argvs
 
 
 def test_corpus_covers_every_valid_pair():
@@ -96,12 +138,18 @@ def test_m_star_ratio_axis_passes_through_vacuum():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_sweep_matches_recorded_digest(case, fmt):
     expected = json.loads(DIGESTS.read_text())[f"{case}.{fmt}"]
-    assert digest(case, fmt) == expected
+    assert digest(sweep_argv(case, fmt)) == expected
+
+
+@pytest.mark.parametrize("fmt", ONE_SHOT_FORMATS)
+@pytest.mark.parametrize("case", sorted(ONE_SHOT))
+def test_one_shot_matches_recorded_digest(case, fmt):
+    expected = json.loads(DIGESTS.read_text())[f"{case}.{fmt}"]
+    assert digest(one_shot_argv(case, fmt)) == expected
 
 
 if __name__ == "__main__":
     DIGESTS.parent.mkdir(parents=True, exist_ok=True)
-    digests = {f"{case}.{fmt}": digest(case, fmt)
-               for case in sorted(CASES) for fmt in FORMATS}
+    digests = {key: digest(argv) for key, argv in recorded_argvs().items()}
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}")

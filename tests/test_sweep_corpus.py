@@ -7,8 +7,11 @@ cases use 2 000-point log axes, T axes that start at 0 K, and an
 degenerate case of the effective scales).  The one-shot commands
 (``wire``, ``qpc``, ``set`` on the closed form and on each pipeline
 trigger, ``report`` and ``constants``) are recorded in human form and
-in ``--json --deterministic`` form in the same file.  Evaluation or
-formatting work must leave these bytes alone.  Regenerate the digests only for a
+in ``--json --deterministic`` form in the same file, and so are
+``material list`` and ``material show`` (with and without a user table
+in ``CHARGE_LIMIT_MATERIALS``) and the ``--help`` text of the top level
+and of every subcommand at ``COLUMNS=80``.  Evaluation or formatting
+work must leave these bytes alone.  Regenerate the digests only for a
 deliberate, documented change to the published numbers:
 
     PYTHONPATH=src python tests/test_sweep_corpus.py
@@ -18,7 +21,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,6 +100,23 @@ ONE_SHOT = {
 }
 ONE_SHOT_FORMATS = ("human", "json")
 
+#: The material table as built in.
+MATERIAL = {
+    "material_list": ["material", "list"],
+    "material_show_gaas": ["material", "show", "gaas"],
+    "material_show_GaAs-like": ["material", "show", "GaAs-like"],
+    "material_show_vacuum": ["material", "show", "vacuum"],
+}
+#: The material table with USER_TABLE merged over it, so rows read ``user``.
+USER_MATERIAL = {
+    "material_list_user": ["material", "list"],
+    "material_show_user": ["material", "show", "heavy"],
+}
+USER_TABLE = "# user additions\nheavy 2.5 1.0\ngaas 0.1 10.0\n"
+
+#: ``--help`` of the top level ("top") and of every subcommand.
+HELP = ("top", "constants", "material", "wire", "qpc", "set", "sweep", "simulate", "report")
+
 
 def sweep_argv(case: str, fmt: str) -> list[str]:
     device, axis, *rest = CASES[case]
@@ -106,19 +129,56 @@ def one_shot_argv(case: str, fmt: str) -> list[str]:
     return argv if fmt == "human" else [*argv, "--json", "--deterministic"]
 
 
-def digest(argv: list[str]) -> str:
+def material_argv(case: str, fmt: str) -> list[str]:
+    argv = {**MATERIAL, **USER_MATERIAL}[case]
+    return argv if fmt == "human" else [*argv, "--json", "--deterministic"]
+
+
+def help_argv(command: str) -> list[str]:
+    return ["--help"] if command == "top" else [command, "--help"]
+
+
+def user_table(directory: Path) -> dict[str, str]:
+    """Write USER_TABLE into ``directory``; the environment that points at it."""
+    path = Path(directory) / "user.tab"
+    path.write_text(USER_TABLE)
+    return {cli.MATERIALS_ENV: str(path)}
+
+
+def digest(argv: list[str], env: dict[str, str] | None = None) -> str:
+    """sha256 of the stdout of a successful ``cli.main(argv)``.
+
+    It runs at ``COLUMNS=80``, so ``--help`` wraps the same everywhere,
+    with no user material table unless ``env`` names one.
+    """
     buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        assert cli.main(argv) == 0
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(buffer):
+        os.environ.pop(cli.MATERIALS_ENV, None)
+        os.environ.update(COLUMNS="80", **(env or {}))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    assert code == 0
     return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
 
 
-def recorded_argvs() -> dict[str, list[str]]:
-    """Every recorded command by its digest key, ``<case>.<format>``."""
-    argvs = {f"{case}.{fmt}": sweep_argv(case, fmt) for case in sorted(CASES) for fmt in FORMATS}
-    argvs.update((f"{case}.{fmt}", one_shot_argv(case, fmt))
-                 for case in sorted(ONE_SHOT) for fmt in ONE_SHOT_FORMATS)
-    return argvs
+def recorded_commands(directory: Path) -> dict[str, tuple[list[str], dict[str, str]]]:
+    """Every recorded (argv, env) by its digest key, ``<case>.<format>``.
+
+    The user material table is written into ``directory``.
+    """
+    commands = {f"{case}.{fmt}": (sweep_argv(case, fmt), {})
+                for case in sorted(CASES) for fmt in FORMATS}
+    commands.update((f"{case}.{fmt}", (one_shot_argv(case, fmt), {}))
+                    for case in sorted(ONE_SHOT) for fmt in ONE_SHOT_FORMATS)
+    commands.update((f"{case}.{fmt}", (material_argv(case, fmt), {}))
+                    for case in sorted(MATERIAL) for fmt in ONE_SHOT_FORMATS)
+    env = user_table(directory)
+    commands.update((f"{case}.{fmt}", (material_argv(case, fmt), env))
+                    for case in sorted(USER_MATERIAL) for fmt in ONE_SHOT_FORMATS)
+    commands.update((f"help.{command}", (help_argv(command), {})) for command in HELP)
+    return commands
 
 
 def test_corpus_covers_every_valid_pair():
@@ -148,8 +208,28 @@ def test_one_shot_matches_recorded_digest(case, fmt):
     assert digest(one_shot_argv(case, fmt)) == expected
 
 
+@pytest.mark.parametrize("fmt", ONE_SHOT_FORMATS)
+@pytest.mark.parametrize("case", sorted(MATERIAL) + sorted(USER_MATERIAL))
+def test_material_matches_recorded_digest(case, fmt, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[f"{case}.{fmt}"]
+    env = user_table(tmp_path) if case in USER_MATERIAL else {}
+    assert digest(material_argv(case, fmt), env) == expected
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_matches_recorded_digest(command):
+    expected = json.loads(DIGESTS.read_text())[f"help.{command}"]
+    assert digest(help_argv(command)) == expected
+
+
+def test_recorded_commands_match_the_digest_file(tmp_path):
+    assert sorted(recorded_commands(tmp_path)) == sorted(json.loads(DIGESTS.read_text()))
+
+
 if __name__ == "__main__":
     DIGESTS.parent.mkdir(parents=True, exist_ok=True)
-    digests = {key: digest(argv) for key, argv in recorded_argvs().items()}
+    with tempfile.TemporaryDirectory() as directory:
+        digests = {key: digest(argv, env)
+                   for key, (argv, env) in recorded_commands(Path(directory)).items()}
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}")

@@ -16,21 +16,29 @@ simulate
 report
     The four headline checks with pass/fail against their target bands.
 
+Each output is stated once.  A command's fields form one table of
+(JSON key, human label, unit, value) rows, from which both its JSON
+outputs and its human rows are rendered; the detector results share
+``RESULT_FIELDS``, which also gives the sweep's CSV and JSON columns.
+Each value flag is declared once in ``_FLAGS``, and every parser takes
+its flags from there.
+
 Numbers accept an optional unit suffix directly after the value (no
 space): lengths nm/um/m, frequencies Hz/kHz/MHz/GHz/THz, temperatures K,
 voltages mV/V, currents pA/nA/uA/mA/A, conductances uS/mS/S.  A bare
 number is the SI base unit.  Suffixes are matched case-insensitively.
 
 Exit codes: 0 success, 1 domain error (bad physics parameter), 2 usage
-error (unparseable flags).  JSON output is a fixed-order envelope
-{command, inputs, outputs, flags, generator?, seed?, timestamp?}; the
-timestamp is omitted under --deterministic so outputs can be compared
-byte for byte.
+error (unparseable flags, or a flag the command does not take).  JSON
+output is a fixed-order envelope {command, inputs, outputs, flags,
+generator?, seed?, timestamp?}; the timestamp is omitted under
+--deterministic so outputs can be compared byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -49,7 +57,6 @@ from .devices import (
     SetDevice,
     SetGeometry,
     SnrResult,
-    TransportState,
     WireDevice,
     WireGeometry,
     device_snr,
@@ -74,26 +81,37 @@ __all__ = ["main", "MATERIALS_ENV", "SWEEP_HEADER"]
 
 MATERIALS_ENV = "CHARGE_LIMIT_MATERIALS"
 
-#: Fixed CSV column set for `sweep`; inapplicable columns are left empty.
-SWEEP_HEADER = (
-    "axis",
-    "value",
-    "snr",
-    "f_unity_hz",
-    "sensitivity_e_per_rthz",
-    "shot_variance_a2",
-    "thermal_variance_a2",
-    "total_rms_a",
-    "n_modes",
-    "kinetic_energy_j",
-    "bias_v",
-    "conductance_s",
-    "current_a",
-    "capacitance_f",
-    "charging_energy_j",
-    "blockade_voltage_v",
-    "flags",
+
+def _transport(name: str):
+    """Getter of a transport field, None where the device's transport lacks it."""
+    return lambda result: getattr(result.transport, name, None)
+
+
+#: (JSON/CSV key, human unit, getter) of every detector result field, in
+#: column order.  A getter gives None where the field does not apply to the
+#: device: the one-shot output drops the key and a sweep leaves the cell empty.
+RESULT_FIELDS = (
+    ("snr", "", lambda result: result.snr),
+    ("f_unity_hz", "Hz", lambda result: result.f_unity),
+    ("sensitivity_e_per_rthz", "e/sqrt(Hz)", lambda result: result.sensitivity),
+    ("shot_variance_a2", "A^2", lambda result: result.breakdown.shot_sq),
+    ("thermal_variance_a2", "A^2", lambda result: result.breakdown.thermal_sq),
+    ("total_rms_a", "A", lambda result: result.breakdown.total_rms),
+    ("n_modes", "", _transport("n_modes")),
+    ("kinetic_energy_j", "J", _transport("kinetic_energy")),
+    ("bias_v", "V", lambda result: result.operating_point.bias),
+    ("conductance_s", "S", lambda result: result.operating_point.conductance),
+    # A channel's transport carries its own current (the wire's closed form
+    # differs from conductance * bias in the last bit); the SET's has none.
+    ("current_a", "A",
+     lambda result: getattr(result.transport, "current", result.operating_point.sense_current())),
+    ("capacitance_f", "F", _transport("capacitance")),
+    ("charging_energy_j", "J", _transport("charging_energy")),
+    ("blockade_voltage_v", "V", _transport("blockade_voltage")),
 )
+
+#: Fixed CSV column set for `sweep`; inapplicable columns are left empty.
+SWEEP_HEADER = ("axis", "value", *(key for key, _, _ in RESULT_FIELDS), "flags")
 
 # axis token -> (unit kind, device kinds it applies to)
 SWEEP_AXES = {
@@ -104,15 +122,6 @@ SWEEP_AXES = {
     "epsilon_r": ("dimensionless", ("wire", "set")),
     "m_star_ratio": ("dimensionless", ("wire", "qpc")),
     "T": ("temperature", ("wire", "qpc", "set")),
-}
-
-#: device command -> (help, size flag, size input key, size help)
-_DEVICE_COMMANDS = {
-    "wire": ("cylindrical-wire FET detector", "radius", "radius_m",
-             "channel radius (default: effective bohr radius; SNR is radius-free)"),
-    "qpc": ("quantum point contact detector", "width", "width_m", "constriction width"),
-    "set": ("single-electron transistor detector", "radius", "island_radius_m",
-            "island disk radius"),
 }
 
 _UNIT_TABLES = {
@@ -167,20 +176,96 @@ def _int_type(name: str, low: int, high_bits: int | None = None):
     return parse
 
 
+#: Every value flag: dest -> (names, unit kind or integer type, default,
+#: JSON input key, help).  A parser may override the help (and make a flag
+#: required, or give the set's --epsr its vacuum default) where its own
+#: --help text says more; see _DEVICE_COMMANDS and build_parser.  The size
+#: flags' input keys depend on the device.
+_FLAGS = {
+    "material": (("--material",), None, None, None,
+                 "material name from the table (default vacuum)"),
+    "mass_ratio": (("--mass-ratio",), "dimensionless", None, None,
+                   "custom m*/m_e (with --epsr, instead of --material)"),
+    "epsr": (("--epsr",), "dimensionless", None, "epsilon_r", "custom epsilon_r"),
+    "radius": (("--radius",), "length", None, None, "wire or island radius"),
+    "width": (("--width",), "length", None, None, "qpc width"),
+    "df": (("--df", "--bandwidth"), "frequency", 1.0, "bandwidth_hz",
+           "measurement bandwidth (default 1 Hz)"),
+    "bias": (("--bias",), "voltage", None, "bias_v",
+             "source-drain bias override (default: the optimal bias)"),
+    "temperature": (("--temperature",), "temperature", 0.0, "temperature_k",
+                    "temperature in K (default 0)"),
+    "modulation": (("--modulation",), "dimensionless", 1.0, "modulation",
+                   "signal modulation depth in (0, 1] (default 1)"),
+    "current": (("--current", "--I"), "current", None, "on_current_a", "on-state current"),
+    "trials": (("--trials",), _int_type("trials", 2), None, "trials", None),
+    "seed": (("--seed",), _int_type("seed", 0, 64), None, "seed", None),
+    "conductance": (("--conductance",), "conductance", None, "conductance_s",
+                    "channel conductance for the thermal-noise term"),
+    "threshold": (("--threshold",), "dimensionless", 0.5, "threshold_e",
+                  "decision threshold in electron counts (default 0.5)"),
+    "fano": (("--fano",), "dimensionless", 1.0, "fano",
+             "shot-noise Fano factor (default 1; != 1 forces Gaussian sampling)"),
+    "workers": (("--workers",), _int_type("workers", 1), 1, None, None),
+}
+
+_MATERIAL_FLAGS = ("material", "mass_ratio", "epsr")
+_OPERATING_FLAGS = ("df", "bias", "temperature", "modulation")
+
+#: device command -> (help, size flag, size input key, value flags, flag overrides).
+#: A sweep of the device takes the same value flags.
+_DEVICE_COMMANDS = {
+    "wire": ("cylindrical-wire FET detector", "radius", "radius_m",
+             (*_MATERIAL_FLAGS, "radius", *_OPERATING_FLAGS),
+             {"radius": {"help": "channel radius (default: effective bohr radius; "
+                                 "SNR is radius-free)"}}),
+    "qpc": ("quantum point contact detector", "width", "width_m",
+            (*_MATERIAL_FLAGS, "width", *_OPERATING_FLAGS),
+            {"width": {"help": "constriction width", "required": True}}),
+    "set": ("single-electron transistor detector", "radius", "island_radius_m",
+            ("radius", "epsr", *_OPERATING_FLAGS),
+            {"radius": {"help": "island disk radius", "required": True},
+             "epsr": {"help": "relative dielectric constant of the host (default 1)",
+                      "default": 1.0}}),
+}
+#: A sweep rejects those of its value flags that its device's command lacks.
+_SWEEP_FLAGS = (*_MATERIAL_FLAGS, "radius", "width", "df", "temperature")
+
+
+def _add_flags(parser: argparse.ArgumentParser, dests, overrides: dict) -> None:
+    """Add the value flags ``dests`` from _FLAGS, with per-flag argparse
+    keyword ``overrides``."""
+    for dest in dests:
+        names, kind, default, _, text = _FLAGS[dest]
+        options = {"dest": dest, "type": _quantity_type(kind) if isinstance(kind, str) else kind,
+                   "default": default, "help": text, **overrides.get(dest, {})}
+        parser.add_argument(*names, **options)
+
+
+def _inputs(args: argparse.Namespace, dests) -> dict:
+    """The JSON inputs of the value flags ``dests``, keyed as _FLAGS says."""
+    return {_FLAGS[dest][3]: getattr(args, dest) for dest in dests}
+
+
 # --------------------------------------------------------------------------
 # Materials
 # --------------------------------------------------------------------------
 
 def load_material_table() -> tuple[dict[str, Material], set[str]]:
     """Built-in table merged with CHARGE_LIMIT_MATERIALS; returns user keys too."""
-    table = builtin_materials()
-    user_keys: set[str] = set()
     path = os.environ.get(MATERIALS_ENV)
-    if path:
-        user_table = load_materials_file(path)
-        user_keys = set(user_table)
-        table.update(user_table)
-    return table, user_keys
+    user_table = load_materials_file(path) if path else {}
+    return {**builtin_materials(), **user_table}, set(user_table)
+
+
+def find_material(name: str) -> Material:
+    """The material called ``name`` in the merged table."""
+    table, _ = load_material_table()
+    key = canonical_name(name)
+    if key not in table:
+        known = ", ".join(sorted(table))
+        raise ParameterError(f"unknown material {name!r}; known materials: {known}")
+    return table[key]
 
 
 def resolve_material(args: argparse.Namespace) -> Material:
@@ -192,31 +277,21 @@ def resolve_material(args: argparse.Namespace) -> Material:
         if args.mass_ratio is None or args.epsr is None:
             args.parser.error("--mass-ratio and --epsr must be given together")
         return Material(name="custom", mass_ratio=args.mass_ratio, epsilon_r=args.epsr)
-    name = args.material if args.material is not None else "vacuum"
-    table, _ = load_material_table()
-    key = canonical_name(name)
-    if key not in table:
-        known = ", ".join(sorted(table))
-        raise ParameterError(f"unknown material {name!r}; known materials: {known}")
-    return table[key]
+    return find_material(args.material if args.material is not None else "vacuum")
 
 
 # --------------------------------------------------------------------------
 # Output helpers
 # --------------------------------------------------------------------------
 
-def _finite_or_none(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {key: _sanitize(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(value) for value in obj]
-    return _finite_or_none(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def emit_json(
@@ -249,65 +324,41 @@ def emit_json(
     print(text)
 
 
-def _print_rows(rows: list[tuple[str, str]]) -> None:
-    width = max(len(label) for label, _ in rows)
-    for label, text in rows:
-        print(f"  {label:<{width}}  {text}")
-
-
 def _human(value: float, unit: str = "") -> str:
-    text = f"{value:.6g}"
-    return f"{text} {unit}".rstrip()
+    return f"{value:.6g} {unit}".rstrip()
 
 
-def _result_outputs(result: SnrResult) -> dict:
-    """SnrResult -> flat output dict with CSV-aligned keys."""
-    out = {
-        "snr": result.snr,
-        "f_unity_hz": result.f_unity,
-        "sensitivity_e_per_rthz": result.sensitivity,
-        "shot_variance_a2": result.breakdown.shot_sq,
-        "thermal_variance_a2": result.breakdown.thermal_sq,
-        "total_rms_a": result.breakdown.total_rms,
-    }
-    transport = result.transport
-    if isinstance(transport, TransportState):
-        out.update(
-            n_modes=transport.n_modes,
-            kinetic_energy_j=transport.kinetic_energy,
-            bias_v=transport.bias,
-            conductance_s=transport.conductance,
-            current_a=transport.current,
-        )
+# An output table is a sequence of headings (str) and rows
+# (JSON key, human label, unit, value).  A row without a JSON key is shown
+# only to humans, one without a label only in JSON; a str value is shown
+# as it is.
+
+def _outputs(table) -> dict:
+    """The JSON outputs of a table: every row that has a JSON key."""
+    return {row[0]: row[3] for row in table if not isinstance(row, str) and row[0] is not None}
+
+
+def _print_table(table) -> None:
+    """Print each heading, and the labelled rows under it aligned."""
+    for is_heading, rows in itertools.groupby(table, lambda row: isinstance(row, str)):
+        if is_heading:
+            print(*rows, sep="\n")
+            continue
+        cells = [(label, value if isinstance(value, str) else _human(value, unit))
+                 for _, label, unit, value in rows if label is not None]
+        width = max(len(label) for label, _ in cells)
+        for label, text in cells:
+            print(f"  {label:<{width}}  {text}")
+
+
+def _emit_table(args: argparse.Namespace, command: str, inputs: dict, table,
+                flags=()) -> int:
+    """Render ``table`` as the JSON envelope under --json, else as human rows."""
+    if args.json:
+        emit_json(command, inputs, _outputs(table), flags, deterministic=args.deterministic)
     else:
-        op = result.operating_point
-        out.update(
-            bias_v=op.bias,
-            conductance_s=op.conductance,
-            current_a=op.sense_current(),
-            capacitance_f=transport.capacitance,
-            charging_energy_j=transport.charging_energy,
-            blockade_voltage_v=transport.blockade_voltage,
-        )
-    return out
-
-
-_HUMAN_UNITS = {
-    "snr": "",
-    "f_unity_hz": "Hz",
-    "sensitivity_e_per_rthz": "e/sqrt(Hz)",
-    "shot_variance_a2": "A^2",
-    "thermal_variance_a2": "A^2",
-    "total_rms_a": "A",
-    "n_modes": "",
-    "kinetic_energy_j": "J",
-    "bias_v": "V",
-    "conductance_s": "S",
-    "current_a": "A",
-    "capacitance_f": "F",
-    "charging_energy_j": "J",
-    "blockade_voltage_v": "V",
-}
+        _print_table(table)
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -316,51 +367,30 @@ _HUMAN_UNITS = {
 
 def cmd_constants(args: argparse.Namespace) -> int:
     c = CONSTANTS
-    outputs = {
-        "e_C": c.e,
-        "h_Js": c.h,
-        "hbar_Js": c.hbar,
-        "c_m_per_s": c.c,
-        "k_B_J_per_K": c.k_B,
-        "m_e_kg": c.m_e,
-        "eps0_F_per_m": c.eps0,
-        "alpha": c.alpha,
-        "bohr_radius_m": c.bohr_radius,
-        "rydberg_energy_J": c.rydberg_energy,
-        "rydberg_energy_eV": c.rydberg_energy / c.e,
-        "rydberg_frequency_Hz": c.rydberg_frequency,
-    }
-    if args.json:
-        emit_json("constants", {}, outputs, [], deterministic=args.deterministic)
-        return 0
-    print("pinned constants (SI)")
-    _print_rows(
-        [
-            ("elementary charge e", _human(c.e, "C")),
-            ("Planck constant h", _human(c.h, "J s")),
-            ("reduced Planck hbar", _human(c.hbar, "J s")),
-            ("speed of light c", _human(c.c, "m/s")),
-            ("Boltzmann constant k_B", _human(c.k_B, "J/K")),
-            ("electron mass m_e", _human(c.m_e, "kg")),
-            ("vacuum permittivity eps0", _human(c.eps0, "F/m")),
-            ("fine-structure constant", _human(c.alpha)),
-        ]
+    table = (
+        "pinned constants (SI)",
+        ("e_C", "elementary charge e", "C", c.e),
+        ("h_Js", "Planck constant h", "J s", c.h),
+        ("hbar_Js", "reduced Planck hbar", "J s", c.hbar),
+        ("c_m_per_s", "speed of light c", "m/s", c.c),
+        ("k_B_J_per_K", "Boltzmann constant k_B", "J/K", c.k_B),
+        ("m_e_kg", "electron mass m_e", "kg", c.m_e),
+        ("eps0_F_per_m", "vacuum permittivity eps0", "F/m", c.eps0),
+        ("alpha", "fine-structure constant", "", c.alpha),
+        "derived atomic scales",
+        ("bohr_radius_m", "bohr radius", "m", c.bohr_radius),
+        ("rydberg_energy_J", "rydberg energy", "J", c.rydberg_energy),
+        ("rydberg_energy_eV", "rydberg energy", "eV", c.rydberg_energy / c.e),
+        ("rydberg_frequency_Hz", "rydberg frequency", "Hz", c.rydberg_frequency),
     )
-    print("derived atomic scales")
-    _print_rows(
-        [
-            ("bohr radius", _human(c.bohr_radius, "m")),
-            ("rydberg energy", _human(c.rydberg_energy, "J")),
-            ("rydberg energy", _human(c.rydberg_energy / c.e, "eV")),
-            ("rydberg frequency", _human(c.rydberg_frequency, "Hz")),
-        ]
-    )
-    return 0
+    return _emit_table(args, "constants", {}, table)
 
 
 def cmd_material(args: argparse.Namespace) -> int:
-    table, user_keys = load_material_table()
+    if (args.name is None) == (args.action == "show"):
+        args.parser.error("material show takes one material name, material list takes none")
     if args.action == "list":
+        table, user_keys = load_material_table()
         rows = [
             {
                 "name": mat.name,
@@ -383,42 +413,21 @@ def cmd_material(args: argparse.Namespace) -> int:
                 f"{row['epsilon_r']:>10.6g}  {row['source']}"
             )
         return 0
-    # show
-    key = canonical_name(args.name)
-    if key not in table:
-        known = ", ".join(sorted(table))
-        raise ParameterError(f"unknown material {args.name!r}; known materials: {known}")
-    mat = table[key]
+    mat = find_material(args.name)
     scales = effective_scales(mat)
-    outputs = {
-        "name": mat.name,
-        "mass_ratio": mat.mass_ratio,
-        "epsilon_r": mat.epsilon_r,
-        "scale_factor": scales.scale_factor,
-        "rydberg_energy_J": scales.rydberg_energy,
-        "rydberg_energy_meV": scales.rydberg_energy / CONSTANTS.e * 1e3,
-        "rydberg_frequency_Hz": scales.rydberg_frequency,
-        "bohr_radius_m": scales.bohr_radius,
-    }
-    if args.json:
-        emit_json(
-            "material", {"action": "show", "name": args.name}, outputs, [],
-            deterministic=args.deterministic,
-        )
-        return 0
-    print(f"material {mat.name}")
-    _print_rows(
-        [
-            ("mass ratio m*/m_e", _human(mat.mass_ratio)),
-            ("dielectric constant", _human(mat.epsilon_r)),
-            ("scale factor", _human(scales.scale_factor)),
-            ("effective rydberg", _human(scales.rydberg_energy, "J")),
-            ("effective rydberg", _human(scales.rydberg_energy / CONSTANTS.e * 1e3, "meV")),
-            ("effective rydberg freq", _human(scales.rydberg_frequency, "Hz")),
-            ("effective bohr radius", _human(scales.bohr_radius, "m")),
-        ]
+    table = (
+        f"material {mat.name}",
+        ("name", None, "", mat.name),
+        ("mass_ratio", "mass ratio m*/m_e", "", mat.mass_ratio),
+        ("epsilon_r", "dielectric constant", "", mat.epsilon_r),
+        ("scale_factor", "scale factor", "", scales.scale_factor),
+        ("rydberg_energy_J", "effective rydberg", "J", scales.rydberg_energy),
+        ("rydberg_energy_meV", "effective rydberg", "meV",
+         scales.rydberg_energy / CONSTANTS.e * 1e3),
+        ("rydberg_frequency_Hz", "effective rydberg freq", "Hz", scales.rydberg_frequency),
+        ("bohr_radius_m", "effective bohr radius", "m", scales.bohr_radius),
     )
-    return 0
+    return _emit_table(args, "material", {"action": "show", "name": args.name}, table)
 
 
 def _material_inputs(material: Material) -> dict:
@@ -433,27 +442,18 @@ def cmd_device(args: argparse.Namespace) -> int:
     """wire, qpc or set: one detector at one operating point."""
     material = None if args.device == "set" else resolve_material(args)
     result = _axis_result(args, material)
-    _, size, size_key, _ = _DEVICE_COMMANDS[args.device]
-    inputs = {size_key: getattr(args, size)}
-    if material is None:
-        inputs["epsilon_r"] = args.epsr
-        subject = f"island radius {_human(args.radius, 'm')}"
-    else:
-        inputs = {**_material_inputs(material), **inputs}
-        subject = f"material {material.name}"
-    inputs.update(bandwidth_hz=args.df, bias_v=args.bias,
-                  temperature_k=args.temperature, modulation=args.modulation)
-    outputs = _result_outputs(result)
-    if args.json:
-        emit_json(args.command, inputs, outputs, result.flags,
-                  deterministic=args.deterministic)
-        return 0
-    print(f"{args.device} detector, {subject}")
-    rows = [(key, _human(value, _HUMAN_UNITS[key])) for key, value in outputs.items()]
+    _, size, size_key, dests, _ = _DEVICE_COMMANDS[args.device]
+    inputs = {} if material is None else _material_inputs(material)
+    inputs[size_key] = getattr(args, size)
+    inputs.update(_inputs(args, dests[dests.index(size) + 1:]))
+    subject = (f"island radius {_human(args.radius, 'm')}" if material is None
+               else f"material {material.name}")
+    table = [f"{args.device} detector, {subject}"]
+    table += [(key, key, unit, get(result)) for key, unit, get in RESULT_FIELDS
+              if get(result) is not None]
     if result.flags:
-        rows.append(("flags", ";".join(result.flags)))
-    _print_rows(rows)
-    return 0
+        table.append((None, "flags", "", ";".join(result.flags)))
+    return _emit_table(args, args.command, inputs, table, result.flags)
 
 
 def _sweep_values(args: argparse.Namespace) -> np.ndarray:
@@ -525,15 +525,10 @@ def _sweep_rows(args: argparse.Namespace, values: np.ndarray, result: SnrResult)
     inapplicable and non-finite cells are empty (CSV) or null (JSON)."""
     json_rows = args.format == "json"
     empty = "null" if json_rows else ""
-    columns = {
-        "axis": args.axis,
-        "value": values,
-        **_result_outputs(result),
-        "flags": ";".join(result.flags),
-    }
+    columns = (args.axis, values, *(get(result) for _, _, get in RESULT_FIELDS),
+               ";".join(result.flags))
     parts, filled = [], []
-    for key in SWEEP_HEADER:
-        column = columns.get(key)
+    for column in columns:
         if isinstance(column, str):
             part = json.dumps(column) if json_rows else column
         elif column is None:
@@ -562,13 +557,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"axis {axis!r} does not apply to device {args.device!r}; "
             f"valid devices: {', '.join(devices)}"
         )
+    takes = _DEVICE_COMMANDS[args.device][3]
+    for dest in _SWEEP_FLAGS:
+        if getattr(args, dest) is not None and dest not in takes:
+            args.parser.error(f"{_FLAGS[dest][0][0]} does not apply to device {args.device!r}")
     if args.device == "qpc" and axis != "W" and args.width is None:
         args.parser.error("qpc sweeps need --width unless the axis is W")
     if args.device == "set" and axis != "R_island" and args.radius is None:
         args.parser.error("set sweeps need --radius unless the axis is R_island")
-    material = (
-        resolve_material(args) if args.device in ("wire", "qpc") else None
-    )
+    material = None if args.device == "set" else resolve_material(args)
     values = _sweep_values(args)
     try:
         result = _axis_result(args, material, values)
@@ -578,16 +575,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ParameterError(f"{exc} (at {axis} = {values[exc.index].item()!r})") from None
     rows = _sweep_rows(args, values, result)
     if args.format == "json":
-        inputs = {
-            "device": args.device,
-            "axis": axis,
-            "start": args.start,
-            "stop": args.stop,
-            "points": args.points,
-            "spacing": args.spacing,
-            "bandwidth_hz": args.df,
-            "temperature_k": args.temperature,
-        }
+        # the sweep's own flags are their own input keys
+        inputs = {dest: getattr(args, dest)
+                  for dest in ("device", "axis", "start", "stop", "points", "spacing")}
+        inputs.update(_inputs(args, ("df", "temperature")))
         if material is not None:
             inputs.update(_material_inputs(material))
         emit_json(
@@ -615,16 +606,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outputs = outcome.as_dict()
     outputs["n_sigma"] = n_sigma
     outputs["within_3_sigma"] = bool(n_sigma <= 3.0)
-    inputs = {
-        "on_current_a": args.current,
-        "bandwidth_hz": args.df,
-        "temperature_k": args.temperature,
-        "conductance_s": args.conductance,
-        "trials": args.trials,
-        "seed": args.seed,
-        "threshold_e": args.threshold,
-        "fano": args.fano,
-    }
+    inputs = _inputs(args, ("current", "df", "temperature", "conductance", "trials", "seed",
+                            "threshold", "fano"))
     flags = ["gaussian-fallback"] if outcome.gaussian_fallback else []
     emit_json(
         "simulate", inputs, outputs, flags,
@@ -637,7 +620,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 _SQRT_TEN = math.sqrt(10.0)
 
 
-def _report_rows() -> list[dict]:
+def _report_tables() -> list[tuple]:
+    """One output table per headline check, headed by its verdict."""
     from .materials import GAAS_LIKE, VACUUM
 
     vacuum_wire = wire_snr(VACUUM, 1.0)
@@ -658,64 +642,33 @@ def _report_rows() -> list[dict]:
          1.0e-7 / _SQRT_TEN <= set_result.sensitivity <= 1.0e-6 * _SQRT_TEN),
     ]
     return [
-        {"label": label, "device": device, "inputs": inputs, "f_unity_hz": result.f_unity,
-         "sensitivity_e_per_rthz": result.sensitivity, "target": target,
-         "within_target": bool(ok)}
+        (
+            f"  [{'pass' if ok else 'FAIL'}] {label}",
+            ("label", None, "", label),
+            ("device", None, "", device),
+            ("inputs", None, "", inputs),
+            ("f_unity_hz", "f_unity", "Hz", result.f_unity),
+            ("sensitivity_e_per_rthz", "sensitivity", "e/sqrt(Hz)", result.sensitivity),
+            ("target", "target", "", target),
+            ("within_target", None, "", bool(ok)),
+        )
         for label, device, inputs, result, target, ok in checks
     ]
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = _report_rows()
+    tables = _report_tables()
     if args.json:
+        rows = [_outputs(table) for table in tables]
         emit_json("report", {}, {"rows": rows}, [], deterministic=args.deterministic)
         return 0
-    print("headline checks")
-    for row in rows:
-        verdict = "pass" if row["within_target"] else "FAIL"
-        print(f"  [{verdict}] {row['label']}")
-        _print_rows(
-            [
-                ("f_unity", _human(row["f_unity_hz"], "Hz")),
-                ("sensitivity", _human(row["sensitivity_e_per_rthz"], "e/sqrt(Hz)")),
-                ("target", row["target"]),
-            ]
-        )
+    _print_table(["headline checks", *itertools.chain.from_iterable(tables)])
     return 0
 
 
 # --------------------------------------------------------------------------
 # Parser construction
 # --------------------------------------------------------------------------
-
-def _add_material_flags(parser: argparse.ArgumentParser,
-                        epsr_help: str = "custom epsilon_r") -> None:
-    parser.add_argument("--material", help="material name from the table (default vacuum)")
-    parser.add_argument(
-        "--mass-ratio", type=_quantity_type("dimensionless"),
-        help="custom m*/m_e (with --epsr, instead of --material)",
-    )
-    parser.add_argument("--epsr", type=_quantity_type("dimensionless"), help=epsr_help)
-
-
-def _add_common_device_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--df", "--bandwidth", dest="df", type=_quantity_type("frequency"),
-        default=1.0, help="measurement bandwidth (default 1 Hz)",
-    )
-    parser.add_argument(
-        "--bias", type=_quantity_type("voltage"),
-        help="source-drain bias override (default: the optimal bias)",
-    )
-    parser.add_argument(
-        "--temperature", type=_quantity_type("temperature"), default=0.0,
-        help="temperature in K (default 0)",
-    )
-    parser.add_argument(
-        "--modulation", type=_quantity_type("dimensionless"), default=1.0,
-        help="signal modulation depth in (0, 1] (default 1)",
-    )
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -738,18 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", help="material name (for show)")
     p.set_defaults(func=cmd_material, parser=p)
 
-    for kind, (summary, size, _, size_help) in _DEVICE_COMMANDS.items():
+    for kind, (summary, _, _, dests, overrides) in _DEVICE_COMMANDS.items():
         p = sub.add_parser(kind, parents=[common], help=summary)
-        if kind != "set":
-            _add_material_flags(p)
-        p.add_argument(f"--{size}", type=_quantity_type("length"), required=kind != "wire",
-                       help=size_help)
-        if kind == "set":
-            p.add_argument(
-                "--epsr", type=_quantity_type("dimensionless"), default=1.0,
-                help="relative dielectric constant of the host (default 1)",
-            )
-        _add_common_device_flags(p)
+        _add_flags(p, dests, overrides)
         p.set_defaults(func=cmd_device, parser=p, device=kind, axis=None)
 
     p = sub.add_parser("sweep", parents=[common], help="sweep one parameter axis")
@@ -760,47 +704,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_int_type("points", 2), default=21)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_material_flags(p, "epsilon_r (set device or custom material)")
-    p.add_argument("--radius", type=_quantity_type("length"), help="wire or island radius")
-    p.add_argument("--width", type=_quantity_type("length"), help="qpc width")
-    p.add_argument(
-        "--df", "--bandwidth", dest="df", type=_quantity_type("frequency"),
-        default=1.0, help="bandwidth when not the axis (default 1 Hz)",
-    )
-    p.add_argument(
-        "--temperature", type=_quantity_type("temperature"), default=0.0,
-        help="temperature when not the axis (default 0 K)",
-    )
+    _add_flags(p, _SWEEP_FLAGS, {
+        "epsr": {"help": "epsilon_r (set device or custom material)"},
+        "df": {"help": "bandwidth when not the axis (default 1 Hz)"},
+        "temperature": {"help": "temperature when not the axis (default 0 K)"},
+    })
     p.set_defaults(func=cmd_sweep, parser=p, bias=None, modulation=1.0)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo counting simulation")
-    p.add_argument(
-        "--current", "--I", dest="current", type=_quantity_type("current"),
-        required=True, help="on-state current",
-    )
-    p.add_argument(
-        "--df", "--bandwidth", dest="df", type=_quantity_type("frequency"),
-        required=True, help="measurement bandwidth",
-    )
-    p.add_argument("--trials", type=_int_type("trials", 2), required=True)
-    p.add_argument("--seed", type=_int_type("seed", 0, 64), required=True)
-    p.add_argument(
-        "--temperature", type=_quantity_type("temperature"), default=0.0,
-        help="temperature in K (default 0)",
-    )
-    p.add_argument(
-        "--conductance", type=_quantity_type("conductance"),
-        help="channel conductance for the thermal-noise term",
-    )
-    p.add_argument(
-        "--threshold", type=_quantity_type("dimensionless"), default=0.5,
-        help="decision threshold in electron counts (default 0.5)",
-    )
-    p.add_argument(
-        "--fano", type=_quantity_type("dimensionless"), default=1.0,
-        help="shot-noise Fano factor (default 1; != 1 forces Gaussian sampling)",
-    )
-    p.add_argument("--workers", type=_int_type("workers", 1), default=1)
+    required = {"required": True}
+    _add_flags(p, ("current", "df", "trials", "seed", "temperature", "conductance", "threshold",
+                   "fano", "workers"), {
+        "current": required, "trials": required, "seed": required,
+        "df": {"help": "measurement bandwidth", "required": True},
+    })
     p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("report", parents=[common], help="headline checks with pass/fail")
@@ -812,8 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "material" and args.action == "show" and args.name is None:
-        args.parser.error("material show requires a material name")
     try:
         with warnings.catch_warnings():  # a result reports it in its flags
             warnings.simplefilter("ignore", ModelValidityWarning)

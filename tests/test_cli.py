@@ -353,6 +353,24 @@ def test_sweep_axis_device_mismatch():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "device, axis, flag",
+    [
+        ("set", "R_island", ["--material", "gaas"]),
+        ("set", "R_island", ["--mass-ratio", "0.067"]),
+        ("qpc", "W", ["--radius", "20nm"]),
+        ("wire", "R", ["--width", "20nm"]),
+        ("set", "R_island", ["--width", "20nm"]),
+    ],
+)
+def test_sweep_rejects_flags_its_device_does_not_take(capsys, device, axis, flag):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--device", device, "--axis", axis, "--start", "5nm", "--stop", "50nm",
+              "--points", "2", *flag])
+    assert err.value.code == 2
+    assert f"{flag[0]} does not apply to device '{device}'" in capsys.readouterr().err
+
+
 def test_sweep_set_needs_radius_off_axis():
     with pytest.raises(SystemExit) as err:
         main(
@@ -400,9 +418,11 @@ def test_material_show_json(capsys):
 
 
 def test_material_show_requires_name():
-    with pytest.raises(SystemExit) as err:
-        main(["material", "show"])
-    assert err.value.code == 2
+    """``material show`` needs a name, and ``material list`` takes none."""
+    for argv in (["material", "show"], ["material", "list", "gaas"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_material_show_unknown_is_domain_error(capsys):

@@ -10,8 +10,8 @@ trigger, ``report`` and ``constants``) are recorded in human form and
 in ``--json --deterministic`` form in the same file, and so are
 ``material list`` and ``material show`` (with and without a user table
 in ``CHARGE_LIMIT_MATERIALS``) and the ``--help`` text of the top level
-and of every subcommand at ``COLUMNS=80``.  Evaluation or formatting
-work must leave these bytes alone.  Regenerate the digests only for a
+and of every subcommand at ``COLUMNS=80`` (as Python 3.11's argparse
+formats it).  Evaluation or formatting work must leave these bytes alone.  Regenerate the digests only for a
 deliberate, documented change to the published numbers:
 
     PYTHONPATH=src python tests/test_sweep_corpus.py
@@ -164,7 +164,8 @@ def digest(argv: list[str], env: dict[str, str] | None = None) -> str:
 
 
 def recorded_commands(directory: Path) -> dict[str, tuple[list[str], dict[str, str]]]:
-    """Every recorded (argv, env) by its digest key, ``<case>.<format>``.
+    """Every recorded (argv, env) by its digest key, ``<case>.<format>`` or
+    ``help.<command>``.
 
     The user material table is written into ``directory``.
     """

@@ -5,6 +5,11 @@ cylindrical-wire FET, quantum point contact, and single-electron
 transistor — built on a shared shot/thermal noise engine, plus a
 seed-stable Monte Carlo counting simulator that cross-checks the
 formulas.  See the README for the CLI.
+
+The simulator's names (``DeviceValidation``, ``SimConfig``,
+``SimOutcome``, ``simulate_detection`` and ``validate_device``) are
+resolved from :mod:`chargelimit.montecarlo` on first use, so importing
+the package, and every calculation on numbers, needs no numpy.
 """
 
 from .constants import (
@@ -57,13 +62,6 @@ from .materials import (
     load_materials_file,
     parse_materials_table,
 )
-from .montecarlo import (
-    DeviceValidation,
-    SimConfig,
-    SimOutcome,
-    simulate_detection,
-    validate_device,
-)
 from .noise import (
     NoiseBreakdown,
     OperatingPoint,
@@ -74,6 +72,18 @@ from .noise import (
 )
 
 __version__ = "0.1.0"
+
+_SIMULATOR = ("DeviceValidation", "SimConfig", "SimOutcome", "simulate_detection",
+              "validate_device")
+
+
+def __getattr__(name: str):
+    """The simulator's names, imported with numpy when first asked for."""
+    if name in _SIMULATOR:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CONSTANTS",

@@ -29,7 +29,8 @@ voltages mV/V, currents pA/nA/uA/mA/A, conductances uS/mS/S.  A bare
 number is the SI base unit.  Suffixes are matched case-insensitively.
 
 Exit codes: 0 success, 1 domain error (bad physics parameter), 2 usage
-error (unparseable flags, or a flag the command does not take).  JSON
+error (unparseable flags, a flag the command does not take, or a sweep
+flag for the parameter the axis sweeps).  JSON
 output is a fixed-order envelope {command, inputs, outputs, flags,
 generator?, seed?, timestamp?}; the timestamp is omitted under
 --deterministic so outputs can be compared byte for byte.
@@ -45,9 +46,6 @@ import os
 import re
 import sys
 import warnings
-from datetime import datetime, timezone
-
-import numpy as np
 
 from .constants import CONSTANTS
 from .devices import (
@@ -66,7 +64,7 @@ from .devices import (
     wire_pipeline_snr,
     wire_snr,
 )
-from .errors import ParameterError
+from .errors import ParameterError, isfinite
 from .materials import (
     Material,
     builtin_materials,
@@ -74,8 +72,6 @@ from .materials import (
     effective_scales,
     load_materials_file,
 )
-from .montecarlo import SimConfig, simulate_detection
-from .rng import GENERATOR_ID
 
 __all__ = ["main", "MATERIALS_ENV", "SWEEP_HEADER"]
 
@@ -123,6 +119,11 @@ SWEEP_AXES = {
     "m_star_ratio": ("dimensionless", ("wire", "qpc")),
     "T": ("temperature", ("wire", "qpc", "set")),
 }
+#: The value flag each axis stands in for, which a sweep over it rejects.  A
+#: wire's or qpc's --mass-ratio/--epsr pair stays: it names the custom
+#: material whose m* or epsilon_r the axis varies.
+_AXIS_FLAGS = {"R": "radius", "W": "width", "R_island": "radius", "delta_f": "df",
+               "epsilon_r": "epsr", "T": "temperature"}
 
 _UNIT_TABLES = {
     "length": {"nm": 1e-9, "um": 1e-6, "m": 1.0},
@@ -317,6 +318,8 @@ def emit_json(
     if seed is not None:
         record["seed"] = seed
     if not deterministic:
+        from datetime import datetime, timezone
+
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(record, indent=2)
     if rows is not None:
@@ -456,7 +459,10 @@ def cmd_device(args: argparse.Namespace) -> int:
     return _emit_table(args, args.command, inputs, table, result.flags)
 
 
-def _sweep_values(args: argparse.Namespace) -> np.ndarray:
+def _sweep_values(args: argparse.Namespace):
+    """The sweep's axis values, an ndarray: only a sweep imports numpy."""
+    import numpy as np
+
     kind = SWEEP_AXES[args.axis][0]
     try:
         start = parse_quantity(args.start, kind)
@@ -473,7 +479,7 @@ def _sweep_values(args: argparse.Namespace) -> np.ndarray:
 
 
 def _axis_result(args: argparse.Namespace, material: Material | None,
-                 values: np.ndarray | None = None) -> SnrResult:
+                 values=None) -> SnrResult:
     """One pipeline call with the axis ``values`` in place of their parameter.
 
     A one-shot command has no axis and passes no values.  At T = 0 with
@@ -513,16 +519,18 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
 
 def _number_cells(column, empty: str) -> list[str]:
     values = column.tolist()
-    if np.isfinite(column).all():
+    if isfinite(column).all():
         return list(map(repr, values))
     return [repr(v) if math.isfinite(v) else empty for v in values]
 
 
-def _sweep_rows(args: argparse.Namespace, values: np.ndarray, result: SnrResult) -> list[str]:
+def _sweep_rows(args: argparse.Namespace, values, result: SnrResult) -> list[str]:
     """Sweep rows, written column by column: CSV lines, or JSON objects as
     ``emit_json`` would indent them in ``outputs["rows"]``.  Constant columns
     go into a row template that the others fill.  Floats are ``repr``;
     inapplicable and non-finite cells are empty (CSV) or null (JSON)."""
+    import numpy as np
+
     json_rows = args.format == "json"
     empty = "null" if json_rows else ""
     columns = (args.axis, values, *(get(result) for _, _, get in RESULT_FIELDS),
@@ -558,9 +566,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"valid devices: {', '.join(devices)}"
         )
     takes = _DEVICE_COMMANDS[args.device][3]
+    swept = _AXIS_FLAGS.get(axis) if args.device == "set" or axis != "epsilon_r" else None
     for dest in _SWEEP_FLAGS:
-        if getattr(args, dest) is not None and dest not in takes:
-            args.parser.error(f"{_FLAGS[dest][0][0]} does not apply to device {args.device!r}")
+        if getattr(args, dest) is not None and (dest not in takes or dest == swept):
+            what = f"a sweep over {axis}" if dest == swept else f"device {args.device!r}"
+            args.parser.error(f"{_FLAGS[dest][0][0]} does not apply to {what}")
+    # --df and --temperature are None until here, so that the check sees them given
+    vars(args).update({dest: _FLAGS[dest][2] for dest in ("df", "temperature")
+                       if getattr(args, dest) is None})
     if args.device == "qpc" and axis != "W" and args.width is None:
         args.parser.error("qpc sweeps need --width unless the axis is W")
     if args.device == "set" and axis != "R_island" and args.radius is None:
@@ -591,6 +604,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .montecarlo import SimConfig, simulate_detection
+
     cfg = SimConfig(
         on_current=args.current,
         bandwidth=args.df,
@@ -706,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_flags(p, _SWEEP_FLAGS, {
         "epsr": {"help": "epsilon_r (set device or custom material)"},
-        "df": {"help": "bandwidth when not the axis (default 1 Hz)"},
-        "temperature": {"help": "temperature when not the axis (default 0 K)"},
+        "df": {"help": "bandwidth when not the axis (default 1 Hz)", "default": None},
+        "temperature": {"help": "temperature when not the axis (default 0 K)", "default": None},
     })
     p.set_defaults(func=cmd_sweep, parser=p, bias=None, modulation=1.0)
 

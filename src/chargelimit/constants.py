@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import require, require_nonnegative
+from .errors import isfinite, require, require_nonnegative
 
 __all__ = [
     "PhysicalConstants",
@@ -77,7 +75,7 @@ CONSTANTS = PhysicalConstants()
 
 
 def _require_finite(value: float, name: str) -> None:
-    require(np.isfinite(value), f"{name} must be finite", value)
+    require(isfinite(value), f"{name} must be finite", value)
 
 
 def energy_to_frequency(energy: float) -> float:

@@ -40,12 +40,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .constants import CONSTANTS
 from .errors import (
-    float_range_checked, require, require_dielectric, require_nonnegative,
-    require_positive, square,
+    anywhere, array_module, float_range_checked, isfinite, require, require_dielectric,
+    require_nonnegative, require_positive, square,
 )
 from .materials import Material, effective_scales
 from .noise import NoiseBreakdown, OperatingPoint, noise_breakdown, signal_to_noise
@@ -227,7 +225,8 @@ def _check_modulation(modulation: float) -> None:
 
 
 def _sensitivity_from_unity(f_unity: float) -> float:
-    if isinstance(f_unity, np.ndarray):
+    np = array_module(f_unity)
+    if np is not None:
         with np.errstate(divide="ignore"):
             return 1.0 / np.sqrt(f_unity)
     return 1.0 / math.sqrt(f_unity) if f_unity > 0.0 else math.inf
@@ -269,7 +268,7 @@ def _pipeline_result(
     breakdown = noise_breakdown(op)
     value = modulation * signal_to_noise(op.sense_current(), breakdown)
     f_unity = value * value * bandwidth
-    require(np.isfinite(f_unity) & ((f_unity > 0.0) | (bias == 0.0)),
+    require(isfinite(f_unity) & ((f_unity > 0.0) | (bias == 0.0)),
             "the inputs put f_unity outside the float range", f_unity)
     return SnrResult(
         snr=value,
@@ -295,7 +294,7 @@ def wire_optimal_bias(geometry: WireGeometry, material: Material) -> float:
     is e/(4*pi*eps0*epsilon_r*R).
     """
     charge_length = CONSTANTS.e * material.epsilon_r * geometry.radius
-    require((charge_length > 0.0) & np.isfinite(charge_length),
+    require((charge_length > 0.0) & isfinite(charge_length),
             "radius * epsilon_r is outside the float range", geometry.radius)
     bias = CONSTANTS.e_sq_gauss / charge_length
     require(bias > 0.0, "radius * epsilon_r is too large: the optimal bias underflows",
@@ -333,7 +332,7 @@ def wire_mode_count(
         closed-form cancellations hold only in the continuous default.
     """
     require_nonnegative(bias, "bias")
-    if np.any(bias > wire_optimal_bias(geometry, material)):
+    if anywhere(bias > wire_optimal_bias(geometry, material)):
         warnings.warn(
             "bias exceeds the pinch-off-limited optimum; mode count is "
             "evaluated anyway but single-charge switching is no longer assured",
@@ -342,10 +341,10 @@ def wire_mode_count(
         )
     mass = material.mass_ratio * CONSTANTS.m_e
     count = mass * square(geometry.radius, "radius") * CONSTANTS.e * bias / CONSTANTS.hbar**2
-    require(np.isfinite(count) & ((count > 0.0) | (bias == 0.0)),
+    require(isfinite(count) & ((count > 0.0) | (bias == 0.0)),
             "radius and m* put the wire mode count outside the float range", geometry.radius)
-    if floor_modes:
-        count = np.floor(count) if isinstance(count, np.ndarray) else float(np.floor(count))
+    if floor_modes:  # a float's or an array's floor, -0.0 kept; only finite counts get here
+        count = count // 1.0
     return count
 
 
@@ -416,7 +415,7 @@ def wire_pipeline_snr(
     flags: tuple[str, ...] = ()
     if bias is None:
         bias = optimal
-    elif np.any(bias > optimal):
+    elif anywhere(bias > optimal):
         flags = ("bias-above-optimal",)
     modes = wire_mode_count(geometry, material, bias, floor_modes=floor_modes)
     if floor_modes:
@@ -442,7 +441,7 @@ def qpc_subband_spacing(geometry: QpcGeometry, material: Material) -> float:
     mass = material.mass_ratio * CONSTANTS.m_e
     denominator = 2.0 * mass * square(geometry.width, "width")
     message = "width and m* put the sub-band spacing outside the float range"
-    require((denominator > 0.0) & np.isfinite(denominator), message, geometry.width)
+    require((denominator > 0.0) & isfinite(denominator), message, geometry.width)
     spacing = 3.0 * math.pi**2 * CONSTANTS.hbar**2 / denominator
     require(spacing > 0.0, message, geometry.width)
     return spacing
@@ -522,7 +521,7 @@ def set_island_capacitance(geometry: SetGeometry, epsilon_r: float) -> float:
     """
     require_dielectric(epsilon_r)
     capacitance = 8.0 * CONSTANTS.eps0 * epsilon_r * geometry.island_radius
-    require((capacitance > 0.0) & np.isfinite(capacitance),
+    require((capacitance > 0.0) & isfinite(capacitance),
             "island_radius and epsilon_r put the capacitance outside the float range",
             geometry.island_radius)
     return capacitance
@@ -633,7 +632,7 @@ def device_snr(
     # Below the normal float range a square loses the precision that
     # snr**2 * df = f_unity needs.
     tiny = sys.float_info.min
-    require(np.isfinite(value) & (tiny <= f_unity) & (f_unity < math.inf),
+    require(isfinite(value) & (tiny <= f_unity) & (f_unity < math.inf),
             "the inputs put f_unity or the SNR outside the float range", f_unity)
     require(tiny <= modulation**2, "modulation**2 is below the normal float range", modulation)
     require(tiny <= value * value < math.inf,

@@ -19,11 +19,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from .constants import CONSTANTS
 from .errors import (
-    ParameterError, float_range_checked, require, require_dielectric, require_positive, square,
+    ParameterError, float_range_checked, isfinite, require, require_dielectric, require_positive,
+    square,
 )
 
 __all__ = [
@@ -89,8 +88,7 @@ def effective_scales(material: Material) -> EffectiveScales:
         bohr_radius=CONSTANTS.bohr_radius * material.epsilon_r / material.mass_ratio,
         scale_factor=scale,
     )
-    require((scale > 0.0) & np.isfinite(scales.rydberg_frequency)
-            & np.isfinite(scales.bohr_radius),
+    require((scale > 0.0) & isfinite(scales.rydberg_frequency) & isfinite(scales.bohr_radius),
             "mass_ratio and epsilon_r put the effective scales outside the float range",
             material.mass_ratio)
     return scales

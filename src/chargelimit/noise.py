@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .constants import CONSTANTS
-from .errors import ParameterError, require, require_nonnegative, require_positive
+from .errors import ParameterError, anywhere, array_module, isfinite, require
+from .errors import require_nonnegative, require_positive
 
 __all__ = [
     "OperatingPoint",
@@ -81,8 +80,9 @@ class OperatingPoint:
             )
         if all(v is not None for v in (self.current, self.conductance, self.bias)):
             product = self.conductance * self.bias
-            scale = np.maximum(np.abs(self.current), np.abs(product))
-            if np.any(np.abs(self.current - product) > _CONSISTENCY_RTOL * scale):
+            gap = abs(self.current - product)  # compared with rtol * max(|current|, |product|)
+            if anywhere((gap > _CONSISTENCY_RTOL * abs(self.current))
+                        & (gap > _CONSISTENCY_RTOL * abs(product))):
                 raise ParameterError(
                     f"inconsistent operating point: current={self.current!r} but "
                     f"conductance*bias={product!r}"
@@ -105,9 +105,11 @@ class OperatingPoint:
         if self.conductance is not None:
             return self.conductance
         if self.bias is not None and self.current is not None:
+            np = array_module(self.current, self.bias)
+            if np is None:
+                return float(self.current / self.bias) if self.bias > 0.0 else 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(self.bias > 0.0, np.divide(self.current, self.bias), 0.0)
-            return ratio if np.ndim(ratio) else float(ratio)
+                return np.where(self.bias > 0.0, np.divide(self.current, self.bias), 0.0)
         return 0.0
 
 
@@ -152,16 +154,17 @@ def noise_breakdown(op: OperatingPoint, fano: float = 1.0) -> NoiseBreakdown:
     shot_sq = fano * 2.0 * CONSTANTS.e * current * op.bandwidth
     thermal_sq = 4.0 * CONSTANTS.k_B * op.temperature * conductance * op.bandwidth
     variance = shot_sq + thermal_sq
-    require(np.isfinite(variance) & ((variance > 0.0) | (current == 0.0)),
+    require(isfinite(variance) & ((variance > 0.0) | (current == 0.0)),
             "bandwidth and current put the noise variance outside the float range",
             variance)
-    sqrt = np.sqrt if isinstance(variance, np.ndarray) else math.sqrt
+    sqrt = (array_module(variance) or math).sqrt
     return NoiseBreakdown(shot_sq=shot_sq, thermal_sq=thermal_sq, total_rms=sqrt(variance))
 
 
 def signal_to_noise(current, breakdown: NoiseBreakdown):
     """Mean current over rms noise current; 0 where the current is 0."""
-    if isinstance(breakdown.total_rms, np.ndarray):
+    np = array_module(breakdown.total_rms)
+    if np is not None:
         return np.divide(current, breakdown.total_rms, where=current != 0.0,
                          out=np.zeros(np.shape(breakdown.total_rms)))
     return 0.0 if current == 0.0 else current / breakdown.total_rms

@@ -371,6 +371,36 @@ def test_sweep_rejects_flags_its_device_does_not_take(capsys, device, axis, flag
     assert f"{flag[0]} does not apply to device '{device}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "device, axis, start, stop, flag",
+    [
+        ("wire", "delta_f", "1Hz", "1MHz", ["--material", "gaas", "--df", "5Hz"]),
+        ("qpc", "delta_f", "1Hz", "1MHz", ["--width", "20nm", "--df", "1Hz"]),
+        ("wire", "T", "0K", "4K", ["--material", "gaas", "--temperature", "300K"]),
+        ("set", "T", "0K", "4K", ["--radius", "50nm", "--temperature", "0K"]),
+        ("set", "epsilon_r", "1", "30", ["--radius", "50nm", "--epsr", "12.9"]),
+        ("wire", "R", "1nm", "1um", ["--radius", "20nm"]),
+        ("qpc", "W", "5nm", "50nm", ["--width", "20nm"]),
+        ("set", "R_island", "5nm", "50nm", ["--radius", "20nm"]),
+    ],
+)
+def test_sweep_rejects_a_flag_for_the_swept_parameter(capsys, device, axis, start, stop, flag):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--device", device, "--axis", axis, "--start", start, "--stop", stop,
+              "--points", "2", *flag])
+    assert err.value.code == 2
+    assert f"{flag[-2]} does not apply to a sweep over {axis}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["epsilon_r", "m_star_ratio"])
+def test_sweep_keeps_the_custom_material_pair_on_its_own_axes(capsys, axis):
+    # --mass-ratio/--epsr name the material whose m* or epsilon_r the axis varies
+    code = main(["sweep", "--device", "wire", "--axis", axis, "--start", "1", "--stop", "2",
+                 "--points", "2", "--mass-ratio", "0.067", "--epsr", "12.9"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_sweep_set_needs_radius_off_axis():
     with pytest.raises(SystemExit) as err:
         main(
@@ -580,10 +610,48 @@ def test_entry_point_smoke():
     assert record["outputs"]["e_C"] == 1.602176634e-19
 
 
+_SCALAR_COMMANDS = (
+    ["constants"],
+    ["material", "list"],
+    ["material", "show", "gaas"],
+    ["wire", "--material", "gaas"],
+    ["wire", "--material", "gaas", "--radius", "20nm", "--temperature", "4.2K"],
+    ["qpc", "--width", "20nm", "--material", "gaas", "--bias", "5mV"],
+    ["set", "--radius", "50nm", "--epsr", "12.9", "--modulation", "0.5"],
+    ["report"],
+)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.special is most of a CLI call's import time and only the
     # Poisson CDF table needs it, so it is imported there, on first use.
-    code = "import chargelimit.cli, sys; assert 'scipy' not in sys.modules"
+    # The scalar commands need no arrays at all: they run, closed form and
+    # pipeline alike, on the standard library, without numpy or the simulator.
+    code = (
+        "import contextlib, io, sys\n"
+        "import chargelimit.cli as cli\n"
+        f"for argv in {[*_SCALAR_COMMANDS, *([*a, '--json'] for a in _SCALAR_COMMANDS)]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "loaded = {'numpy', 'scipy', 'chargelimit.montecarlo'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_leaves_numpy_unloaded_and_resolves_the_simulator():
+    code = (
+        "import sys\n"
+        "import chargelimit\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert chargelimit.simulate_detection.__module__ == 'chargelimit.montecarlo'\n"
+        "namespace = {}\n"
+        "exec('from chargelimit import *', namespace)\n"
+        "missing = set(chargelimit.__all__) - set(namespace)\n"
+        "assert not missing, missing\n"
+        "assert namespace['SimConfig'] is sys.modules['chargelimit.montecarlo'].SimConfig\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

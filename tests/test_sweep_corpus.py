@@ -11,7 +11,9 @@ in ``--json --deterministic`` form in the same file, and so are
 ``material list`` and ``material show`` (with and without a user table
 in ``CHARGE_LIMIT_MATERIALS``) and the ``--help`` text of the top level
 and of every subcommand at ``COLUMNS=80`` (as Python 3.11's argparse
-formats it).  Evaluation or formatting work must leave these bytes alone.  Regenerate the digests only for a
+formats it).  The one-shot and material commands are checked a second
+time in one fresh interpreter, the only place where they run without
+numpy loaded.  Evaluation or formatting work must leave these bytes alone.  Regenerate the digests only for a
 deliberate, documented change to the published numbers:
 
     PYTHONPATH=src python tests/test_sweep_corpus.py
@@ -22,6 +24,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -221,6 +225,37 @@ def test_material_matches_recorded_digest(case, fmt, tmp_path):
 def test_help_matches_recorded_digest(command):
     expected = json.loads(DIGESTS.read_text())[f"help.{command}"]
     assert digest(help_argv(command)) == expected
+
+
+#: Run in a fresh interpreter: reads {key: [argv, env]} from stdin and prints
+#: "<key> <sha256 of stdout>" per command, and then fails if numpy got loaded.
+_FRESH_INTERPRETER = """
+import contextlib, hashlib, io, json, os, sys
+from chargelimit import cli
+for key, (argv, env) in json.loads(sys.stdin.read()).items():
+    os.environ.pop(cli.MATERIALS_ENV, None)
+    os.environ.update(env)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(argv) == 0, argv
+    print(key, hashlib.sha256(buffer.getvalue().encode()).hexdigest())
+assert "numpy" not in sys.modules, "a one-shot command imported numpy"
+"""
+
+
+def test_one_shot_digests_in_a_fresh_interpreter(tmp_path):
+    # In this process numpy is loaded already, so only a fresh interpreter
+    # runs the one-shot and material commands on their numpy-free route.
+    commands = {key: command for key, command in recorded_commands(tmp_path).items()
+                if command[0][0] != "sweep" and "--help" not in command[0]}
+    env = {key: value for key, value in os.environ.items() if key != cli.MATERIALS_ENV}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_INTERPRETER], input=json.dumps(commands),
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads(DIGESTS.read_text())
+    got = dict(line.split() for line in proc.stdout.splitlines())
+    assert got == {key: expected[key] for key in commands}
+    assert len(got) == len(ONE_SHOT) * 2 + (len(MATERIAL) + len(USER_MATERIAL)) * 2
 
 
 def test_recorded_commands_match_the_digest_file(tmp_path):

@@ -1,15 +1,15 @@
 """Wall time of one ``python -m chargelimit`` process per ``cli-oneshot`` command.
 
-Starts each command ``--repeats`` times (default 15) as a fresh
-interpreter, round-robin over the commands so that a slow spell of the
-machine spreads over all of them, and prints the best and the median
-wall time in ms of each.  The commands are those of the ``cli-oneshot``
+Starts each command REPEATS (15) times as a fresh interpreter,
+round-robin over the commands so that a slow spell of the machine
+spreads over all of them, and prints the best and the median wall time
+in ms of each.  The commands are those of the ``cli-oneshot``
 benchmark workload at fixed inputs; ``wire`` is the
 ``wire --json --deterministic`` call that ROADMAP's one-shot gate names.
 Like the benchmark, it measures the sources under ``--src`` (default:
 this checkout's ``src``) with one BLAS thread.  Run from anywhere:
 
-    python scripts/oneshot_ms.py [--repeats 15] [--src path/to/src]
+    python scripts/oneshot_ms.py [--src path/to/src]
 """
 
 import argparse
@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+REPEATS = 15  # ROADMAP's one-shot gate is a best-of-15
 
 _SIMULATE = ["simulate", "--current", "1.602176634e-13A", "--df", "5e4Hz",
              "--trials", "100000", "--seed", "101", "--deterministic", "--workers"]
@@ -41,13 +42,12 @@ COMMANDS = {
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=15, help="processes per command")
     parser.add_argument("--src", type=Path, default=SRC, help="directory holding chargelimit")
     args = parser.parse_args()
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve()),
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     times: dict[str, list[float]] = {name: [] for name in COMMANDS}
-    for _ in range(args.repeats):
+    for _ in range(REPEATS):
         for name, argv in COMMANDS.items():
             start = time.perf_counter()
             done = subprocess.run([sys.executable, "-m", "chargelimit", *argv], env=env,
@@ -55,7 +55,7 @@ def main() -> int:
             times[name].append((time.perf_counter() - start) * 1e3)
             if done.returncode != 0:
                 sys.exit(f"{name}: exit {done.returncode}: {done.stderr.decode().strip()}")
-    print(f"{'command':<12} {'best ms':>8} {'median ms':>10}   ({args.repeats} processes each)")
+    print(f"{'command':<12} {'best ms':>8} {'median ms':>10}   ({REPEATS} processes each)")
     for name, values in times.items():
         print(f"{name:<12} {min(values):>8.1f} {statistics.median(values):>10.1f}")
     return 0

@@ -119,11 +119,13 @@ SWEEP_AXES = {
     "m_star_ratio": ("dimensionless", ("wire", "qpc")),
     "T": ("temperature", ("wire", "qpc", "set")),
 }
-#: The value flag each axis stands in for, which a sweep over it rejects.  A
-#: wire's or qpc's --mass-ratio/--epsr pair stays: it names the custom
-#: material whose m* or epsilon_r the axis varies.
+#: The value flag each axis stands in for: a sweep's values take its place,
+#: and a sweep over the axis rejects it.  On the material axes a wire's or
+#: qpc's --mass-ratio/--epsr pair stays: it names the custom material whose
+#: m* or epsilon_r the axis varies.
 _AXIS_FLAGS = {"R": "radius", "W": "width", "R_island": "radius", "delta_f": "df",
-               "epsilon_r": "epsr", "T": "temperature"}
+               "epsilon_r": "epsr", "m_star_ratio": "mass_ratio", "T": "temperature"}
+_MATERIAL_AXES = ("epsilon_r", "m_star_ratio")
 
 _UNIT_TABLES = {
     "length": {"nm": 1e-9, "um": 1e-6, "m": 1.0},
@@ -488,28 +490,28 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
     checks.
     """
 
-    def pick(axis: str, default):
-        return values if args.axis == axis else default
+    def pick(dest: str, default):
+        return values if _AXIS_FLAGS.get(args.axis) == dest else default
 
     if args.device == "set":
-        epsilon_r = pick("epsilon_r", args.epsr if args.epsr is not None else 1.0)
-        device = SetDevice(SetGeometry(pick("R_island", args.radius)), epsilon_r)
+        epsilon_r = pick("epsr", args.epsr if args.epsr is not None else 1.0)
+        device = SetDevice(SetGeometry(pick("radius", args.radius)), epsilon_r)
     else:
-        if args.axis in ("epsilon_r", "m_star_ratio"):
-            material = Material("custom", pick("m_star_ratio", material.mass_ratio),
-                                pick("epsilon_r", material.epsilon_r))
+        if args.axis in _MATERIAL_AXES:
+            material = Material("custom", pick("mass_ratio", material.mass_ratio),
+                                pick("epsr", material.epsilon_r))
         if args.device == "qpc":
-            device = QpcDevice(QpcGeometry(pick("W", args.width)), material)
+            device = QpcDevice(QpcGeometry(pick("width", args.width)), material)
         else:
-            radius = pick("R", args.radius)
+            radius = pick("radius", args.radius)
             if radius is None:
                 radius = effective_scales(material).bohr_radius
             device = WireDevice(WireGeometry(radius), material)
-    bandwidth = pick("delta_f", args.df)
+    bandwidth = pick("df", args.df)
     if (values is None and args.bias is None and args.temperature == 0.0
             and (args.device != "wire" or args.radius is None)):
         return device_snr(device, bandwidth, modulation=args.modulation)
-    options = dict(bias=args.bias, temperature=pick("T", args.temperature),
+    options = dict(bias=args.bias, temperature=pick("temperature", args.temperature),
                    modulation=args.modulation)
     if args.device == "set":
         return set_pipeline_snr(device.geometry, device.epsilon_r, bandwidth, **options)
@@ -566,7 +568,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"valid devices: {', '.join(devices)}"
         )
     takes = _DEVICE_COMMANDS[args.device][3]
-    swept = _AXIS_FLAGS.get(axis) if args.device == "set" or axis != "epsilon_r" else None
+    swept = None if args.device != "set" and axis in _MATERIAL_AXES else _AXIS_FLAGS[axis]
     for dest in _SWEEP_FLAGS:
         if getattr(args, dest) is not None and (dest not in takes or dest == swept):
             what = f"a sweep over {axis}" if dest == swept else f"device {args.device!r}"

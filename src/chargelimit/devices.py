@@ -343,8 +343,8 @@ def wire_mode_count(
     count = mass * square(geometry.radius, "radius") * CONSTANTS.e * bias / CONSTANTS.hbar**2
     require(isfinite(count) & ((count > 0.0) | (bias == 0.0)),
             "radius and m* put the wire mode count outside the float range", geometry.radius)
-    if floor_modes:  # a float's or an array's floor, -0.0 kept; only finite counts get here
-        count = count // 1.0
+    if floor_modes:  # an array's or a float's floor, -0.0 kept; only finite counts get here
+        count = count // 1.0 if array_module(count) else float(count // 1.0)
     return count
 
 

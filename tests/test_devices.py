@@ -137,6 +137,16 @@ def test_wire_mode_count_floor():
     assert floored == math.floor(count)
 
 
+def test_wire_mode_count_floor_of_a_numpy_scalar_is_a_python_float():
+    geometry = WireGeometry(np.float64(50e-9))
+    bias = np.float64(0.7 * wire_optimal_bias(geometry, GAAS_LIKE))
+    floored = wire_mode_count(geometry, GAAS_LIKE, bias, floor_modes=True)
+    assert type(floored) is float
+    assert floored == math.floor(wire_mode_count(geometry, GAAS_LIKE, bias))
+    result = wire_pipeline_snr(geometry, GAAS_LIKE, 1.0, bias=bias, floor_modes=True)
+    assert type(result.transport.n_modes) is float
+
+
 def test_wire_mode_count_rejects_negative_bias():
     with pytest.raises(ParameterError):
         wire_mode_count(WireGeometry(5e-9), VACUUM, -1.0)

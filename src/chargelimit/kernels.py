@@ -32,11 +32,13 @@ equals the clamped ``searchsorted(cdf, u, "right")``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
 from .errors import require_nonnegative
+from .rng import BLOCK
 
 __all__ = [
     "LAMBDA_GAUSSIAN_CUTOFF",
@@ -97,110 +99,178 @@ _FAR_DEN = (
 )
 
 
-def _horner(x, coeffs):
-    """sum(coeffs[k] * x**k) by Horner's rule from the highest power down."""
-    acc = coeffs[-1] * x
-    acc += coeffs[-2]
+class _Workspace:
+    """Preallocated buffers for the kernels on up to ``n`` elements.
+
+    ``f`` holds seven float64 buffers: the open-state charge, the thermal
+    charge and five inverse-normal temporaries, reused in turn by the
+    Poisson lookup and the tree sums.  ``buckets`` holds the guide-table
+    indices, ``b`` two bool masks and ``uniforms`` the 2n uniforms of a
+    block with thermal noise.
+    """
+
+    def __init__(self, n: int):
+        self.uniforms = np.empty(2 * n)
+        self.f = [np.empty(n) for _ in range(7)]
+        self.buckets = np.empty(n, dtype=np.intp)
+        self.b = [np.empty(n, dtype=bool) for _ in range(2)]
+
+
+#: Idle block-sized workspaces; each running block holds one of its own.
+_FREE: list[_Workspace] = []
+
+
+@contextlib.contextmanager
+def block_workspace():
+    """A workspace for one ``BLOCK``-trial block, taken from the free list
+    (or made when it is empty) and given back to it on exit."""
+    try:
+        ws = _FREE.pop()
+    except IndexError:
+        ws = _Workspace(BLOCK)
+    try:
+        yield ws
+    finally:
+        _FREE.append(ws)
+
+
+def _horner(x, coeffs, out):
+    """sum(coeffs[k] * x**k) into ``out`` by Horner's rule from the highest power down."""
+    np.multiply(x, coeffs[-1], out=out)
+    out += coeffs[-2]
     for c in coeffs[-3::-1]:
-        acc *= x
-        acc += c
-    return acc
+        out *= x
+        out += c
+    return out
 
 
-def _log_vector(x):
-    m, e = np.frexp(x)
-    small = m < _SQRT_HALF
-    m = np.where(small, m * 2.0, m)
-    e = np.where(small, e - 1, e)
-    z = (m - 1.0) / (m + 1.0)
-    lm = z * _horner(z * z, _LOG_SERIES)
-    ef = e.astype(np.float64)
-    return ef * _LN2_HI + (lm + ef * _LN2_LO)
+def _log_vector(x, out, ws):
+    """portable_log of ``x`` into ``out`` (which may be ``x``), using
+    ``ws.f[2]``, ``f[3]``, ``f[5]`` and ``b[0]``."""
+    k = x.shape[0]
+    m, t, acc = ws.f[2][:k], ws.f[3][:k], ws.f[5][:k]
+    np.frexp(x, out=(m, out))  # the int exponent lands in out as a float
+    small = np.less(m, _SQRT_HALF, out=ws.b[0][:k])
+    np.multiply(m, 2.0, out=m, where=small)
+    np.subtract(out, 1.0, out=out, where=small)
+    np.add(m, 1.0, out=t)
+    m -= 1.0
+    z = np.divide(m, t, out=m)
+    lm = np.multiply(z, _horner(np.multiply(z, z, out=t), _LOG_SERIES, acc), out=acc)
+    lo = np.multiply(out, _LN2_LO, out=t)
+    lo += lm
+    out *= _LN2_HI
+    out += lo
+    return out
 
 
-def _inverse_normal_vector(u):
-    """AS 241 on a 1-D float64 array, each branch on its own elements.
+def _inverse_normal_vector(u, out, ws):
+    """AS 241 of a 1-D float64 array into ``out``, each branch on its own
+    elements, using ``ws.f[2:7]`` and ``ws.b``.
 
     Subsets are gathered and scattered through integer indices, which
     numpy moves several times faster than boolean masks.
     """
-    u = np.maximum(u, _TINY_UNIFORM)
-    q = u - 0.5
-    out = np.empty_like(q)
-    central = np.abs(q) <= 0.425
+    n = u.shape[0]
+    s0, s1, s2, s3, s4 = (buf[:n] for buf in ws.f[2:7])
+    q = np.subtract(u, 0.5, out=s0)
+    central = np.less_equal(np.abs(q, out=s1), 0.425, out=ws.b[0][:n])
     idx = np.flatnonzero(central)
-    qc = q.take(idx)
-    r = 0.180625 - qc * qc
-    out[idx] = qc * _horner(r, _CENTRAL_NUM) / _horner(r, _CENTRAL_DEN)
+    kc = idx.shape[0]
+    qc = np.take(q, idx, out=s1[:kc], mode="clip")
+    r = np.subtract(0.180625, np.multiply(qc, qc, out=s2[:kc]), out=s2[:kc])
+    num = _horner(r, _CENTRAL_NUM, s3[:kc])
+    num *= qc
+    num /= _horner(r, _CENTRAL_DEN, s1[:kc])
+    out[idx] = num
 
-    idx = np.flatnonzero(~central)
-    ut = u.take(idx)
-    lower = q.take(idx) < 0.0
-    r = np.sqrt(-_log_vector(np.where(lower, ut, 1.0 - ut)))
-    value = np.empty_like(r)
-    mid = r <= 5.0
-    for part, shift, num, den in (
-        (np.flatnonzero(mid), 1.6, _MID_NUM, _MID_DEN),
-        (np.flatnonzero(~mid), 5.0, _FAR_NUM, _FAR_DEN),
-    ):
-        rs = r.take(part) - shift
-        value[part] = _horner(rs, num) / _horner(rs, den)
+    idx = np.flatnonzero(np.logical_not(central, out=central))
+    kt = idx.shape[0]
+    ut = np.maximum(np.take(u, idx, out=s1[:kt], mode="clip"), _TINY_UNIFORM, out=s1[:kt])
+    lower = np.less(np.take(q, idx, out=s2[:kt], mode="clip"), 0.0, out=ws.b[1][:kt])
+    x = np.subtract(1.0, ut, out=s2[:kt])
+    np.copyto(x, ut, where=lower)
+    r = np.sqrt(np.negative(_log_vector(x, x, ws), out=x), out=x)
+    value = s0[:kt]
+    mid = np.less_equal(r, 5.0, out=ws.b[0][:kt])
+    for shift, num_coeffs, den_coeffs in ((1.6, _MID_NUM, _MID_DEN), (5.0, _FAR_NUM, _FAR_DEN)):
+        part = np.flatnonzero(mid)
+        k = part.shape[0]
+        rs = np.take(r, part, out=s1[:k], mode="clip")
+        rs -= shift
+        num = _horner(rs, num_coeffs, s3[:k])
+        num /= _horner(rs, den_coeffs, s4[:k])
+        value[part] = num
+        np.logical_not(mid, out=mid)
     np.negative(value, out=value, where=lower)
     out[idx] = value
     return out
 
 
-def _tree_sum_vector(values, padded):
-    if padded != values.shape[0]:
-        buf = np.zeros(padded, dtype=np.float64)
-        buf[: values.shape[0]] = values
-    else:
-        buf = values
-    size = padded
-    while size > 1:
-        size >>= 1
-        buf = buf[0 : 2 * size : 2] + buf[1 : 2 * size : 2]
-    return float(buf[0])
+def _tree_sum_vector(values, scratch):
+    """Sum of ``values`` by a balanced binary tree over their zero padding
+    to a power of two.  The levels ping-pong between the two halves of
+    ``scratch``, at least as long as ``values``; a padding zero is added
+    only where it meets a value, so no zeros are stored."""
+    src, live = values, values.shape[0]
+    if live == 0:
+        return 0.0
+    half = (live + 1) // 2
+    dst, spare = scratch[:half], scratch[half:]
+    while live > 1:
+        pairs = live >> 1
+        np.add(src[0 : 2 * pairs : 2], src[1 : 2 * pairs : 2], out=dst[:pairs])
+        if live & 1:
+            dst[pairs] = src[live - 1] + 0.0
+        src, dst, spare, live = dst, spare, dst, pairs + (live & 1)
+    return float(src[0])
 
 
-def _poisson_counts(u, cdf, k_lo, guide):
-    """``k_lo + min(searchsorted(cdf, u, "right"), len(cdf) - 1)`` as float64,
-    through the guide table of :func:`poisson_guide_table`."""
+def _poisson_counts(u, cdf, k_lo, guide, ws):
+    """``k_lo + min(searchsorted(cdf, u, "right"), len(cdf) - 1)`` as float64
+    in ``ws.f[0]``, through the guide table of :func:`poisson_guide_table`."""
+    n = u.shape[0]
     base, cut = guide
-    bucket = (u * base.shape[0]).astype(np.intp)
-    q = base.take(bucket)
-    q += cut.take(bucket) <= u
-    wide = np.flatnonzero(np.isnan(q))
+    bucket = np.multiply(u, base.shape[0], out=ws.buckets[:n], casting="unsafe")
+    q = np.take(base, bucket, out=ws.f[0][:n], mode="clip")
+    q += np.less_equal(np.take(cut, bucket, out=ws.f[2][:n], mode="clip"), u, out=ws.b[0][:n])
+    wide = np.flatnonzero(np.isnan(q, out=ws.b[0][:n]))
     idx = np.searchsorted(cdf, u.take(wide), side="right")
     q[wide] = k_lo + np.minimum(idx, cdf.shape[0] - 1)
     return q
 
 
 def _open_block(
-    u_count, u_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot, sigma, shift, threshold
+    u_count, u_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot, sigma, shift, threshold, ws
 ):
     n = u_count.shape[0]
-    padded = 1 << max(n - 1, 0).bit_length()
     if gaussian:
-        q = lam + sqrt_shot * _inverse_normal_vector(u_count)
+        q = _inverse_normal_vector(u_count, ws.f[0][:n], ws)
+        q *= sqrt_shot
+        q += lam
     else:
-        q = _poisson_counts(u_count, cdf, k_lo, guide)
+        q = _poisson_counts(u_count, cdf, k_lo, guide, ws)
+    d2 = ws.f[1][:n]
     if sigma > 0.0:
-        q = q + sigma * _inverse_normal_vector(u_thermal)
-    below = int(np.count_nonzero(q < threshold))
-    dq = q - shift
-    d2 = dq * dq
-    d3 = d2 * dq
-    d4 = d2 * d2
-    s1 = _tree_sum_vector(dq, padded)
-    s2 = _tree_sum_vector(d2, padded)
-    s3 = _tree_sum_vector(d3, padded)
-    s4 = _tree_sum_vector(d4, padded)
+        z = _inverse_normal_vector(u_thermal, d2, ws)
+        z *= sigma
+        q += z
+    below = int(np.count_nonzero(np.less(q, threshold, out=ws.b[0][:n])))
+    scratch = ws.f[2]
+    dq = np.subtract(q, shift, out=q)
+    np.multiply(dq, dq, out=d2)
+    s1 = _tree_sum_vector(dq, scratch)
+    s2 = _tree_sum_vector(d2, scratch)
+    s3 = _tree_sum_vector(np.multiply(d2, dq, out=dq), scratch)
+    s4 = _tree_sum_vector(np.multiply(d2, d2, out=d2), scratch)
     return s1, s2, s3, s4, below
 
 
-def _blocked_block(u_thermal, sigma, threshold):
-    return int(np.count_nonzero(sigma * _inverse_normal_vector(u_thermal) >= threshold))
+def _blocked_block(u_thermal, sigma, threshold, ws):
+    n = u_thermal.shape[0]
+    z = _inverse_normal_vector(u_thermal, ws.f[0][:n], ws)
+    z *= sigma
+    return int(np.count_nonzero(np.greater_equal(z, threshold, out=ws.b[0][:n])))
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +279,9 @@ def _blocked_block(u_thermal, sigma, threshold):
 
 def portable_log(x: np.ndarray) -> np.ndarray:
     """Natural log of positive float64 values, the same bits everywhere (~2 ulp)."""
-    return _log_vector(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    return _log_vector(flat, np.empty_like(flat), _Workspace(flat.size)).reshape(x.shape)
 
 
 def inverse_normal(u: np.ndarray) -> np.ndarray:
@@ -220,7 +292,8 @@ def inverse_normal(u: np.ndarray) -> np.ndarray:
     -inf.  The output has the shape of the input.
     """
     u = np.asarray(u, dtype=np.float64)
-    return _inverse_normal_vector(u.ravel()).reshape(u.shape)
+    flat = u.ravel()
+    return _inverse_normal_vector(flat, np.empty_like(flat), _Workspace(flat.size)).reshape(u.shape)
 
 
 def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
@@ -269,9 +342,11 @@ def block_kernels():
     """Return ``(open_block, blocked_block)``, the per-block simulator kernels.
 
     ``open_block(u_count, u_thermal, cdf, k_lo, guide, gaussian, lam,
-    sqrt_shot, sigma, shift, threshold)`` samples the open-state charge of
-    one block and returns its shifted power sums ``s1..s4`` and the count
-    below threshold; ``blocked_block(u_thermal, sigma, threshold)`` counts the
-    blocked-state trials whose thermal charge reaches the threshold.
+    sqrt_shot, sigma, shift, threshold, ws)`` samples the open-state charge
+    of one block and returns its shifted power sums ``s1..s4`` and the
+    count below threshold; ``blocked_block(u_thermal, sigma, threshold,
+    ws)`` counts the blocked-state trials whose thermal charge reaches the
+    threshold.  ``ws`` is a workspace from :func:`block_workspace`; the
+    uniforms may live in its ``uniforms`` buffer.
     """
     return _open_block, _blocked_block

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -264,26 +263,29 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     @float_range_checked
     def run_block(index: int):
         n_b = min(rng.BLOCK, trials - index * rng.BLOCK)
-        if sigma > 0.0:
-            u_open = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, 2 * n_b)
-            u_count, u_thermal = u_open[:n_b], u_open[n_b:]
-        else:
-            u_count = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, n_b)
-            u_thermal = no_thermal
-        stats = open_block(
-            u_count, u_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot,
-            sigma, shift, cfg.threshold,
-        )
-        if sigma > 0.0:
-            u_blocked = rng.uniform_block(cfg.seed, _BLOCKED_STREAM, index, n_b)
-            false_open = blocked_block(u_blocked, sigma, cfg.threshold)
-        else:
-            false_open = 0
+        with kernels.block_workspace() as ws:
+            if sigma > 0.0:
+                u_open = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, 2 * n_b, ws.uniforms)
+                u_count, u_thermal = u_open[:n_b], u_open[n_b:]
+            else:
+                u_count = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, n_b, ws.uniforms)
+                u_thermal = no_thermal
+            stats = open_block(
+                u_count, u_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot,
+                sigma, shift, cfg.threshold, ws,
+            )
+            if sigma > 0.0:
+                u_blocked = rng.uniform_block(cfg.seed, _BLOCKED_STREAM, index, n_b, ws.uniforms)
+                false_open = blocked_block(u_blocked, sigma, cfg.threshold, ws)
+            else:
+                false_open = 0
         return stats + (false_open,)
 
     if workers == 1 or n_blocks == 1:
         partials = [run_block(index) for index in range(n_blocks)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # 10 ms of a one-block CLI call
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_block, range(n_blocks)))
 

@@ -24,7 +24,7 @@ BLOCK = 65536
 _SEED_LIMIT = 2**64
 
 
-def uniform_block(seed: int, stream: int, block: int, count: int) -> np.ndarray:
+def uniform_block(seed: int, stream: int, block: int, count: int, out=None) -> np.ndarray:
     """Return ``count`` float64 uniforms in [0, 1) for one keyed block.
 
     Parameters
@@ -38,6 +38,9 @@ def uniform_block(seed: int, stream: int, block: int, count: int) -> np.ndarray:
         Block index within the stream, >= 0.
     count : int
         Number of uniforms, >= 0.
+    out : ndarray, optional
+        float64 buffer of at least ``count`` elements; its first
+        ``count`` are filled and returned instead of a new array.
     """
     if not (isinstance(seed, int) and 0 <= seed < _SEED_LIMIT):
         raise ParameterError(f"seed must be an int in [0, 2**64), got {seed!r}")
@@ -45,4 +48,4 @@ def uniform_block(seed: int, stream: int, block: int, count: int) -> np.ndarray:
         raise ParameterError("stream, block and count must all be >= 0")
     sequence = np.random.SeedSequence((seed, stream, block))
     generator = np.random.Generator(np.random.Philox(sequence))
-    return generator.random(count)
+    return generator.random(count) if out is None else generator.random(out=out[:count])

@@ -12,6 +12,7 @@ from chargelimit import ParameterError
 from chargelimit.kernels import (
     LAMBDA_GAUSSIAN_CUTOFF,
     _poisson_counts,
+    _Workspace,
     block_kernels,
     inverse_normal,
     poisson_cdf_table,
@@ -174,7 +175,7 @@ def _check_guide(k_lo, cdf, trials, blocks):
     assert m == 1 << (min(cdf.size, trials) - 1).bit_length()
     for u in [*blocks, _guide_edge_uniforms(cdf, m)]:
         expected = k_lo + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
-        counts = _poisson_counts(u, cdf, k_lo, guide)
+        counts = _poisson_counts(u, cdf, k_lo, guide, _Workspace(u.size))
         assert counts.dtype == np.float64
         assert np.array_equal(counts, expected.astype(np.float64))
     return guide
@@ -222,6 +223,14 @@ def test_uniform_block_streams_are_distinct():
     assert not np.array_equal(base, uniform_block(42, 1, 0, 1000))
     assert not np.array_equal(base, uniform_block(42, 0, 1, 1000))
     assert not np.array_equal(base, uniform_block(43, 0, 0, 1000))
+
+
+def test_uniform_block_fills_a_longer_buffer_with_the_same_bits():
+    buffer = np.full(1500, -1.0)
+    out = uniform_block(42, 0, 0, 1000, buffer)
+    assert out.base is buffer and out.size == 1000
+    assert np.array_equal(out, uniform_block(42, 0, 0, 1000))
+    assert np.all(buffer[1000:] == -1.0)
 
 
 def test_uniform_block_empty():
@@ -283,7 +292,7 @@ def _reference_charges(args):
 def test_open_block_against_reference(gaussian, with_thermal):
     args = _case(gaussian, with_thermal)
     open_block, _ = block_kernels()
-    s1, s2, s3, s4, below = open_block(*args)
+    s1, s2, s3, s4, below = open_block(*args, _Workspace(args[0].size))
     q = _reference_charges(args)
     d = q - args[9]  # shifted by lam
     assert abs(s1 - math.fsum(d)) <= 1e-9 * max(1.0, abs(math.fsum(d)))
@@ -297,7 +306,7 @@ def test_blocked_block_against_reference():
     u = uniform_block(21, 1, 0, 8192)
     sigma, threshold = 0.4, 0.5
     _, blocked_block = block_kernels()
-    count = blocked_block(u, sigma, threshold)
+    count = blocked_block(u, sigma, threshold, _Workspace(u.size))
     expected = int(np.count_nonzero(sigma * inverse_normal(u) >= threshold))
     assert count == expected
     assert 0 < count < u.size  # threshold at 1.25 sigma: both outcomes occur

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import resource
 
 import pytest
 from scipy.special import ndtr
@@ -55,6 +56,21 @@ def test_workers_do_not_change_outputs():
     serial = simulate_detection(cfg, workers=1)
     threaded = simulate_detection(cfg, workers=4)
     assert serial == threaded
+
+
+@pytest.mark.parametrize("regime", ["poisson", "poisson_thermal", "gaussian"])
+def test_repeated_simulation_reuses_its_buffers(regime):
+    # Every block's temporaries live in a reused workspace, so once one
+    # simulation has run, the same one again touches no new pages.
+    on_current = 1.602176634e-6 if regime == "gaussian" else 1.602176634e-13
+    thermal = {}
+    if regime == "poisson_thermal":
+        thermal = dict(temperature=4.2, conductance=conductance_for_sigma(2.0, 4.2, 5e4))
+    cfg = SimConfig(on_current=on_current, bandwidth=5e4, trials=4 * 65536, seed=3, **thermal)
+    simulate_detection(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    simulate_detection(cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 64
 
 
 def test_as_dict_key_order():

@@ -300,22 +300,26 @@ def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
     """Windowed Poisson CDF for sampling by inversion.
 
     Returns ``(k_lo, cdf)`` where ``cdf[j] = P(K <= k_lo + j)`` over a
-    window lam +/- (40*sqrt(lam) + 30); the probability mass outside is
-    below ~1e-300 and unreachable from 53-bit uniforms.  Built once per
-    simulation.  scipy is imported here, on first use, because importing
-    it costs a CLI call more than everything else together.
+    window lam +/- (9*sqrt(lam) + 12); the mass outside is below 2**-54
+    on each side, finer than a 53-bit uniform resolves.  The pmf is built
+    relative to the mode floor(lam) from the ratios p(k)/p(k-1) = lam/k,
+    ``cumprod(lam/k)`` upward and ``cumprod(k/lam)`` downward (Devroye
+    1986, §X.3), normalised by its tree sum and cumulated.  Each step is
+    an IEEE ``*`` or ``/`` or a sequential sum, so the table carries the
+    same bits on every machine.  Built once per simulation.
     """
     require_nonnegative(lam, "Poisson mean")
     if lam == 0.0:
         return 0, np.ones(1, dtype=np.float64)
-    from scipy.special import gammaln
-
-    half_width = 40.0 * math.sqrt(lam) + 30.0
+    half_width = 9.0 * math.sqrt(lam) + 12.0
     k_lo = max(0, int(math.floor(lam - half_width)))
     k_hi = int(math.ceil(lam + half_width))
-    k = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-    log_pmf = k * math.log(lam) - lam - gammaln(k + 1.0)
-    return k_lo, np.cumsum(np.exp(log_pmf))
+    mode = int(math.floor(lam))
+    down = np.cumprod(np.arange(mode, k_lo, -1, dtype=np.float64) / lam)
+    up = np.cumprod(lam / np.arange(mode + 1, k_hi + 1, dtype=np.float64))
+    pmf = np.concatenate((down[::-1], [1.0], up))
+    pmf /= _tree_sum_vector(pmf, np.empty_like(pmf))
+    return k_lo, np.cumsum(pmf)
 
 
 def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int) -> np.ndarray:

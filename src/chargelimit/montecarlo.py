@@ -257,7 +257,7 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
 
     trials = cfg.trials
     n_blocks = (trials + rng.BLOCK - 1) // rng.BLOCK
-    shift = lam
+    shift = lam if gaussian else float(math.floor(lam))  # a run of all-0 counts has m2 = 0
     no_thermal = np.empty(0, dtype=np.float64)
 
     @float_range_checked

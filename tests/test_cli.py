@@ -227,9 +227,11 @@ def test_negative_bandwidth_is_domain_error(capsys):
           "--trials", "1000", "--seed", "1"], ["on_current", "fano"]),
         (["simulate", "--current", "1e-13A", "--df", "5e4Hz", "--temperature", "1e300K",
           "--conductance", "1e300S", "--trials", "100", "--seed", "1"], ["temperature"]),
-        # Every count is 0 at lam ~ 7.8e-59; m2 is rounding residue and m2**3 underflows.
-        (["simulate", "--current", "3.25232e-12", "--df", "1.29746e+65", "--trials", "100",
-          "--seed", "1"], ["on_current", "bandwidth"]),
+        # Every count is 0 at lam ~ 6e-47 and the thermal charge spreads ~1e-105
+        # electrons: m2 ~ 1e-210 and m2**3 underflows.
+        (["simulate", "--current", "1e-60A", "--df", "5e4Hz", "--temperature", "1e-200K",
+          "--conductance", "1e-12S", "--trials", "100", "--seed", "1"],
+         ["temperature", "conductance"]),
         # Closed form: snr**2 (or modulation**2) below the normal float range.
         (["qpc", "--width", "6.64002e+63", "--df", "1.94895e+239"], ["bandwidth"]),
         (["wire", "--df", "1.81292e+208", "--mass-ratio", "5.29402e-17",
@@ -505,6 +507,21 @@ def test_simulate_envelope(capsys):
     assert record["flags"] == []
 
 
+def test_simulate_without_spread_is_flagged_not_scored(capsys):
+    # lam ~ 4.5e-40: every one of the 122 counts is 0.  The moments are
+    # taken about the mode floor(lam) = 0, so the variance is exactly 0
+    # and the run carries a flag instead of a 3-sigma verdict.
+    record = run_json(
+        capsys,
+        "simulate", "--current", "8.887889894067388e-58A", "--df", "6.167078737836253Hz",
+        "--trials", "122", "--seed", "1", "--deterministic",
+    )
+    out = record["outputs"]
+    assert out["empirical_snr"] == 0.0 and out["std_charge"] == 0.0
+    assert out["n_sigma"] is None and out["within_3_sigma"] is None
+    assert record["flags"] == ["zero-spread"]
+
+
 def test_simulate_current_unit_suffix(capsys):
     a = run_json(
         capsys,
@@ -621,12 +638,18 @@ _SCALAR_COMMANDS = (
     ["report"],
 )
 
+_SIMULATE_COMMANDS = [
+    ["simulate", "--current", "1nA", "--df", "1MHz", "--trials", "1000", "--seed", "1", *extra]
+    for extra in ([], ["--temperature", "4.2K", "--conductance", "1e-5S", "--workers", "2"],
+                  ["--fano", "0.5"])
+]
+
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.special is most of a CLI call's import time and only the
-    # Poisson CDF table needs it, so it is imported there, on first use.
-    # The scalar commands need no arrays at all: they run, closed form and
-    # pipeline alike, on the standard library, without numpy or the simulator.
+    # No command imports scipy: the simulator builds its Poisson table
+    # from ratios alone.  The scalar commands need no arrays at all: they
+    # run, closed form and pipeline alike, on the standard library,
+    # without numpy or the simulator.
     code = (
         "import contextlib, io, sys\n"
         "import chargelimit.cli as cli\n"
@@ -635,6 +658,10 @@ def test_cli_import_leaves_scipy_unloaded():
         "        assert cli.main(argv) == 0, argv\n"
         "loaded = {'numpy', 'scipy', 'chargelimit.montecarlo'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
+        f"for argv in {_SIMULATE_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "assert 'scipy' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -165,8 +165,12 @@ def test_simulate_ends_cleanly(argv):
     def on_success(record):
         outputs = record["outputs"]
         numbers = {**outputs.pop("ci95"), **outputs}
-        # n_sigma is infinite only for a zero-spread sample off the analytic SNR.
+        # n_sigma is infinite only for a sample off the analytic SNR with a
+        # zero stderr; a sample without spread is flagged and not scored.
+        zero_spread = "zero-spread" in record["flags"]
+        assert zero_spread == (outputs["std_charge"] == 0.0)
         allowed = {"n_sigma"} if outputs["snr_stderr"] == 0.0 else set()
+        allowed |= {"within_3_sigma"} if zero_spread else set()
         assert {key for key, value in numbers.items() if value is None} <= allowed
 
     check_ending(argv, on_success)

@@ -3,9 +3,12 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from scipy.special import ndtri
+from scipy.stats import chi2
 from scipy.stats import poisson as scipy_poisson
 
 from chargelimit import ParameterError
@@ -126,11 +129,90 @@ def test_poisson_cdf_table_matches_scipy(lam):
     # Around the bulk the relative error is tight too.
     bulk = reference > 1e-6
     assert np.max(np.abs(cdf[bulk] - reference[bulk]) / reference[bulk]) < 1e-9
-    # The window must cover essentially all the mass on both sides; the
-    # truncated tail itself is ~1e-300, far below the cumsum rounding.
+    # The window must cover essentially all the mass on both sides: what
+    # it truncates on each side is below 2**-54, finer than a uniform.
     assert cdf[-1] > 1.0 - 1e-10
-    if k_lo > 0:
-        assert reference[0] < 1e-200
+    assert scipy_poisson.cdf(k_lo - 1, lam) < 2.0**-54
+    assert scipy_poisson.sf(k_lo + cdf.size - 1, lam) < 2.0**-54
+
+
+def _mpmath_cdf(lam, k_lo, size):
+    """P(K <= k_lo + j) for j < size at 40 digits, rounded to float64."""
+    with mp.workdps(40):
+        lam = mpf(lam)
+        acc = mpmath.gammainc(k_lo, lam, mpmath.inf, regularized=True) if k_lo else mpf(0)
+        pmf = mpmath.exp(k_lo * mpmath.log(lam) - lam - mpmath.loggamma(k_lo + 1))
+        out = []
+        for k in range(k_lo + 1, k_lo + size + 1):
+            acc += pmf
+            out.append(float(acc))
+            pmf = pmf * lam / k
+    return np.array(out)
+
+
+@pytest.mark.parametrize("lam", [0.5, 10.0, 1e3, 1e6, 9e6])
+def test_poisson_cdf_table_matches_mpmath(lam):
+    k_lo, cdf = poisson_cdf_table(lam)
+    assert np.max(np.abs(cdf - _mpmath_cdf(lam, k_lo, cdf.size))) < 1e-13
+
+
+def _python_cdf_table(lam):
+    """The table's recipe in Python floats, one IEEE operation at a time."""
+    half_width = 9.0 * math.sqrt(lam) + 12.0
+    k_lo = max(0, math.floor(lam - half_width))
+    k_hi = math.ceil(lam + half_width)
+    mode = math.floor(lam)
+    down, up, p = [], [], 1.0
+    for k in range(mode, k_lo, -1):
+        p *= k / lam
+        down.append(p)
+    p = 1.0
+    for k in range(mode + 1, k_hi + 1):
+        p *= lam / k
+        up.append(p)
+    pmf = [*down[::-1], 1.0, *up]
+    level = pmf + [0.0] * ((1 << (len(pmf) - 1).bit_length()) - len(pmf))
+    while len(level) > 1:
+        level = [level[i] + level[i + 1] for i in range(0, len(level), 2)]
+    cdf, acc = [], 0.0
+    for p in pmf:
+        acc += p / level[0]
+        cdf.append(acc)
+    return k_lo, cdf
+
+
+@pytest.mark.parametrize("lam", [0.5, 10.0, 1e3, 12345.6, 1e6, 9e6])
+def test_poisson_cdf_table_is_reproduced_by_python_floats(lam):
+    k_lo, cdf = poisson_cdf_table(lam)
+    expected_lo, expected = _python_cdf_table(lam)
+    assert k_lo == expected_lo
+    assert cdf.tolist() == expected
+
+
+@pytest.mark.parametrize("lam", [0.5, 10.0, 1e3])
+def test_seeded_poisson_counts_pass_chi_square(lam):
+    k_lo, cdf = poisson_cdf_table(lam)
+    trials = 4 * BLOCK
+    guide = poisson_guide_table(k_lo, cdf, trials)
+    counts = np.concatenate([
+        _poisson_counts(uniform_block(55, 0, block, BLOCK), cdf, k_lo, guide,
+                        _Workspace(BLOCK)).astype(np.int64)
+        for block in range(4)
+    ])
+    # Bins of consecutive counts, each expecting >= 50, the two ends open.
+    edges = [0]
+    mass = 0.0
+    for k in range(k_lo, k_lo + cdf.size):
+        mass += scipy_poisson.pmf(k, lam)
+        if mass * trials >= 50.0:
+            edges.append(k + 1)
+            mass = 0.0
+    edges[-1] = k_lo + cdf.size + 1
+    expected = trials * np.diff(scipy_poisson.cdf(np.array(edges) - 1, lam))
+    expected[-1] += trials * scipy_poisson.sf(edges[-1] - 1, lam)
+    observed = np.histogram(counts, bins=edges)[0]
+    statistic = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2.sf(statistic, len(expected) - 1) > 1e-3
 
 
 def test_poisson_cdf_table_small_lambda_zero_bin():
@@ -163,8 +245,9 @@ def _guide_edge_uniforms(cdf, m):
 
 
 def test_guide_cases_cover_both_cdf_ends():
-    assert poisson_cdf_table(10.0)[1][-1] > 1.0
-    assert poisson_cdf_table(1e3)[1][-1] < 1.0
+    # The hand-built [0.5, 1.0, 1.5] case below ends above 1 too.
+    assert poisson_cdf_table(7.0)[1][-1] > 1.0
+    assert poisson_cdf_table(10.0)[1][-1] < 1.0
     assert poisson_cdf_table(9e6)[1][-1] < 1.0
 
 
@@ -181,7 +264,7 @@ def _check_guide(k_lo, cdf, trials, blocks):
     return guide
 
 
-@pytest.mark.parametrize("lam", [0.5, 10.0, 1e3, 9e6])
+@pytest.mark.parametrize("lam", [0.5, 7.0, 10.0, 1e3, 9e6])
 @pytest.mark.parametrize("trials", [3, 1000, 10**6])
 def test_guide_lookup_equals_clamped_searchsorted(lam, trials):
     k_lo, cdf = poisson_cdf_table(lam)

@@ -27,7 +27,18 @@ own split of the tails.
 Poisson inversion uses a guide table (Chen & Asau 1974; Devroye 1986,
 §III.2) built once per simulation: one lookup per uniform, and a binary
 search only where a bucket spans several CDF entries, so every count
-equals the clamped ``searchsorted(cdf, u, "right")``.
+equals the clamped ``searchsorted(cdf, u, "right")``.  The CDF is built
+from the mode outward by the ratios p(k)/p(k-1) = lam/k (Devroye 1986,
+§X.3; Kemp & Kemp, Appl. Statist. 40 (1991) 143), so it too is made of
+IEEE operations and sequential sums only, and needs no log-gamma.
+
+No kernel allocates a block-sized array: every temporary is written,
+through ``out=`` ufuncs and ``take(out=)``, into the buffers of a
+workspace that a running block holds (:func:`block_workspace`).  A
+freed block-sized array would be handed back to the operating system
+and its pages faulted in again by the next block.  Only the index sets
+of ``np.flatnonzero`` are still allocated per block; the allocator
+keeps reusing their memory.
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ __all__ = [
     "portable_log",
     "inverse_normal",
     "block_kernels",
+    "block_workspace",
 ]
 
 #: Above this Poisson mean the simulator switches to Gaussian sampling.
@@ -126,12 +138,10 @@ def block_workspace():
     (or made when it is empty) and given back to it on exit."""
     try:
         ws = _FREE.pop()
-    except IndexError:
+    except IndexError:  # every workspace is in use
         ws = _Workspace(BLOCK)
-    try:
-        yield ws
-    finally:
-        _FREE.append(ws)
+    yield ws
+    _FREE.append(ws)  # not after an exception: that workspace is dropped
 
 
 def _horner(x, coeffs, out):
@@ -153,15 +163,10 @@ def _log_vector(x, out, ws):
     small = np.less(m, _SQRT_HALF, out=ws.b[0][:k])
     np.multiply(m, 2.0, out=m, where=small)
     np.subtract(out, 1.0, out=out, where=small)
-    np.add(m, 1.0, out=t)
-    m -= 1.0
-    z = np.divide(m, t, out=m)
+    z = np.divide(np.subtract(m, 1.0, out=acc), np.add(m, 1.0, out=t), out=m)
     lm = np.multiply(z, _horner(np.multiply(z, z, out=t), _LOG_SERIES, acc), out=acc)
-    lo = np.multiply(out, _LN2_LO, out=t)
-    lo += lm
-    out *= _LN2_HI
-    out += lo
-    return out
+    lo = np.add(lm, np.multiply(out, _LN2_LO, out=t), out=t)
+    return np.add(np.multiply(out, _LN2_HI, out=out), lo, out=out)
 
 
 def _inverse_normal_vector(u, out, ws):
@@ -179,10 +184,8 @@ def _inverse_normal_vector(u, out, ws):
     kc = idx.shape[0]
     qc = np.take(q, idx, out=s1[:kc], mode="clip")
     r = np.subtract(0.180625, np.multiply(qc, qc, out=s2[:kc]), out=s2[:kc])
-    num = _horner(r, _CENTRAL_NUM, s3[:kc])
-    num *= qc
-    num /= _horner(r, _CENTRAL_DEN, s1[:kc])
-    out[idx] = num
+    num = np.multiply(qc, _horner(r, _CENTRAL_NUM, s3[:kc]), out=s3[:kc])
+    out[idx] = np.divide(num, _horner(r, _CENTRAL_DEN, s1[:kc]), out=num)  # qc is spent
 
     idx = np.flatnonzero(np.logical_not(central, out=central))
     kt = idx.shape[0]
@@ -196,11 +199,9 @@ def _inverse_normal_vector(u, out, ws):
     for shift, num_coeffs, den_coeffs in ((1.6, _MID_NUM, _MID_DEN), (5.0, _FAR_NUM, _FAR_DEN)):
         part = np.flatnonzero(mid)
         k = part.shape[0]
-        rs = np.take(r, part, out=s1[:k], mode="clip")
-        rs -= shift
-        num = _horner(rs, num_coeffs, s3[:k])
-        num /= _horner(rs, den_coeffs, s4[:k])
-        value[part] = num
+        rs = np.subtract(np.take(r, part, out=s1[:k], mode="clip"), shift, out=s1[:k])
+        value[part] = np.divide(_horner(rs, num_coeffs, s3[:k]), _horner(rs, den_coeffs, s4[:k]),
+                                out=s3[:k])
         np.logical_not(mid, out=mid)
     np.negative(value, out=value, where=lower)
     out[idx] = value
@@ -213,8 +214,6 @@ def _tree_sum_vector(values, scratch):
     ``scratch``, at least as long as ``values``; a padding zero is added
     only where it meets a value, so no zeros are stored."""
     src, live = values, values.shape[0]
-    if live == 0:
-        return 0.0
     half = (live + 1) // 2
     dst, spare = scratch[:half], scratch[half:]
     while live > 1:
@@ -245,16 +244,13 @@ def _open_block(
 ):
     n = u_count.shape[0]
     if gaussian:
-        q = _inverse_normal_vector(u_count, ws.f[0][:n], ws)
-        q *= sqrt_shot
-        q += lam
+        z = _inverse_normal_vector(u_count, ws.f[0][:n], ws)
+        q = np.add(lam, np.multiply(sqrt_shot, z, out=z), out=z)
     else:
         q = _poisson_counts(u_count, cdf, k_lo, guide, ws)
     d2 = ws.f[1][:n]
     if sigma > 0.0:
-        z = _inverse_normal_vector(u_thermal, d2, ws)
-        z *= sigma
-        q += z
+        q += np.multiply(sigma, _inverse_normal_vector(u_thermal, d2, ws), out=d2)
     below = int(np.count_nonzero(np.less(q, threshold, out=ws.b[0][:n])))
     scratch = ws.f[2]
     dq = np.subtract(q, shift, out=q)
@@ -268,8 +264,7 @@ def _open_block(
 
 def _blocked_block(u_thermal, sigma, threshold, ws):
     n = u_thermal.shape[0]
-    z = _inverse_normal_vector(u_thermal, ws.f[0][:n], ws)
-    z *= sigma
+    z = np.multiply(sigma, _inverse_normal_vector(u_thermal, ws.f[0][:n], ws), out=ws.f[0][:n])
     return int(np.count_nonzero(np.greater_equal(z, threshold, out=ws.b[0][:n])))
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import resource
+import sys
 
 import pytest
 from scipy.special import ndtr
@@ -20,6 +21,7 @@ from chargelimit import (
     simulate_detection,
     validate_device,
 )
+from chargelimit import kernels
 from chargelimit.constants import CONSTANTS
 
 E = CONSTANTS.e
@@ -71,6 +73,23 @@ def test_repeated_simulation_reuses_its_buffers(regime):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     simulate_detection(cfg)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 64
+
+
+def test_concurrent_blocks_never_share_a_workspace():
+    # More workers than cores and a thread switch every microsecond: a
+    # workspace handed to two running blocks at once would mix their
+    # buffers and change the outcome.
+    cfg = SimConfig(on_current=1.602176634e-13, bandwidth=5e4, trials=12 * 65536, seed=5,
+                    temperature=4.2, conductance=conductance_for_sigma(2.0, 4.2, 5e4))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_detection(cfg, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == simulate_detection(cfg)
+    idle = [id(ws) for ws in kernels._FREE]
+    assert 1 <= len(idle) <= 8 and len(set(idle)) == len(idle)
 
 
 def test_as_dict_key_order():

@@ -227,7 +227,8 @@ def _tree_sum_vector(values, scratch):
 
 def _poisson_counts(u, cdf, k_lo, guide, ws):
     """``k_lo + min(searchsorted(cdf, u, "right"), len(cdf) - 1)`` as float64
-    in ``ws.f[0]``, through the guide table of :func:`poisson_guide_table`."""
+    in ``ws.f[0]``, through the guide table of :func:`poisson_guide_table`,
+    using ``ws.buckets``, ``f[2]`` and ``b[0]``."""
     n = u.shape[0]
     base, cut = guide
     bucket = np.multiply(u, base.shape[0], out=ws.buckets[:n], casting="unsafe")

@@ -619,17 +619,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         fano=args.fano,
     )
     outcome = simulate_detection(cfg, workers=args.workers)
-    n_sigma = outcome.n_sigma()
-    outputs = outcome.as_dict()
-    zero_spread = outcome.std_charge == 0.0  # every trial gave the same charge: no score
-    outputs["n_sigma"] = None if zero_spread else n_sigma
-    outputs["within_3_sigma"] = None if zero_spread else bool(n_sigma <= 3.0)
     inputs = _inputs(args, ("current", "df", "temperature", "conductance", "trials", "seed",
                             "threshold", "fano"))
-    flags = [flag for flag, on in (("gaussian-fallback", outcome.gaussian_fallback),
-                                   ("zero-spread", zero_spread)) if on]
     emit_json(
-        "simulate", inputs, outputs, flags,
+        "simulate", inputs, outcome.as_dict(), outcome.flags(),
         generator=outcome.generator, seed=outcome.seed_used,
         deterministic=args.deterministic,
     )

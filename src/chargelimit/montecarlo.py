@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
     "SimConfig",
     "Ci95",
     "SimOutcome",
-    "DeviceValidation",
     "simulate_detection",
     "validate_device",
 ]
@@ -116,7 +114,8 @@ class SimConfig:
         require_positive(self.fano, "fano")
 
 
-class Ci95(NamedTuple):
+@dataclass(frozen=True)
+class Ci95:
     """95% confidence half-widths of the headline estimates."""
 
     snr: float
@@ -132,7 +131,9 @@ class SimOutcome:
     of the open-state measured charge; ``analytic_snr`` is the noise
     module's prediction for the same operating point.  Error rates are
     the misclassification probabilities of the threshold rule in each
-    true state.
+    true state.  :meth:`n_sigma`, :meth:`within_3_sigma` and :meth:`flags`
+    are the one verdict on the run; a run whose charge has no spread is
+    flagged ``zero-spread`` and not scored.
     """
 
     empirical_snr: float
@@ -151,47 +152,31 @@ class SimOutcome:
     seed_used: int
     generator: str
 
-    def n_sigma(self) -> float:
-        """|empirical - analytic| SNR in units of the estimator's stderr."""
+    def n_sigma(self) -> float | None:
+        """|empirical - analytic| SNR in units of the estimator's stderr;
+        None for a run without spread."""
+        if self.std_charge == 0.0:  # every trial gave the same charge: no score
+            return None
         if self.snr_stderr > 0.0:
             return abs(self.empirical_snr - self.analytic_snr) / self.snr_stderr
         return 0.0 if self.empirical_snr == self.analytic_snr else math.inf
 
+    def within_3_sigma(self) -> bool | None:
+        """Whether the empirical SNR agrees with the analytic one within 3
+        sigma; None for a run without spread."""
+        n_sigma = self.n_sigma()
+        return None if n_sigma is None else n_sigma <= 3.0
+
+    def flags(self) -> list[str]:
+        """``gaussian-fallback`` and ``zero-spread``, where they apply."""
+        return [flag for flag, on in (("gaussian-fallback", self.gaussian_fallback),
+                                      ("zero-spread", self.std_charge == 0.0)) if on]
+
     def as_dict(self) -> dict:
-        """Plain-types view in a fixed key order, ready for JSON."""
-        return {
-            "empirical_snr": self.empirical_snr,
-            "analytic_snr": self.analytic_snr,
-            "err_open": self.err_open,
-            "err_blocked": self.err_blocked,
-            "balanced_err": self.balanced_err,
-            "snr_stderr": self.snr_stderr,
-            "ci95": {
-                "snr": self.ci95.snr,
-                "err_open": self.ci95.err_open,
-                "err_blocked": self.ci95.err_blocked,
-            },
-            "mean_charge": self.mean_charge,
-            "std_charge": self.std_charge,
-            "expected_count": self.expected_count,
-            "trials": self.trials,
-            "threshold": self.threshold,
-            "gaussian_fallback": self.gaussian_fallback,
-            "seed_used": self.seed_used,
-            "generator": self.generator,
-        }
-
-
-@dataclass(frozen=True)
-class DeviceValidation:
-    """Side-by-side analytic vs simulated SNR for one device."""
-
-    analytic_snr: float
-    empirical_snr: float
-    stderr: float
-    n_sigma: float
-    passed: bool
-    outcome: SimOutcome
+        """Plain-types view in a fixed key order, ready for JSON: the
+        fields, then ``n_sigma`` and ``within_3_sigma``."""
+        return {**asdict(self), "n_sigma": self.n_sigma(),
+                "within_3_sigma": self.within_3_sigma()}
 
 
 def _central_moments(shift: float, n: int, s1: float, s2: float, s3: float, s4: float):
@@ -364,13 +349,14 @@ def validate_device(
     *,
     threshold: float = 0.5,
     workers: int = 1,
-) -> DeviceValidation:
+) -> SimOutcome:
     """Simulate a device at its on-state operating point and compare SNRs.
 
     Runs the counting simulation at T = 0 with the device's own current
-    and conductance, then scores the empirical SNR against the analytic
-    value in units of the estimator's standard error; ``passed`` means
-    agreement within 3 sigma.  Warns when the expected count per window
+    and conductance.  The outcome's :meth:`SimOutcome.n_sigma` scores the
+    empirical SNR against the analytic value in units of the estimator's
+    standard error, and :meth:`SimOutcome.within_3_sigma` says whether
+    they agree within 3 sigma.  Warns when the expected count per window
     is below 10, where the Poisson law is visibly non-Gaussian and the
     comparison is loose.
     """
@@ -393,13 +379,4 @@ def validate_device(
         seed=seed,
         threshold=threshold,
     )
-    outcome = simulate_detection(cfg, workers=workers)
-    n_sigma = outcome.n_sigma()
-    return DeviceValidation(
-        analytic_snr=outcome.analytic_snr,
-        empirical_snr=outcome.empirical_snr,
-        stderr=outcome.snr_stderr,
-        n_sigma=n_sigma,
-        passed=n_sigma <= 3.0,
-        outcome=outcome,
-    )
+    return simulate_detection(cfg, workers=workers)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, thermal_voltage_threshold
 from .errors import ParameterError, anywhere, array_module, isfinite, require
 from .errors import require_nonnegative, require_positive
 
@@ -28,7 +28,6 @@ __all__ = [
     "ShotDominance",
     "noise_breakdown",
     "snr",
-    "signal_to_noise",
     "shot_dominated",
 ]
 
@@ -189,7 +188,7 @@ def shot_dominated(op: OperatingPoint) -> ShotDominance:
     """
     if op.bias is None:
         raise ParameterError("shot_dominated needs an operating point with a bias")
-    threshold = 2.0 * CONSTANTS.k_B * op.temperature / CONSTANTS.e
+    threshold = thermal_voltage_threshold(op.temperature)
     if op.temperature == 0.0:
         return ShotDominance(
             dominated=op.bias > 0.0,

@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+import chargelimit
+from chargelimit import SimConfig, simulate_detection
 from chargelimit.cli import SWEEP_HEADER, main
 
 GAAS_F_UNITY = 1.3245562846887381e12
@@ -507,6 +509,20 @@ def test_simulate_envelope(capsys):
     assert record["flags"] == []
 
 
+@pytest.mark.parametrize("current, fano", [("1.602176634e-13", "1"), ("1.602176634e-13", "0.5"),
+                                           ("8.887889894067388e-58", "1")])
+def test_simulate_outputs_are_the_outcome_record(capsys, current, fano):
+    record = run_json(
+        capsys,
+        "simulate", "--current", current, "--df", "5e4", "--fano", fano,
+        "--trials", "3000", "--seed", "77", "--json", "--deterministic",
+    )
+    outcome = simulate_detection(SimConfig(
+        on_current=float(current), bandwidth=5e4, fano=float(fano), trials=3000, seed=77))
+    assert record["outputs"] == outcome.as_dict()
+    assert record["flags"] == outcome.flags()
+
+
 def test_simulate_without_spread_is_flagged_not_scored(capsys):
     # lam ~ 4.5e-40: every one of the 122 counts is 0.  The moments are
     # taken about the mode floor(lam) = 0, so the variance is exactly 0
@@ -681,6 +697,16 @@ def test_package_import_leaves_numpy_unloaded_and_resolves_the_simulator():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_each_public_name_is_listed_in_one_module():
+    from chargelimit import cli, constants, devices, kernels, materials, montecarlo, noise, rng
+
+    modules = (constants, devices, materials, noise, montecarlo, kernels, rng, cli)
+    listed = [name for module in modules for name in module.__all__]
+    assert len(listed) == len(set(listed))
+    assert set(chargelimit._SIMULATOR) <= set(montecarlo.__all__)
+    assert set(chargelimit.__all__) <= {*listed, "ParameterError", "__version__"}
 
 
 def test_closed_stdout_exits_without_traceback():

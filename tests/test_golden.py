@@ -6,10 +6,12 @@ cases cover every sampling path: Poisson inversion at lam 0.5, 10 and
 1e3 with T = 0, Poisson plus 4.2 K thermal noise, the Gaussian fallback
 reached both through lam > 1e7 and through ``--fano``, and partial last
 blocks (100 000, 70 000 and 65 537 trials are not multiples of the
-65 536-trial block).  The lam = 9e6 case has a 240 061-entry CDF table,
-more than its guide table has buckets, so many of its counts go through
-the guide table's binary-search fallback.  Kernel work must leave these bits alone.  Regenerate the
-records only for a deliberate, documented change to the sampled numbers:
+65 536-trial block).  The lam = 9e6 case has a 54 025-entry CDF table
+against 65 536 guide buckets; 1 609 of those buckets span more than one
+entry, so 1 671 of its 70 000 counts still go through the guide table's
+binary-search fallback.  Kernel work must leave these bits alone.
+Regenerate the records only for a deliberate, documented change to the
+sampled numbers:
 
     PYTHONPATH=src python tests/test_golden.py
 """

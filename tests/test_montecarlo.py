@@ -110,6 +110,8 @@ def test_as_dict_key_order():
         "gaussian_fallback",
         "seed_used",
         "generator",
+        "n_sigma",
+        "within_3_sigma",
     ]
     assert list(outcome.as_dict()["ci95"]) == ["snr", "err_open", "err_blocked"]
 
@@ -296,10 +298,22 @@ def test_workers_validation():
 def test_validate_device_wire():
     device = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
     check = validate_device(device, 1e9, trials=20000, seed=2024)
-    assert check.passed
-    assert check.n_sigma <= 3.0
-    assert check.analytic_snr == check.outcome.analytic_snr
-    assert isinstance(check.outcome, SimOutcome)
+    assert isinstance(check, SimOutcome)
+    assert check.within_3_sigma() is True
+    assert check.n_sigma() <= 3.0
+    assert check.flags() == []
+
+
+def test_validate_device_without_spread_is_flagged_not_scored():
+    # 1.3e-8 electrons per window: all 2 000 counts are 0, so the charge
+    # has no spread and the run carries a flag instead of a verdict.
+    device = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
+    with pytest.warns(ModelValidityWarning):
+        check = validate_device(device, 1e20, trials=2000, seed=5)
+    assert check.std_charge == 0.0
+    assert check.n_sigma() is None
+    assert check.within_3_sigma() is None
+    assert check.flags() == ["zero-spread"]
 
 
 def test_validate_device_warns_on_sparse_counts():

@@ -34,9 +34,15 @@ def test_module_constants():
     assert GENERATOR_ID == "philox4x64-seedseq-v1"
 
 
-def test_portable_log_accuracy():
+def _log_inputs():
+    """20 000 positive values spread over exp(-700)..exp(700), built by
+    ldexp so that they carry the same bits on every machine."""
     rng = np.random.default_rng(7)
-    x = np.exp(rng.uniform(-700.0, 700.0, size=20000))
+    return np.ldexp(rng.uniform(1.0, 2.0, size=20000), rng.integers(-1010, 1010, size=20000))
+
+
+def test_portable_log_accuracy():
+    x = _log_inputs()
     ours = portable_log(x)
     reference = np.array([math.log(v) for v in x])
     scale = np.maximum(1.0, np.abs(reference))
@@ -77,8 +83,8 @@ def _around(x, k=2):
     lo = hi = x
     out = [x]
     for _ in range(k):
-        lo = np.nextafter(lo, 0.0)
-        hi = np.nextafter(hi, 1.0)
+        lo = np.nextafter(lo, -np.inf)
+        hi = np.nextafter(hi, np.inf)
         out = [lo, *out, hi]
     return out
 
@@ -107,6 +113,23 @@ def test_inverse_normal_bits_frozen(name):
     u = uniform_block(2024, 0, 0, BLOCK) if name == "block" else _edge_uniforms()
     digest = hashlib.sha256(inverse_normal(u).view(np.int64).tobytes()).hexdigest()
     assert digest == FROZEN_INVERSE_NORMAL[name]
+
+
+def _log_edges():
+    edges = [5e-324, 2.0**-1022, 2.0**-54, 1.0, 1e308, *_around(math.sqrt(0.5)), *_around(1.0)]
+    return np.array(edges, dtype=np.float64)
+
+
+#: sha256 of portable_log(x).view(np.int64) over _log_inputs() followed by
+#: _log_edges(): subnormal, the mantissa fold at sqrt(1/2) and the exact
+#: zero at 1.  FROZEN_INVERSE_NORMAL reaches the log only on tail uniforms.
+FROZEN_PORTABLE_LOG = "2bb8003bb393dd3decfb9a3891060d07e9a692f3957d650aeabd061e40795d75"
+
+
+def test_portable_log_bits_frozen():
+    x = np.concatenate([_log_inputs(), _log_edges()])
+    digest = hashlib.sha256(portable_log(x).view(np.int64).tobytes()).hexdigest()
+    assert digest == FROZEN_PORTABLE_LOG
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 4)])

@@ -144,6 +144,11 @@ def block_workspace():
     _FREE.append(ws)  # not after an exception: that workspace is dropped
 
 
+def _borrow_workspace(n):
+    """A block workspace for ``n <= BLOCK`` elements, else a fresh one."""
+    return block_workspace() if n <= BLOCK else contextlib.nullcontext(_Workspace(n))
+
+
 def _horner(x, coeffs, out):
     """sum(coeffs[k] * x**k) into ``out`` by Horner's rule from the highest power down."""
     np.multiply(x, coeffs[-1], out=out)
@@ -161,8 +166,8 @@ def _log_vector(x, out, ws):
     m, t, acc = ws.f[2][:k], ws.f[3][:k], ws.f[5][:k]
     np.frexp(x, out=(m, out))  # the int exponent lands in out as a float
     small = np.less(m, _SQRT_HALF, out=ws.b[0][:k])
-    np.multiply(m, 2.0, out=m, where=small)
-    np.subtract(out, 1.0, out=out, where=small)
+    np.ldexp(m, small, out=m)  # m * 2 where small, exactly
+    np.subtract(out, small, out=out)
     z = np.divide(np.subtract(m, 1.0, out=acc), np.add(m, 1.0, out=t), out=m)
     lm = np.multiply(z, _horner(np.multiply(z, z, out=t), _LOG_SERIES, acc), out=acc)
     lo = np.add(lm, np.multiply(out, _LN2_LO, out=t), out=t)
@@ -191,8 +196,7 @@ def _inverse_normal_vector(u, out, ws):
     kt = idx.shape[0]
     ut = np.maximum(np.take(u, idx, out=s1[:kt], mode="clip"), _TINY_UNIFORM, out=s1[:kt])
     lower = np.less(np.take(q, idx, out=s2[:kt], mode="clip"), 0.0, out=ws.b[1][:kt])
-    x = np.subtract(1.0, ut, out=s2[:kt])
-    np.copyto(x, ut, where=lower)
+    x = np.minimum(ut, np.subtract(1.0, ut, out=s2[:kt]), out=s2[:kt])
     r = np.sqrt(np.negative(_log_vector(x, x, ws), out=x), out=x)
     value = s0[:kt]
     mid = np.less_equal(r, 5.0, out=ws.b[0][:kt])
@@ -203,8 +207,7 @@ def _inverse_normal_vector(u, out, ws):
         value[part] = np.divide(_horner(rs, num_coeffs, s3[:k]), _horner(rs, den_coeffs, s4[:k]),
                                 out=s3[:k])
         np.logical_not(mid, out=mid)
-    np.negative(value, out=value, where=lower)
-    out[idx] = value
+    out[idx] = np.copysign(value, np.subtract(0.5, lower, out=s2[:kt]), out=value)
     return out
 
 
@@ -265,8 +268,18 @@ def _open_block(
 
 def _blocked_block(u_thermal, sigma, threshold, ws):
     n = u_thermal.shape[0]
-    z = np.multiply(sigma, _inverse_normal_vector(u_thermal, ws.f[0][:n], ws), out=ws.f[0][:n])
-    return int(np.count_nonzero(np.greater_equal(z, threshold, out=ws.b[0][:n])))
+    t = min(max(threshold / sigma, -40.0), 40.0)
+    delta = 1e-6 * (1.0 + abs(t))
+    lo = 0.5 * math.erfc((delta - t) * _SQRT_HALF) * (1.0 - 1e-9) - 2.0**-50
+    hi = 0.5 * math.erfc((-delta - t) * _SQRT_HALF) * (1.0 + 1e-9) + 2.0**-50
+    below_hi = np.less(u_thermal, hi, out=ws.b[1][:n])
+    near = np.flatnonzero(np.logical_and(np.greater_equal(u_thermal, lo, out=ws.b[0][:n]),
+                                         below_hi, out=ws.b[0][:n]))
+    above = n - int(np.count_nonzero(below_hi))
+    k = near.shape[0]
+    u = np.take(u_thermal, near, out=ws.f[0][:k], mode="clip")
+    z = np.multiply(sigma, _inverse_normal_vector(u, ws.f[1][:k], ws), out=ws.f[1][:k])
+    return above + int(np.count_nonzero(np.greater_equal(z, threshold, out=ws.b[0][:k])))
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +290,8 @@ def portable_log(x: np.ndarray) -> np.ndarray:
     """Natural log of positive float64 values, the same bits everywhere (~2 ulp)."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
-    return _log_vector(flat, np.empty_like(flat), _Workspace(flat.size)).reshape(x.shape)
+    with _borrow_workspace(flat.size) as ws:
+        return _log_vector(flat, np.empty_like(flat), ws).reshape(x.shape)
 
 
 def inverse_normal(u: np.ndarray) -> np.ndarray:
@@ -289,7 +303,8 @@ def inverse_normal(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=np.float64)
     flat = u.ravel()
-    return _inverse_normal_vector(flat, np.empty_like(flat), _Workspace(flat.size)).reshape(u.shape)
+    with _borrow_workspace(flat.size) as ws:
+        return _inverse_normal_vector(flat, np.empty_like(flat), ws).reshape(u.shape)
 
 
 def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:

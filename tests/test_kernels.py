@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import resource
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.special import ndtri
 from scipy.stats import chi2
 from scipy.stats import poisson as scipy_poisson
 
-from chargelimit import ParameterError
+from chargelimit import ParameterError, kernels
 from chargelimit.kernels import (
     LAMBDA_GAUSSIAN_CUTOFF,
     _poisson_counts,
@@ -130,6 +131,27 @@ def test_portable_log_bits_frozen():
     x = np.concatenate([_log_inputs(), _log_edges()])
     digest = hashlib.sha256(portable_log(x).view(np.int64).tobytes()).hexdigest()
     assert digest == FROZEN_PORTABLE_LOG
+
+
+def test_repeated_portable_log_reuses_its_buffers():
+    # Up to BLOCK values the public kernels borrow a block workspace from
+    # the free list instead of building their own, so once one call has
+    # run, the same one again touches no new pages.
+    x = uniform_block(8, 0, 0, BLOCK)
+    portable_log(x)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    portable_log(x)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 64
+
+
+@pytest.mark.parametrize("kernel", [portable_log, inverse_normal])
+@pytest.mark.parametrize("n", [5, BLOCK, BLOCK + 1])
+def test_public_kernels_give_back_the_workspace_they_borrow(kernel, n):
+    kernel(np.full(n, 0.25))
+    idle = list(kernels._FREE)
+    x = uniform_block(9, 0, 0, n)
+    assert np.array_equal(kernel(x), kernel(x.copy()))
+    assert [id(ws) for ws in kernels._FREE] == [id(ws) for ws in idle]
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 4)])
@@ -416,3 +438,50 @@ def test_blocked_block_against_reference():
     expected = int(np.count_nonzero(sigma * inverse_normal(u) >= threshold))
     assert count == expected
     assert 0 < count < u.size  # threshold at 1.25 sigma: both outcomes occur
+
+
+def _check_blocked(u, sigma, threshold):
+    """The cut count equals the full-kernel count; returns it."""
+    _, blocked_block = block_kernels()
+    count = blocked_block(u, sigma, threshold, _Workspace(BLOCK))
+    assert count == int(np.count_nonzero(sigma * inverse_normal(u) >= threshold))
+    return count
+
+
+def test_blocked_block_at_sampled_thresholds_and_their_neighbours():
+    # A threshold of exactly sigma * z[j] puts u[j] on the cut; without
+    # the cut's margins about one such count in ten comes out wrong.
+    u = uniform_block(22, 1, 0, BLOCK)
+    z = inverse_normal(u)
+    _, blocked_block = block_kernels()
+    ws = _Workspace(BLOCK)
+    for sigma in (0.4, 3.0):
+        charge = sigma * z
+        for j in range(0, BLOCK, 64):
+            exact = float(charge[j])
+            near = (np.nextafter(exact, -np.inf), exact, np.nextafter(exact, np.inf))
+            for threshold in near if j % 1024 == 0 else (exact,):
+                threshold = max(float(threshold), 0.0)
+                expected = int(np.count_nonzero(charge >= threshold))
+                assert blocked_block(u, sigma, threshold, ws) == expected
+
+
+@pytest.mark.parametrize("threshold", [0.0, 3.4, 1e308])
+def test_blocked_block_at_zero_and_beyond_every_uniform(threshold):
+    # t = threshold / sigma is 0, 8.5 (above the 8.3 that 2**-54 maps to)
+    # and inf, which the cut clamps.
+    u = np.concatenate([uniform_block(23, 1, 0, BLOCK - 4),
+                        [0.0, 2.0**-54, 0.5, 1.0 - 2.0**-53]])
+    assert (_check_blocked(u, 0.4, threshold) == 0) == (threshold > 0.0)
+
+
+def test_blocked_block_on_a_partial_block():
+    u = uniform_block(24, 1, 3, 1001)
+    assert 0 < _check_blocked(u, 0.4, 0.1) < u.size
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.05, 1.0, 37.0, 1e3])
+def test_blocked_block_over_sigma(sigma):
+    u = uniform_block(25, 1, 0, BLOCK)
+    for ratio in (0.0, 0.25, 1.0, 2.5, 4.0, 6.0):
+        _check_blocked(u, sigma, ratio * sigma)

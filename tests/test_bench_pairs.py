@@ -1,0 +1,84 @@
+"""``scripts/bench_pairs.py``, the paired summary behind each BENCH file."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+SPEC = [
+    {"name": "op_ms_p50", "unit": "ms", "better": "lower"},
+    {"name": "items_per_s", "unit": "1/s", "better": "higher"},
+    {"name": "imports.scipy_ms", "unit": "ms", "better": "lower"},
+]
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_stdout(p50, items, failed=0):
+    """The tail of a perfbench/run.py run, as it prints it."""
+    record = {"env": {"commit": None, "numpy": "2.4.6"}, "seed": 1}
+    result = {
+        "correct": not failed, "attempted": 40, "failed": failed,
+        "metrics": {
+            "op_ms_p50": {"value": p50, "unit": "ms"},
+            "items_per_s": {"value": items, "unit": "1/s"},
+            "imports.scipy_ms": {"value": None, "unit": "ms"},
+        },
+    }
+    return "\n".join([
+        "# chargelimit benchmark: workload sim-noisy, seed 1, 20 s, trace 0",
+        f"  op_ms_p50  {p50:.6g} ms",
+        "# record: " + json.dumps(record),
+        json.dumps(result),
+    ]) + "\n"
+
+
+def test_parse_run_reads_the_metrics_and_the_record():
+    metrics, record = load_script().parse_run(canned_stdout(50.0, 2e7))
+    assert metrics == {"op_ms_p50": 50.0, "items_per_s": 2e7, "imports.scipy_ms": None}
+    assert record["env"]["numpy"] == "2.4.6"
+
+
+def test_parse_run_refuses_a_run_with_failures():
+    with pytest.raises(ValueError, match="1 of 40"):
+        load_script().parse_run(canned_stdout(50.0, 2e7, failed=1))
+
+
+def test_summary_of_canned_pairs():
+    module = load_script()
+    base = [(70.0, 1.40e7), (72.0, 1.39e7), (74.0, 1.38e7), (76.0, 1.37e7), (60.0, 1.60e7)]
+    change = [(50.0, 1.90e7), (52.0, 1.91e7), (54.0, 1.92e7), (56.0, 1.93e7), (80.0, 1.50e7)]
+    runs = []
+    for seed, (b, c) in enumerate(zip(base, change)):
+        for side, (p50, items) in (("base", b), ("change", c)):
+            metrics, _ = module.parse_run(canned_stdout(p50, items))
+            runs.append({"seed": seed, "side": side, "metrics": metrics})
+    runs.append({"seed": 99, "side": "base", "metrics": runs[0]["metrics"]})  # unpaired
+    summary = module.summarize(runs, SPEC)
+
+    items = summary["items_per_s"]
+    assert items["base"] == {"median": 1.39e7, "q1": 1.38e7, "q3": 1.40e7,
+                             "iqr": pytest.approx(2e5), "n": 5}
+    assert items["change"]["median"] == 1.91e7
+    assert items["ratio"] == pytest.approx(1.91 / 1.39)
+    assert (items["wins"], items["pairs"]) == (4, 5)  # the last pair is lost
+    assert items["beyond_base_iqr"]
+
+    p50 = summary["op_ms_p50"]
+    assert p50["better"] == "lower"
+    assert (p50["base"]["median"], p50["change"]["median"]) == (72.0, 54.0)
+    assert (p50["wins"], p50["pairs"]) == (4, 5)
+
+    assert summary["imports.scipy_ms"] == {"unit": "ms", "absent": True}
+
+
+def test_seed_list():
+    assert load_script().seed_list("31-35,40") == [31, 32, 33, 34, 35, 40]

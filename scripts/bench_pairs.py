@@ -10,10 +10,11 @@ Run from the root of the changed checkout, against a copy of the parent
 made with ``git archive``:
 
     python scripts/bench_pairs.py --base ../parent --workload sim-noisy \\
-        --seeds 31-40 --seconds 20 --out BENCH_10.json
+        --seeds 31-40 --seconds 20 --out BENCH_N.json
 
 An existing ``--out`` file keeps the summaries of other workloads, so
-several invocations fill one file.  Each run's metrics are kept in it,
+several invocations fill one file (ROADMAP item 1 names one
+``BENCH_<n>.json`` per change).  Each run's metrics are kept in it,
 with the commit, source digest and versions of both checkouts.
 """
 

@@ -18,9 +18,7 @@ substitution themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from .errors import isfinite, require, require_nonnegative
+from .errors import DERIVED, isfinite, record, require, require_nonnegative
 
 __all__ = [
     "PhysicalConstants",
@@ -33,11 +31,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalConstants:
     """CODATA 2018 constants plus derived vacuum atomic-scale quantities.
 
-    The first eight fields are pinned literals; the rest are derived in
+    The first seven fields are pinned literals; the rest are derived in
     ``__post_init__``.  All values are SI.
     """
 
@@ -52,11 +50,11 @@ class PhysicalConstants:
     alpha: float = 7.2973525693e-3    # fine-structure constant, u = 1.1e-12
 
     # Derived; populated in __post_init__
-    hbar: float = field(init=False)            # reduced Planck constant [J s]
-    e_sq_gauss: float = field(init=False)      # e^2/(4 pi eps0) [J m]
-    bohr_radius: float = field(init=False)     # vacuum Bohr radius a0 [m]
-    rydberg_energy: float = field(init=False)  # vacuum Rydberg [J]
-    rydberg_frequency: float = field(init=False)  # vacuum Rydberg / h [Hz]
+    hbar: float = DERIVED            # reduced Planck constant [J s]
+    e_sq_gauss: float = DERIVED      # e^2/(4 pi eps0) [J m]
+    bohr_radius: float = DERIVED     # vacuum Bohr radius a0 [m]
+    rydberg_energy: float = DERIVED  # vacuum Rydberg [J]
+    rydberg_frequency: float = DERIVED  # vacuum Rydberg / h [Hz]
 
     def __post_init__(self) -> None:
         hbar = self.h / (2.0 * math.pi)

@@ -37,12 +37,11 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Union
 
 from .constants import CONSTANTS
 from .errors import (
-    anywhere, array_module, float_range_checked, isfinite, require, require_dielectric,
+    anywhere, array_module, float_range_checked, isfinite, record, require, require_dielectric,
     require_nonnegative, require_positive, square,
 )
 from .materials import Material, effective_scales
@@ -100,7 +99,7 @@ class ModelValidityWarning(UserWarning):
     """A parameter choice leaves the regime where the model is trustworthy."""
 
 
-@dataclass(frozen=True)
+@record
 class WireGeometry:
     """Cylindrical FET channel of radius ``radius`` (m, > 0)."""
 
@@ -110,7 +109,7 @@ class WireGeometry:
         require_positive(self.radius, "radius")
 
 
-@dataclass(frozen=True)
+@record
 class QpcGeometry:
     """Point-contact constriction of width ``width`` (m, > 0).
 
@@ -124,7 +123,7 @@ class QpcGeometry:
         require_positive(self.width, "width")
 
 
-@dataclass(frozen=True)
+@record
 class SetGeometry:
     """Thin conducting disk island of radius ``island_radius`` (m, > 0)."""
 
@@ -134,19 +133,19 @@ class SetGeometry:
         require_positive(self.island_radius, "island_radius")
 
 
-@dataclass(frozen=True)
+@record
 class WireDevice:
     geometry: WireGeometry
     material: Material
 
 
-@dataclass(frozen=True)
+@record
 class QpcDevice:
     geometry: QpcGeometry
     material: Material
 
 
-@dataclass(frozen=True)
+@record
 class SetDevice:
     """A metallic-island SET; only the dielectric environment matters."""
 
@@ -160,7 +159,7 @@ class SetDevice:
 DeviceSpec = Union[WireDevice, QpcDevice, SetDevice]
 
 
-@dataclass(frozen=True)
+@record
 class TransportState:
     """Channel transport quantities behind an SNR figure (SI units).
 
@@ -175,7 +174,7 @@ class TransportState:
     current: float        # sense current [A]
 
 
-@dataclass(frozen=True)
+@record
 class SetElectrostatics:
     """Island electrostatics of an SET (SI units)."""
 
@@ -184,7 +183,7 @@ class SetElectrostatics:
     blockade_voltage: float  # e/(2C) [V]
 
 
-@dataclass(frozen=True)
+@record
 class SnrResult:
     """SNR of a detector at one bandwidth, plus its unity-SNR summary.
 

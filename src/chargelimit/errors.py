@@ -1,9 +1,12 @@
-"""Exception types and the input checks shared across the package.
+"""Exception types, the input checks and the record helper shared across the package.
 
 Every check takes a number or an ndarray.  A number is checked with the
 standard library alone, so that scalar work never imports numpy; only
 an ndarray, which exists only once numpy is loaded, takes numpy's
-elementwise route (see :func:`array_module`).
+elementwise route (see :func:`array_module`).  Every frozen record of
+the package is made by :func:`record`, which, unlike the standard
+library's frozen dataclass, needs neither ``inspect`` nor generated
+code, so a one-shot process does not pay to import or build them.
 """
 
 import contextlib
@@ -25,6 +28,66 @@ class ParameterError(ValueError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+#: The default of a record field that ``__post_init__`` derives and no
+#: argument may set.
+DERIVED = object()
+_MISSING = object()
+
+
+def record(cls=None, *, kw_only=False):
+    """Make ``cls`` a frozen record of its annotated fields, in order.
+
+    As a frozen ``dataclass`` would: ``__init__`` takes the fields by
+    keyword, also by position unless ``kw_only``, with the class
+    attributes as defaults, then runs ``__post_init__`` if there is one;
+    instances compare, hash and print by their fields and refuse
+    assignment and deletion.  A field whose default is :data:`DERIVED`
+    is no argument; ``__post_init__`` sets it with ``object.__setattr__``.
+    The fields live in the instance ``__dict__``, in order.
+    """
+    if cls is None:
+        return functools.partial(record, kw_only=kw_only)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    template = {name: cls.__dict__.get(name, _MISSING) for name in names
+                if cls.__dict__.get(name) is not DERIVED}  # the arguments and their defaults
+    init = tuple(template)
+    required = [name for name in init if template[name] is _MISSING]
+    for name in set(names) - set(init):
+        delattr(cls, name)
+    positional = 0 if kw_only else len(init)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        fields = template.copy()
+        fields.update(zip(init, args))
+        fields.update(kwargs)
+        if (len(args) > positional or len(fields) > len(init)
+                or args and kwargs and not kwargs.keys().isdisjoint(init[:len(args)])
+                or any(fields[name] is _MISSING for name in required)):
+            raise TypeError(f"{cls.__name__}() takes {', '.join(init)} once each, the first "
+                            f"{positional} by position, and needs {', '.join(required)}")
+        self.__dict__.update(fields)
+        if post_init is not None:
+            post_init(self)
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete {name!r} of a frozen {cls.__name__}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{cls.__qualname__}({fields})"
+
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
+    cls.__setattr__ = cls.__delattr__ = frozen
+    return cls
 
 
 def array_module(*values):

@@ -14,15 +14,14 @@ handled by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
 from .constants import CONSTANTS
 from .errors import (
-    ParameterError, float_range_checked, isfinite, require, require_dielectric, require_positive,
-    square,
+    ParameterError, float_range_checked, isfinite, record, require, require_dielectric,
+    require_positive, square,
 )
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Material:
     """A host medium for the conduction electrons.
 
@@ -61,7 +60,7 @@ class Material:
         require_dielectric(self.epsilon_r)
 
 
-@dataclass(frozen=True)
+@record
 class EffectiveScales:
     """Hydrogenic scales rescaled for a host material (SI units)."""
 

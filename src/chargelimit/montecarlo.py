@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kernels, rng
 from .constants import CONSTANTS
 from .devices import DeviceSpec, ModelValidityWarning, device_operating_point
-from .errors import ParameterError, float_range_checked, require, require_nonnegative
+from .errors import ParameterError, float_range_checked, record, require, require_nonnegative
 from .errors import require_positive
 from .noise import OperatingPoint
 from .noise import snr as analytic_amplitude_snr
@@ -63,7 +62,7 @@ _OPEN_STREAM = 0
 _BLOCKED_STREAM = 1
 
 
-@dataclass(frozen=True, kw_only=True)
+@record(kw_only=True)
 class SimConfig:
     """Inputs of one detection simulation.
 
@@ -114,7 +113,7 @@ class SimConfig:
         require_positive(self.fano, "fano")
 
 
-@dataclass(frozen=True)
+@record
 class Ci95:
     """95% confidence half-widths of the headline estimates."""
 
@@ -123,7 +122,7 @@ class Ci95:
     err_blocked: float
 
 
-@dataclass(frozen=True)
+@record
 class SimOutcome:
     """Results of one detection simulation.
 
@@ -175,7 +174,7 @@ class SimOutcome:
     def as_dict(self) -> dict:
         """Plain-types view in a fixed key order, ready for JSON: the
         fields, then ``n_sigma`` and ``within_3_sigma``."""
-        return {**asdict(self), "n_sigma": self.n_sigma(),
+        return {**vars(self), "ci95": dict(vars(self.ci95)), "n_sigma": self.n_sigma(),
                 "within_3_sigma": self.within_3_sigma()}
 
 

@@ -15,11 +15,10 @@ No 1/f noise, amplifier noise, or measurement back-action is included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import CONSTANTS, thermal_voltage_threshold
-from .errors import ParameterError, anywhere, array_module, isfinite, require
+from .errors import ParameterError, anywhere, array_module, isfinite, record, require
 from .errors import require_nonnegative, require_positive
 
 __all__ = [
@@ -34,7 +33,7 @@ __all__ = [
 _CONSISTENCY_RTOL = 1e-12
 
 
-@dataclass(frozen=True, kw_only=True)
+@record(kw_only=True)
 class OperatingPoint:
     """Bias point of a charge detector during a measurement.
 

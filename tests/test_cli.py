@@ -665,19 +665,22 @@ def test_cli_import_leaves_scipy_unloaded():
     # No command imports scipy: the simulator builds its Poisson table
     # from ratios alone.  The scalar commands need no arrays at all: they
     # run, closed form and pipeline alike, on the standard library,
-    # without numpy or the simulator.
+    # without numpy or the simulator.  No command imports dataclasses,
+    # and the scalar ones not inspect either (numpy itself imports it).
     code = (
         "import contextlib, io, sys\n"
         "import chargelimit.cli as cli\n"
         f"for argv in {[*_SCALAR_COMMANDS, *([*a, '--json'] for a in _SCALAR_COMMANDS)]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "loaded = {'numpy', 'scipy', 'chargelimit.montecarlo'} & set(sys.modules)\n"
+        "loaded = {'numpy', 'scipy', 'chargelimit.montecarlo', 'dataclasses', 'inspect'}\n"
+        "loaded &= set(sys.modules)\n"
         "assert not loaded, loaded\n"
         f"for argv in {_SIMULATE_COMMANDS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "assert 'scipy' not in sys.modules\n"
+        "loaded = {'scipy', 'dataclasses'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -14,14 +14,19 @@ made with ``git archive``:
 
 An existing ``--out`` file keeps the summaries of other workloads, so
 several invocations fill one file (ROADMAP item 1 names one
-``BENCH_<n>.json`` per change).  Each run's metrics are kept in it,
-with the commit, source digest and versions of both checkouts.
+``BENCH_<n>.json`` per change).  Each run's metrics are kept in it with
+the commit and source digest that the run itself reported, and each
+side's env holds the versions, the machine and ``PYTHONDONTWRITEBYTECODE``
+(when set, every process compiles the package from source).  If the
+runs of one side report different source digests, the side was not one
+program: the script says so, exits 1 and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -29,7 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
-_ENV_KEYS = ("commit", "source_sha256", "python", "numpy", "scipy", "nproc", "machine")
+_RUN_KEYS = ("commit", "source_sha256")
+_ENV_KEYS = (*_RUN_KEYS, "python", "numpy", "scipy", "nproc", "machine")
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -44,6 +50,24 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
         raise ValueError(f"{result['failed']} of {result['attempted']} operations failed")
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     return metrics, json.loads(records[0])
+
+
+def side_envs(records: dict[str, list[dict]], environ) -> dict:
+    """Each side's env from the ``# record:`` objects of its runs: a key's
+    value where every run agrees, else None, plus ``PYTHONDONTWRITEBYTECODE``
+    from ``environ``.  Raises ValueError when one side's runs report more
+    than one source digest."""
+    envs = {}
+    for side, side_records in records.items():
+        runs = [record["env"] for record in side_records]
+        sources = sorted({str(env.get("source_sha256")) for env in runs})
+        if len(sources) > 1:
+            raise ValueError(f"the {side} runs measured {len(sources)} different sources: "
+                             + ", ".join(source[:12] for source in sources))
+        envs[side] = {key: runs[0].get(key) if all(env.get(key) == runs[0].get(key) for env in runs)
+                      else None for key in _ENV_KEYS}
+        envs[side]["PYTHONDONTWRITEBYTECODE"] = environ.get("PYTHONDONTWRITEBYTECODE")
+    return envs
 
 
 def spread(values: list[float]) -> dict:
@@ -118,16 +142,22 @@ def main(argv=None) -> int:
 
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    runs, envs = [], {}
+    runs, records = [], {side: [] for side in SIDES}
     for index, seed in enumerate(args.seeds):
         for side in SIDES if index % 2 == 0 else SIDES[::-1]:
             stdout = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
             metrics, record = parse_run(stdout)
-            envs[side] = {key: record["env"].get(key) for key in _ENV_KEYS}
-            runs.append({"seed": seed, "side": side, "metrics": metrics})
+            records[side].append(record)
+            runs.append({"seed": seed, "side": side, "metrics": metrics,
+                         **{key: record["env"].get(key) for key in _RUN_KEYS}})
             print(f"seed {seed} {side:<6} " + "  ".join(
                 f"{name}={value:.4g}" for name, value in metrics.items()
                 if isinstance(value, float)), file=sys.stderr)
+    try:
+        envs = side_envs(records, os.environ)
+    except ValueError as error:
+        print(f"bench_pairs: {error}; {args.out} is not written", file=sys.stderr)
+        return 1
 
     document = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     key = args.workload + ("/trace" if args.trace else "")

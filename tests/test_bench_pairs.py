@@ -22,9 +22,9 @@ def load_script():
     return module
 
 
-def canned_stdout(p50, items, failed=0):
+def canned_stdout(p50, items, failed=0, commit=None, source="0" * 64):
     """The tail of a perfbench/run.py run, as it prints it."""
-    record = {"env": {"commit": None, "numpy": "2.4.6"}, "seed": 1}
+    record = {"env": {"commit": commit, "source_sha256": source, "numpy": "2.4.6"}, "seed": 1}
     result = {
         "correct": not failed, "attempted": 40, "failed": failed,
         "metrics": {
@@ -82,3 +82,62 @@ def test_summary_of_canned_pairs():
 
 def test_seed_list():
     assert load_script().seed_list("31-35,40") == [31, 32, 33, 34, 35, 40]
+
+
+def run_main(monkeypatch, tmp_path, sources, commits):
+    """``main`` over seeds 1-2 of canned runs: ``sources[side][seed]`` and
+    ``commits[side][seed]`` are what each run reports."""
+    module = load_script()
+    base, change = tmp_path / "base", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+
+    def canned_run(checkout, workload, seed, seconds, trace):
+        side = "base" if checkout == base.resolve() else "change"
+        return canned_stdout(70.0 if side == "base" else 50.0, 1.4e7,
+                             commit=commits[side][seed], source=sources[side][seed])
+
+    monkeypatch.setattr(module, "run_once", canned_run)
+    out = tmp_path / "BENCH.json"
+    code = module.main(["--base", str(base), "--change", str(change), "--workload", "sim-noisy",
+                        "--seeds", "1-2", "--seconds", "1", "--out", str(out)])
+    return code, out
+
+
+def test_each_run_keeps_its_commit_and_source(monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    sources = {"base": {1: "a" * 64, 2: "a" * 64}, "change": {1: "b" * 64, 2: "b" * 64}}
+    commits = {"base": {1: "c1", 2: "c1"}, "change": {1: "c2", 2: "c3"}}  # a docs-only commit
+    code, out = run_main(monkeypatch, tmp_path, sources, commits)
+    assert code == 0
+    entry = json.loads(out.read_text())["workloads"]["sim-noisy"]
+    assert [(run["seed"], run["side"], run["commit"], run["source_sha256"])
+            for run in entry["runs"]] == [
+        (1, "base", "c1", "a" * 64), (1, "change", "c2", "b" * 64),
+        (2, "change", "c3", "b" * 64), (2, "base", "c1", "a" * 64),
+    ]
+    env = entry["env"]
+    assert (env["base"]["commit"], env["base"]["source_sha256"]) == ("c1", "a" * 64)
+    assert (env["change"]["commit"], env["change"]["source_sha256"]) == (None, "b" * 64)
+    assert env["base"]["numpy"] == "2.4.6"
+    assert env["base"]["PYTHONDONTWRITEBYTECODE"] == env["change"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_bytecode_setting_is_recorded_when_unset(monkeypatch, tmp_path):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    same = {side: {1: "a" * 64, 2: "a" * 64} for side in ("base", "change")}
+    code, out = run_main(monkeypatch, tmp_path, same, same)
+    assert code == 0
+    env = json.loads(out.read_text())["workloads"]["sim-noisy"]["env"]
+    assert "PYTHONDONTWRITEBYTECODE" in env["change"]
+    assert env["change"]["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_a_side_with_mixed_sources_is_refused(monkeypatch, tmp_path, capsys):
+    sources = {"base": {1: "a" * 64, 2: "a" * 64}, "change": {1: "b" * 64, 2: "d" * 64}}
+    out = tmp_path / "BENCH.json"
+    out.write_text("{}\n")
+    code, _ = run_main(monkeypatch, tmp_path, sources, sources)
+    assert code == 1
+    assert out.read_text() == "{}\n"
+    assert "the change runs measured 2 different sources" in capsys.readouterr().err

@@ -18,6 +18,7 @@ substitution themselves.
 from __future__ import annotations
 
 import math
+
 from .errors import DERIVED, isfinite, record, require, require_nonnegative
 
 __all__ = [

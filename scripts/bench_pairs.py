@@ -6,8 +6,9 @@ slow spell of a shared machine is not always paid by the same side.  For
 every metric the benchmark declares (end-to-end, or per-layer with
 ``--trace 1``) the summary holds each side's median, quartiles and IQR,
 the ratio of the medians and the number of pairs that the change wins.
-Run from the root of the changed checkout, against a copy of the parent
-made with ``git archive``:
+Run from the root of the changed checkout, against a ``git clone`` of
+the parent (a ``git archive`` copy records no commit); neither may
+change while the runs last:
 
     python scripts/bench_pairs.py --base ../parent --workload sim-noisy \\
         --seeds 31-40 --seconds 20 --out BENCH_N.json

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import chargelimit
-from chargelimit import SimConfig, simulate_detection
+from chargelimit import SimConfig, cli, simulate_detection
 from chargelimit.cli import SWEEP_HEADER, main
 
 GAAS_F_UNITY = 1.3245562846887381e12
@@ -432,6 +432,35 @@ def test_sweep_json_format(capsys):
     assert record["outputs"]["header"] == list(SWEEP_HEADER)
     assert len(record["outputs"]["rows"]) == 3
     assert record["inputs"]["device"] == "wire"
+
+
+_SWEEP_AXES = ["--points", "3", "--spacing", "log", "--start", "10nm", "--stop", "100nm"]
+
+
+@pytest.mark.parametrize("argv, pipeline", [
+    (["sweep", "--device", "wire", "--axis", "R", *_SWEEP_AXES], "wire_pipeline_snr"),
+    (["sweep", "--device", "qpc", "--axis", "W", *_SWEEP_AXES], "qpc_pipeline_snr"),
+    (["sweep", "--device", "set", "--axis", "R_island", *_SWEEP_AXES], "set_pipeline_snr"),
+    (["wire", "--temperature", "1K"], "wire_pipeline_snr"),
+    (["qpc", "--width", "20nm", "--temperature", "1K"], "qpc_pipeline_snr"),
+    (["set", "--radius", "50nm", "--temperature", "1K"], "set_pipeline_snr"),
+    (["wire"], None),
+    (["qpc", "--width", "20nm"], None),
+    (["set", "--radius", "50nm"], None),
+])
+def test_pipelines_are_called_through_the_cli_module(monkeypatch, capsys, argv, pipeline):
+    """perfbench times the pipelines by wrapping these names on the cli
+    module, so every call must look them up there: a sweep or a pipeline
+    one-shot calls its own device's pipeline once, the closed form none."""
+    calls = []
+    for name in ("wire_pipeline_snr", "qpc_pipeline_snr", "set_pipeline_snr"):
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(argv) == 0
+    assert calls == ([pipeline] if pipeline else [])
 
 
 # --------------------------------------------------------------- material

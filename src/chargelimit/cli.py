@@ -233,6 +233,8 @@ _DEVICE_COMMANDS = {
 }
 #: A sweep rejects those of its value flags that its device's command lacks.
 _SWEEP_FLAGS = (*_MATERIAL_FLAGS, "radius", "width", "df", "temperature")
+#: simulate's value flags that are its JSON inputs, in their order.
+_SIM_FLAGS = ("current", "df", "temperature", "conductance", "trials", "seed", "threshold", "fano")
 
 
 def _add_flags(parser: argparse.ArgumentParser, dests, overrides: dict) -> None:
@@ -297,29 +299,19 @@ def _sanitize(obj):
     return obj
 
 
-def emit_json(
-    command: str,
-    inputs: dict,
-    outputs: dict,
-    flags,
-    *,
-    generator: str | None = None,
-    seed: int | None = None,
-    deterministic: bool = False,
-    rows: list[str] | None = None,
-) -> None:
-    """Print the envelope; ``rows`` are pre-rendered objects for outputs["rows"]."""
+def emit_json(args: argparse.Namespace, inputs: dict, outputs: dict, flags=(),
+              rows: list[str] | None = None, **extra) -> None:
+    """Print the envelope of ``args.command``; ``extra`` (a generator and a
+    seed) follows the flags, and ``rows`` are pre-rendered objects for
+    outputs["rows"]."""
     record: dict = {
-        "command": command,
+        "command": args.command,
         "inputs": _sanitize(inputs),
         "outputs": _sanitize(outputs),
         "flags": list(flags),
+        **extra,
     }
-    if generator is not None:
-        record["generator"] = generator
-    if seed is not None:
-        record["seed"] = seed
-    if not deterministic:
+    if not args.deterministic:
         from datetime import datetime, timezone
 
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -356,11 +348,10 @@ def _print_table(table) -> None:
             print(f"  {label:<{width}}  {text}")
 
 
-def _emit_table(args: argparse.Namespace, command: str, inputs: dict, table,
-                flags=()) -> int:
+def _emit_table(args: argparse.Namespace, inputs: dict, table, flags=()) -> int:
     """Render ``table`` as the JSON envelope under --json, else as human rows."""
     if args.json:
-        emit_json(command, inputs, _outputs(table), flags, deterministic=args.deterministic)
+        emit_json(args, inputs, _outputs(table), flags)
     else:
         _print_table(table)
     return 0
@@ -388,7 +379,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
         ("rydberg_energy_eV", "rydberg energy", "eV", c.rydberg_energy / c.e),
         ("rydberg_frequency_Hz", "rydberg frequency", "Hz", c.rydberg_frequency),
     )
-    return _emit_table(args, "constants", {}, table)
+    return _emit_table(args, {}, table)
 
 
 def cmd_material(args: argparse.Namespace) -> int:
@@ -396,20 +387,10 @@ def cmd_material(args: argparse.Namespace) -> int:
         args.parser.error("material show takes one material name, material list takes none")
     if args.action == "list":
         table, user_keys = load_material_table()
-        rows = [
-            {
-                "name": mat.name,
-                "mass_ratio": mat.mass_ratio,
-                "epsilon_r": mat.epsilon_r,
-                "source": "user" if key in user_keys else "builtin",
-            }
-            for key, mat in sorted(table.items())
-        ]
+        rows = [{**vars(mat), "source": "user" if key in user_keys else "builtin"}
+                for key, mat in sorted(table.items())]
         if args.json:
-            emit_json(
-                "material", {"action": "list"}, {"materials": rows}, [],
-                deterministic=args.deterministic,
-            )
+            emit_json(args, {"action": "list"}, {"materials": rows})
             return 0
         print(f"{'name':<12} {'mass_ratio':>10} {'epsilon_r':>10}  source")
         for row in rows:
@@ -432,7 +413,7 @@ def cmd_material(args: argparse.Namespace) -> int:
         ("rydberg_frequency_Hz", "effective rydberg freq", "Hz", scales.rydberg_frequency),
         ("bohr_radius_m", "effective bohr radius", "m", scales.bohr_radius),
     )
-    return _emit_table(args, "material", {"action": "show", "name": args.name}, table)
+    return _emit_table(args, {"action": "show", "name": args.name}, table)
 
 
 def _material_inputs(material: Material) -> dict:
@@ -458,7 +439,7 @@ def cmd_device(args: argparse.Namespace) -> int:
               if get(result) is not None]
     if result.flags:
         table.append((None, "flags", "", ";".join(result.flags)))
-    return _emit_table(args, args.command, inputs, table, result.flags)
+    return _emit_table(args, inputs, table, result.flags)
 
 
 def _sweep_values(args: argparse.Namespace):
@@ -493,30 +474,28 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
     def pick(dest: str, default):
         return values if _AXIS_FLAGS.get(args.axis) == dest else default
 
-    if args.device == "set":
-        epsilon_r = pick("epsr", args.epsr if args.epsr is not None else 1.0)
-        device = SetDevice(SetGeometry(pick("radius", args.radius)), epsilon_r)
-    else:
-        if args.axis in _MATERIAL_AXES:
-            material = Material("custom", pick("mass_ratio", material.mass_ratio),
-                                pick("epsr", material.epsilon_r))
-        if args.device == "qpc":
-            device = QpcDevice(QpcGeometry(pick("width", args.width)), material)
-        else:
-            radius = pick("radius", args.radius)
-            if radius is None:
-                radius = effective_scales(material).bohr_radius
-            device = WireDevice(WireGeometry(radius), material)
+    if material is not None and args.axis in _MATERIAL_AXES:
+        material = Material("custom", pick("mass_ratio", material.mass_ratio),
+                            pick("epsr", material.epsilon_r))
+    # the pipelines are looked up here, where perfbench's wrappers find them
+    geometry_class, device_class, pipeline, host = {
+        "wire": (WireGeometry, WireDevice, wire_pipeline_snr, material),
+        "qpc": (QpcGeometry, QpcDevice, qpc_pipeline_snr, material),
+        "set": (SetGeometry, SetDevice, set_pipeline_snr,
+                pick("epsr", args.epsr if args.epsr is not None else 1.0)),
+    }[args.device]
+    size = _DEVICE_COMMANDS[args.device][1]
+    extent = pick(size, getattr(args, size))
+    if extent is None:  # the wire's default radius
+        extent = effective_scales(material).bohr_radius
+    geometry = geometry_class(extent)
+    device = device_class(geometry, host)  # checks the host before the pipeline does
     bandwidth = pick("df", args.df)
     if (values is None and args.bias is None and args.temperature == 0.0
             and (args.device != "wire" or args.radius is None)):
         return device_snr(device, bandwidth, modulation=args.modulation)
-    options = dict(bias=args.bias, temperature=pick("temperature", args.temperature),
-                   modulation=args.modulation)
-    if args.device == "set":
-        return set_pipeline_snr(device.geometry, device.epsilon_r, bandwidth, **options)
-    pipeline = qpc_pipeline_snr if args.device == "qpc" else wire_pipeline_snr
-    return pipeline(device.geometry, device.material, bandwidth, **options)
+    return pipeline(geometry, host, bandwidth, bias=args.bias,
+                    temperature=pick("temperature", args.temperature), modulation=args.modulation)
 
 
 def _number_cells(column, empty: str) -> list[str]:
@@ -596,10 +575,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         inputs.update(_inputs(args, ("df", "temperature")))
         if material is not None:
             inputs.update(_material_inputs(material))
-        emit_json(
-            "sweep", inputs, {"header": list(SWEEP_HEADER), "rows": []}, [],
-            deterministic=args.deterministic, rows=rows,
-        )
+        emit_json(args, inputs, {"header": list(SWEEP_HEADER), "rows": []}, rows=rows)
         return 0
     sys.stdout.write(",".join(SWEEP_HEADER) + "\n" + "\n".join(rows) + "\n")
     return 0
@@ -608,24 +584,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .montecarlo import SimConfig, simulate_detection
 
-    cfg = SimConfig(
-        on_current=args.current,
-        bandwidth=args.df,
-        temperature=args.temperature,
-        conductance=args.conductance,
-        trials=args.trials,
-        seed=args.seed,
-        threshold=args.threshold,
-        fano=args.fano,
-    )
+    # SimConfig names the first two flags its own way, the rest as they are
+    cfg = SimConfig(on_current=args.current, bandwidth=args.df,
+                    **{dest: getattr(args, dest) for dest in _SIM_FLAGS[2:]})
     outcome = simulate_detection(cfg, workers=args.workers)
-    inputs = _inputs(args, ("current", "df", "temperature", "conductance", "trials", "seed",
-                            "threshold", "fano"))
-    emit_json(
-        "simulate", inputs, outcome.as_dict(), outcome.flags(),
-        generator=outcome.generator, seed=outcome.seed_used,
-        deterministic=args.deterministic,
-    )
+    emit_json(args, _inputs(args, _SIM_FLAGS), outcome.as_dict(), outcome.flags(),
+              generator=outcome.generator, seed=outcome.seed_used)
     return 0
 
 
@@ -672,7 +636,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     tables = _report_tables()
     if args.json:
         rows = [_outputs(table) for table in tables]
-        emit_json("report", {}, {"rows": rows}, [], deterministic=args.deterministic)
+        emit_json(args, {}, {"rows": rows})
         return 0
     _print_table(["headline checks", *itertools.chain.from_iterable(tables)])
     return 0

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import Union
 
 from .constants import CONSTANTS
 from .errors import (
@@ -156,7 +155,7 @@ class SetDevice:
         require_dielectric(self.epsilon_r)
 
 
-DeviceSpec = Union[WireDevice, QpcDevice, SetDevice]
+DeviceSpec = WireDevice | QpcDevice | SetDevice
 
 
 @record

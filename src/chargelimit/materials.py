@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
 
 from .constants import CONSTANTS
 from .errors import (
@@ -101,8 +100,8 @@ def canonical_name(name: str) -> str:
     return out
 
 
-def parse_materials_table(lines: Iterable[str], source: str = "<table>") -> dict[str, Material]:
-    """Parse a whitespace-delimited materials table.
+def parse_materials_table(lines, source: str = "<table>") -> dict[str, Material]:
+    """Parse a whitespace-delimited materials table from an iterable of lines.
 
     Each non-blank, non-comment line is ``name  m_star_ratio  epsilon_r``.
     ``#`` starts a comment (full-line or trailing).  Returns a dict keyed

@@ -15,7 +15,6 @@ No 1/f noise, amplifier noise, or measurement back-action is included.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .constants import CONSTANTS, thermal_voltage_threshold
 from .errors import ParameterError, anywhere, array_module, isfinite, record, require
@@ -111,7 +110,8 @@ class OperatingPoint:
         return 0.0
 
 
-class NoiseBreakdown(NamedTuple):
+@record
+class NoiseBreakdown:
     """Current-noise variance terms (A^2) and their combined rms (A)."""
 
     shot_sq: float
@@ -119,7 +119,8 @@ class NoiseBreakdown(NamedTuple):
     total_rms: float
 
 
-class ShotDominance(NamedTuple):
+@record
+class ShotDominance:
     """Whether shot noise exceeds thermal noise, and by what factor."""
 
     dominated: bool

@@ -584,7 +584,7 @@ def _fields(result) -> dict:
     op = result.operating_point
     out = {
         "snr": result.snr, "f_unity": result.f_unity, "sensitivity": result.sensitivity,
-        **result.breakdown._asdict(), **vars(result.transport),
+        **vars(result.breakdown), **vars(result.transport),
         "op.conductance": op.conductance, "op.bias": op.bias,
         "op.current": op.sense_current(), "op.temperature": op.temperature,
         "op.bandwidth": op.bandwidth,

@@ -274,7 +274,7 @@ def test_array_operating_points_match_scalar_ones():
                                            temperature=4.2))
     for i, (c, v) in enumerate(zip(current.tolist(), bias.tolist())):
         point = noise_breakdown(OperatingPoint(current=c, bias=v, bandwidth=1e3, temperature=4.2))
-        assert [float(term[i]) for term in whole] == list(point)
+        assert [float(term[i]) for term in vars(whole).values()] == list(vars(point).values())
     consistent = OperatingPoint(current=current, conductance=1e-6, bias=current / 1e-6,
                                 bandwidth=1e3)
     assert np.array_equal(consistent.sense_current(), current)

@@ -25,6 +25,7 @@ from chargelimit import (
     SetDevice,
     SetElectrostatics,
     SetGeometry,
+    ShotDominance,
     SnrResult,
     TransportState,
     WireDevice,
@@ -66,6 +67,8 @@ CASES = {
     TransportState: (
         dict(n_modes=2.0, kinetic_energy=1e-22, bias=1e-3, conductance=7.7e-5, current=7.7e-8),
         {}, None, ()),
+    NoiseBreakdown: (dict(shot_sq=1e-20, thermal_sq=4e-21, total_rms=1.2e-10), {}, None, ()),
+    ShotDominance: (dict(dominated=True, threshold_voltage=7.2e-4, margin=1.4), {}, None, ()),
     SetElectrostatics: (
         dict(capacitance=1e-17, charging_energy=1e-21, blockade_voltage=8e-3), {}, None, ()),
     SnrResult: (

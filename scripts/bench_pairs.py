@@ -18,19 +18,25 @@ several invocations fill one file (ROADMAP item 1 names one
 ``BENCH_<n>.json`` per change).  Each run's metrics are kept in it with
 the commit and source digest that the run itself reported, and each
 side's env holds the versions, the machine and ``PYTHONDONTWRITEBYTECODE``
-(when set, every process compiles the package from source).  If the
-runs of one side report different source digests, the side was not one
-program: the script says so, exits 1 and writes nothing.
+(when set, every process compiles the package from source).  The script
+says why, exits 1 and writes nothing when the runs of one side report
+different source digests (the side was not one program), or when a run's
+source digest is not that of ``src/chargelimit`` at the commit it reports
+(the checkout had changes that were not committed, or it is no git
+clone, so its runs report no commit).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +75,43 @@ def side_envs(records: dict[str, list[dict]], environ) -> dict:
                       else None for key in _ENV_KEYS}
         envs[side]["PYTHONDONTWRITEBYTECODE"] = environ.get("PYTHONDONTWRITEBYTECODE")
     return envs
+
+
+def commit_digest(checkout: Path, commit: str) -> str:
+    """sha256 of ``src/chargelimit`` at ``commit`` of the git clone
+    ``checkout``, by the recipe of ``perfbench/env.py``: each file's path
+    below ``src`` and its bytes, in path order, ``__pycache__`` left out."""
+    done = subprocess.run(["git", "archive", "--format=tar", commit, "src/chargelimit"],
+                          cwd=checkout, capture_output=True, timeout=60)
+    if done.returncode != 0:
+        raise ValueError(f"git archive {commit} in {checkout} failed: "
+                         + done.stderr.decode(errors="replace").strip())
+    files = {}
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as archive:
+        for member in archive.getmembers():
+            parts = Path(member.name).parts[1:]  # the path below src, as a Path sorts it
+            if member.isfile() and "__pycache__" not in parts:
+                files[parts] = archive.extractfile(member).read()
+    digest = hashlib.sha256()
+    for parts in sorted(files):
+        digest.update("/".join(parts).encode())
+        digest.update(files[parts])
+    return digest.hexdigest()
+
+
+def check_source(checkout: Path, env: dict, digests: dict) -> None:
+    """Raise ValueError unless a run's ``env`` reports the source digest of
+    the commit it reports; ``digests`` keeps (checkout, commit) -> digest."""
+    commit = env.get("commit")
+    if commit is None:
+        raise ValueError(f"a run in {checkout} reports no commit, so its source cannot be "
+                         "checked; run it from a git clone")
+    if (checkout, commit) not in digests:
+        digests[checkout, commit] = commit_digest(checkout, commit)
+    if digests[checkout, commit] != env.get("source_sha256"):
+        raise ValueError(f"a run in {checkout} measured source {str(env.get('source_sha256'))[:12]}"
+                         f", not {digests[checkout, commit][:12]} of its commit {commit[:12]}; "
+                         "commit or drop the checkout's changes")
 
 
 def spread(values: list[float]) -> dict:
@@ -143,18 +186,19 @@ def main(argv=None) -> int:
 
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    runs, records = [], {side: [] for side in SIDES}
-    for index, seed in enumerate(args.seeds):
-        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
-            stdout = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
-            metrics, record = parse_run(stdout)
-            records[side].append(record)
-            runs.append({"seed": seed, "side": side, "metrics": metrics,
-                         **{key: record["env"].get(key) for key in _RUN_KEYS}})
-            print(f"seed {seed} {side:<6} " + "  ".join(
-                f"{name}={value:.4g}" for name, value in metrics.items()
-                if isinstance(value, float)), file=sys.stderr)
+    runs, records, digests = [], {side: [] for side in SIDES}, {}
     try:
+        for index, seed in enumerate(args.seeds):
+            for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+                stdout = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
+                metrics, record = parse_run(stdout)
+                check_source(checkouts[side], record["env"], digests)
+                records[side].append(record)
+                runs.append({"seed": seed, "side": side, "metrics": metrics,
+                             **{key: record["env"].get(key) for key in _RUN_KEYS}})
+                print(f"seed {seed} {side:<6} " + "  ".join(
+                    f"{name}={value:.4g}" for name, value in metrics.items()
+                    if isinstance(value, float)), file=sys.stderr)
         envs = side_envs(records, os.environ)
     except ValueError as error:
         print(f"bench_pairs: {error}; {args.out} is not written", file=sys.stderr)

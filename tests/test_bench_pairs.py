@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 
 SPEC = [
     {"name": "op_ms_p50", "unit": "ms", "better": "lower"},
@@ -15,8 +17,8 @@ SPEC = [
 ]
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+def load_script(path=SCRIPT, name="bench_pairs"):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -98,6 +100,10 @@ def run_main(monkeypatch, tmp_path, sources, commits):
                              commit=commits[side][seed], source=sources[side][seed])
 
     monkeypatch.setattr(module, "run_once", canned_run)
+    # each commit holds the source its runs report; git itself is tested below
+    committed = {commits[side][seed]: sources[side][seed] for side in sources
+                 for seed in sources[side]}
+    monkeypatch.setattr(module, "commit_digest", lambda checkout, commit: committed[commit])
     out = tmp_path / "BENCH.json"
     code = module.main(["--base", str(base), "--change", str(change), "--workload", "sim-noisy",
                         "--seeds", "1-2", "--seconds", "1", "--out", str(out)])
@@ -141,3 +147,80 @@ def test_a_side_with_mixed_sources_is_refused(monkeypatch, tmp_path, capsys):
     assert code == 1
     assert out.read_text() == "{}\n"
     assert "the change runs measured 2 different sources" in capsys.readouterr().err
+
+
+def git(checkout, *args):
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                           *args], cwd=checkout, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def git_checkouts(tmp_path):
+    """A base clone at one commit and a change clone one commit on, each
+    with a package of two modules and a data file."""
+    base, change = tmp_path / "base", tmp_path / "change"
+    package = base / "src" / "chargelimit"
+    (package / "data").mkdir(parents=True)
+    (package / "__init__.py").write_text("from .cli import main\n")
+    (package / "cli.py").write_text("def main():\n    return 0\n")
+    (package / "data" / "materials.tab").write_text("vacuum 1 1\n")
+    git(base, "init", "-q")
+    git(base, "add", "-A")
+    git(base, "commit", "-qm", "base")
+    git(tmp_path, "clone", "-q", str(base), str(change))
+    (change / "src" / "chargelimit" / "cli.py").write_text("def main():\n    return 1\n")
+    git(change, "commit", "-qam", "change")
+    return base, change
+
+
+def run_git_main(monkeypatch, tmp_path, base, change):
+    """``main`` over seeds 1-2, each run reporting its clone's HEAD and the
+    digest that perfbench's own recipe gives for the clone's files."""
+    module = load_script()
+    env = load_script(ROOT / "perfbench" / "env.py", "perfbench_env")
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+
+    def canned_run(checkout, workload, seed, seconds, trace):
+        monkeypatch.setattr(env, "SRC", checkout / "src")
+        monkeypatch.setattr(env, "PACKAGE", checkout / "src" / "chargelimit")
+        return canned_stdout(50.0, 1.4e7, commit=git(checkout, "rev-parse", "HEAD"),
+                             source=env._source_digest())
+
+    monkeypatch.setattr(module, "run_once", canned_run)
+    out = tmp_path / "BENCH.json"
+    code = module.main(["--base", str(base), "--change", str(change), "--workload", "sim-noisy",
+                        "--seeds", "1-2", "--seconds", "1", "--out", str(out)])
+    return code, out
+
+
+def test_committed_sides_pass_the_source_check(monkeypatch, tmp_path):
+    base, change = git_checkouts(tmp_path)
+    (change / "src" / "chargelimit" / "__pycache__").mkdir()
+    (change / "src" / "chargelimit" / "__pycache__" / "cli.pyc").write_bytes(b"compiled")
+    code, out = run_git_main(monkeypatch, tmp_path, base, change)
+    assert code == 0
+    env = json.loads(out.read_text())["workloads"]["sim-noisy"]["env"]
+    assert env["base"]["commit"] == git(base, "rev-parse", "HEAD")
+    assert env["base"]["source_sha256"] != env["change"]["source_sha256"]
+
+
+@pytest.mark.parametrize("edit", ["modified", "untracked"])
+def test_uncommitted_changes_are_refused(monkeypatch, tmp_path, capsys, edit):
+    base, change = git_checkouts(tmp_path)
+    name = "cli.py" if edit == "modified" else "extra.py"
+    (change / "src" / "chargelimit" / name).write_text("def main():\n    return 2\n")
+    code, out = run_git_main(monkeypatch, tmp_path, base, change)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"a run in {change.resolve()} measured source" in err
+    assert "commit or drop the checkout's changes" in err
+
+
+def test_a_run_without_a_commit_is_refused(monkeypatch, tmp_path, capsys):
+    sources = {side: {1: "a" * 64, 2: "a" * 64} for side in ("base", "change")}
+    commits = {"base": {1: None, 2: None}, "change": {1: "c1", 2: "c1"}}
+    code, out = run_main(monkeypatch, tmp_path, sources, commits)
+    assert code == 1
+    assert not out.exists()
+    assert "reports no commit" in capsys.readouterr().err

@@ -108,9 +108,10 @@ def check_source(checkout: Path, env: dict, digests: dict) -> None:
                          "checked; run it from a git clone")
     if (checkout, commit) not in digests:
         digests[checkout, commit] = commit_digest(checkout, commit)
-    if digests[checkout, commit] != env.get("source_sha256"):
-        raise ValueError(f"a run in {checkout} measured source {str(env.get('source_sha256'))[:12]}"
-                         f", not {digests[checkout, commit][:12]} of its commit {commit[:12]}; "
+    measured = str(env.get("source_sha256"))
+    if digests[checkout, commit] != measured:
+        raise ValueError(f"a run in {checkout} measured source {measured[:12]}, not "
+                         f"{digests[checkout, commit][:12]} of its commit {commit[:12]}; "
                          "commit or drop the checkout's changes")
 
 

@@ -489,7 +489,7 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
     if extent is None:  # the wire's default radius
         extent = effective_scales(material).bohr_radius
     geometry = geometry_class(extent)
-    device = device_class(geometry, host)  # checks the host before the pipeline does
+    device = device_class(geometry, host)  # on both routes: the SET's checks its epsilon_r first
     bandwidth = pick("df", args.df)
     if (values is None and args.bias is None and args.temperature == 0.0
             and (args.device != "wire" or args.radius is None)):

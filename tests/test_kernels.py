@@ -485,3 +485,38 @@ def test_blocked_block_over_sigma(sigma):
     u = uniform_block(25, 1, 0, BLOCK)
     for ratio in (0.0, 0.25, 1.0, 2.5, 4.0, 6.0):
         _check_blocked(u, sigma, ratio * sigma)
+
+
+# ------------------------------------------- exact moment sums at T = 0
+
+
+def _exact_open_block(u, k_lo, cdf, shift, threshold):
+    """Python-int power sums of (k - shift), converted to float once, and
+    the count of k below threshold, for the counts k of uniforms u."""
+    counts = (k_lo + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)).tolist()
+    v = [k - int(shift) for k in counts]
+    sums = tuple(float(sum(x**p for x in v)) for p in (1, 2, 3, 4))
+    return (*sums, sum(k < threshold for k in counts))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4464, BLOCK])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 7.0, 10.0, 1e3, 4e3])
+def test_noise_free_poisson_sums_are_exact(lam, n):
+    # With every count an integer k and n * max|k - shift|**4 < 2**53 (up
+    # to lam = 4e3 at a full block), every partial sum of (k - shift)**p
+    # is an integer below 2**53, so the sums must be the exact integers,
+    # bit for bit, whatever order they are added in.
+    k_lo, cdf = poisson_cdf_table(lam)
+    shift = float(math.floor(lam))  # as simulate_detection shifts a Poisson run
+    width = max(abs(k_lo - shift), abs(k_lo + cdf.size - 1 - shift))
+    assert n * width**4 < 2**53
+    guide = poisson_guide_table(k_lo, cdf, n)
+    u = uniform_block(31, 0, int(lam), n)
+    open_block, _ = block_kernels()
+    for threshold in (0.0, 0.5, 3.5, 1e4):
+        with kernels.block_workspace() as ws:
+            got = open_block(u, np.empty(0), cdf, k_lo, guide, False, lam, math.sqrt(lam),
+                             0.0, shift, threshold, ws)
+        expected = _exact_open_block(u, k_lo, cdf, shift, threshold)
+        assert [x.hex() for x in got[:4]] == [x.hex() for x in expected[:4]]
+        assert got[4] == expected[4]

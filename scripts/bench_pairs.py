@@ -24,6 +24,14 @@ different source digests (the side was not one program), or when a run's
 source digest is not that of ``src/chargelimit`` at the commit it reports
 (the checkout had changes that were not committed, or it is no git
 clone, so its runs report no commit).
+
+Once per side, after the runs, the script also starts ``PROBE_REPEATS``
+``python -X importtime -m chargelimit`` processes of a ``sweep`` and of
+a ``simulate`` command on that side's sources, and keeps in the side's
+env, under ``imports``, each command's median self import time of numpy
+and of chargelimit, split by ``perfbench/tracing.py``'s own parser.
+``perfbench`` itself times only ``import chargelimit.cli``, which no
+longer loads numpy.  A probe that cannot run is kept as the reason.
 """
 
 from __future__ import annotations
@@ -40,9 +48,20 @@ import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from tracing import parse_importtime  # noqa: E402
+
 SIDES = ("base", "change")
 _RUN_KEYS = ("commit", "source_sha256")
 _ENV_KEYS = (*_RUN_KEYS, "python", "numpy", "scipy", "nproc", "machine")
+PROBE_REPEATS = 5
+_PROBES = {
+    "sweep": ["sweep", "--device", "wire", "--axis", "R", "--start", "1nm", "--stop", "1um",
+              "--points", "31", "--spacing", "log", "--df", "1MHz", "--deterministic"],
+    "simulate": ["simulate", "--current", "1.602176634e-13A", "--df", "5e4Hz", "--trials",
+                 "1000", "--seed", "1", "--deterministic"],
+}
+_PACKAGES = ("numpy", "chargelimit")
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -113,6 +132,37 @@ def check_source(checkout: Path, env: dict, digests: dict) -> None:
         raise ValueError(f"a run in {checkout} measured source {measured[:12]}, not "
                          f"{digests[checkout, commit][:12]} of its commit {commit[:12]}; "
                          "commit or drop the checkout's changes")
+
+
+def import_medians(stderrs: dict[str, list[str]]) -> dict:
+    """Per probe command, the median self import ms of each of
+    ``_PACKAGES`` over that command's ``-X importtime`` outputs."""
+    return {command: {f"{package}_ms": statistics.median(parse_importtime(text)[package]
+                                                        for text in texts)
+                      for package in _PACKAGES}
+            for command, texts in stderrs.items()}
+
+
+def import_probe(checkout: Path) -> dict | str:
+    """``import_medians`` of ``PROBE_REPEATS`` runs of each probe command
+    on the sources of ``checkout``, or why a run failed."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    stderrs = {command: [] for command in _PROBES}
+    for _ in range(PROBE_REPEATS):
+        for command, argv in _PROBES.items():
+            try:
+                done = subprocess.run([sys.executable, "-X", "importtime", "-m", "chargelimit",
+                                       *argv], cwd=checkout, env=env, capture_output=True,
+                                      text=True, timeout=120)
+            except OSError as error:
+                return f"the {command} probe did not start: {error}"
+            if done.returncode != 0:
+                errors = [line for line in done.stderr.splitlines()
+                          if not line.startswith("import time:")]
+                return f"the {command} probe exited {done.returncode}: " + "".join(errors[-1:])
+            stderrs[command].append(done.stderr)
+    return import_medians(stderrs)
 
 
 def spread(values: list[float]) -> dict:
@@ -201,6 +251,8 @@ def main(argv=None) -> int:
                     f"{name}={value:.4g}" for name, value in metrics.items()
                     if isinstance(value, float)), file=sys.stderr)
         envs = side_envs(records, os.environ)
+        for side in SIDES:
+            envs[side]["imports"] = import_probe(checkouts[side])
     except ValueError as error:
         print(f"bench_pairs: {error}; {args.out} is not written", file=sys.stderr)
         return 1

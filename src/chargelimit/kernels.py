@@ -11,7 +11,13 @@ every CPU and numpy build, and that drives three choices:
   sqrt(-log(p)) tail argument it feeds).
 * Per-block sums are reduced through an explicit balanced binary tree
   with zero padding, so numpy's pairwise-summation blocking cannot make
-  the partial sums drift.
+  the partial sums drift.  A noise-free Poisson block skips the tree
+  when its extent certifies the sums exact: its counts k are whole, and
+  with W = max|k - shift| over the CDF table and n * W**4 < 2**53 every
+  term and every partial sum of (k - shift)**p, p <= 4, is an integer
+  below 2**53, so the tree adds them without rounding and its result
+  is the integer sum, which the block then takes from a histogram of
+  its counts instead.  Full blocks qualify up to lam of about 4 400.
 * Everything else is elementwise IEEE arithmetic (+, -, *, /, sqrt,
   frexp, ldexp, minimum, copysign), which rounds each element the same
   way whatever the array length or alignment.  That is what lets each
@@ -135,6 +141,7 @@ class _Workspace:
     Poisson lookup and the tree sums; the blocked kernel gathers the
     uniforms between its cut points into ``f[0]`` and their thermal
     charges into ``f[1]``.  ``buckets`` holds the guide-table indices,
+    then the counts' offsets from ``k_lo`` that the histogram bins,
     ``b`` two bool masks (the blocked kernel's two cut comparisons) and
     ``uniforms`` the 2n uniforms of a block with thermal noise.  The
     public :func:`portable_log` and :func:`inverse_normal` borrow a block
@@ -264,6 +271,27 @@ def _poisson_counts(u, cdf, k_lo, guide, ws):
     return q
 
 
+def _histogram_sums(q, k_lo, size, shift, threshold, ws):
+    """``(s1, s2, s3, s4, below)`` of the whole counts ``q`` in
+    ``[k_lo, k_lo + size)`` from their histogram, in ``ws.buckets``, or
+    None unless n * max|k - shift|**4 < 2**53 certifies the tree's sums
+    exact: then they are the integer sums computed here."""
+    n = q.shape[0]
+    if not float(shift).is_integer():
+        return None
+    lo = k_lo - int(shift)
+    if n * max(-lo, lo + size - 1) ** 4 >= 2**53:
+        return None
+    counts = np.bincount(np.subtract(q, k_lo, out=ws.buckets[:n], casting="unsafe"),
+                         minlength=size)
+    v = np.arange(lo, lo + size)
+    sums, term = [], counts
+    for _ in range(4):
+        term = term * v
+        sums.append(float(term.sum()))
+    return (*sums, int(counts[np.arange(k_lo, k_lo + size) < threshold].sum()))
+
+
 def _open_block(
     u_count, u_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot, sigma, shift, threshold, ws
 ):
@@ -273,6 +301,10 @@ def _open_block(
         q = np.add(lam, np.multiply(sqrt_shot, z, out=z), out=z)
     else:
         q = _poisson_counts(u_count, cdf, k_lo, guide, ws)
+        if sigma == 0.0:
+            exact = _histogram_sums(q, k_lo, cdf.shape[0], shift, threshold, ws)
+            if exact is not None:
+                return exact
     d2 = ws.f[1][:n]
     if sigma > 0.0:
         q += np.multiply(sigma, _inverse_normal_vector(u_thermal, d2, ws), out=d2)

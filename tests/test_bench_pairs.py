@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -224,3 +225,43 @@ def test_a_run_without_a_commit_is_refused(monkeypatch, tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "reports no commit" in capsys.readouterr().err
+
+
+def importtime_stderr(numpy_us, chargelimit_us):
+    """``-X importtime`` lines as Python prints them, imports before importers."""
+    return "\n".join([
+        "import time: self [us] | cumulative | imported package",
+        "import time:       150 |        150 |   _io",
+        "import time:        40 |         40 |       math",
+        f"import time: {numpy_us:>9} | {numpy_us + 40:>10} |     numpy",
+        f"import time: {chargelimit_us:>9} | {chargelimit_us:>10} |     chargelimit.cli",
+        f"import time:        10 | {numpy_us + chargelimit_us + 50:>10} |   chargelimit",
+        "some line the program printed",
+    ]) + "\n"
+
+
+def test_import_medians_of_canned_probes():
+    stderrs = {
+        "sweep": [importtime_stderr(90_000, 20_000), importtime_stderr(100_000, 25_000),
+                  importtime_stderr(95_000, 21_000)],
+        "simulate": [importtime_stderr(99_000, 30_000)],
+    }
+    assert load_script().import_medians(stderrs) == {
+        "sweep": {"numpy_ms": pytest.approx(95.04), "chargelimit_ms": pytest.approx(21.01)},
+        "simulate": {"numpy_ms": pytest.approx(99.04), "chargelimit_ms": pytest.approx(30.01)},
+    }
+
+
+def test_a_probe_that_cannot_run_is_kept_as_its_reason(tmp_path):
+    module = load_script()
+    assert module.import_probe(tmp_path / "absent").startswith("the sweep probe did not start")
+    reason = module.import_probe(tmp_path)  # no sources to import
+    assert reason == "the sweep probe exited 1: " + (
+        f"{sys.executable}: No module named chargelimit")
+
+
+def test_the_probe_times_this_checkout():
+    imports = load_script().import_probe(ROOT)
+    assert set(imports) == {"sweep", "simulate"}
+    for command in imports.values():
+        assert command["numpy_ms"] > 0.0 and command["chargelimit_ms"] > 0.0

@@ -520,3 +520,39 @@ def test_noise_free_poisson_sums_are_exact(lam, n):
         expected = _exact_open_block(u, k_lo, cdf, shift, threshold)
         assert [x.hex() for x in got[:4]] == [x.hex() for x in expected[:4]]
         assert got[4] == expected[4]
+
+
+def _count_tree_sums(monkeypatch):
+    """A list that gets one entry per ``_tree_sum_vector`` call."""
+    calls, tree = [], kernels._tree_sum_vector
+    monkeypatch.setattr(kernels, "_tree_sum_vector",
+                        lambda values, scratch: calls.append(values.size) or tree(values, scratch))
+    return calls
+
+
+@pytest.mark.parametrize("lam, sigma, tree_sums", [(10.0, 0.0, 0), (9e6, 0.0, 4), (10.0, 3.7, 4)])
+def test_which_blocks_take_the_histogram(monkeypatch, lam, sigma, tree_sums):
+    # Noise-free blocks whose sums are certified exact take the histogram;
+    # lam = 9e6 is past the certificate and thermal charges are not whole,
+    # so both keep the four tree sums.
+    k_lo, cdf = poisson_cdf_table(lam)
+    guide = poisson_guide_table(k_lo, cdf, BLOCK)
+    u_thermal = uniform_block(32, 1, 0, BLOCK) if sigma else np.empty(0)
+    open_block, _ = block_kernels()
+    calls = _count_tree_sums(monkeypatch)
+    with kernels.block_workspace() as ws:
+        open_block(uniform_block(32, 0, 0, BLOCK), u_thermal, cdf, k_lo, guide, False, lam,
+                   math.sqrt(lam), sigma, float(math.floor(lam)), 0.5, ws)
+    assert len(calls) == tree_sums
+
+
+def test_one_run_takes_both_paths(monkeypatch):
+    # At lam = 5e3, n * max|k - shift|**4 passes 2**53 on a full block but
+    # not on the 3 392-trial last block of 200 000 trials.
+    from chargelimit.montecarlo import SimConfig, simulate_detection
+
+    calls = _count_tree_sums(monkeypatch)
+    simulate_detection(SimConfig(on_current=5e3 * 1.602176634e-19 * 1e5, bandwidth=5e4,
+                                 trials=200_000, seed=33))
+    cdf_size = calls[0]  # poisson_cdf_table normalises its pmf by a tree sum
+    assert calls == [cdf_size] + [BLOCK] * 12

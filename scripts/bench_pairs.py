@@ -61,7 +61,6 @@ _PROBES = {
     "simulate": ["simulate", "--current", "1.602176634e-13A", "--df", "5e4Hz", "--trials",
                  "1000", "--seed", "1", "--deterministic"],
 }
-_PACKAGES = ("numpy", "chargelimit")
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -135,11 +134,11 @@ def check_source(checkout: Path, env: dict, digests: dict) -> None:
 
 
 def import_medians(stderrs: dict[str, list[str]]) -> dict:
-    """Per probe command, the median self import ms of each of
-    ``_PACKAGES`` over that command's ``-X importtime`` outputs."""
+    """Per probe command, the median self import ms of numpy and of
+    chargelimit over that command's ``-X importtime`` outputs."""
     return {command: {f"{package}_ms": statistics.median(parse_importtime(text)[package]
                                                         for text in texts)
-                      for package in _PACKAGES}
+                      for package in ("numpy", "chargelimit")}
             for command, texts in stderrs.items()}
 
 

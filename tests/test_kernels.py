@@ -23,6 +23,7 @@ from chargelimit.kernels import (
     poisson_guide_table,
     portable_log,
 )
+from chargelimit.montecarlo import SimConfig, simulate_detection
 from chargelimit.rng import BLOCK, GENERATOR_ID, uniform_block
 
 
@@ -549,8 +550,6 @@ def test_which_blocks_take_the_histogram(monkeypatch, lam, sigma, tree_sums):
 def test_one_run_takes_both_paths(monkeypatch):
     # At lam = 5e3, n * max|k - shift|**4 passes 2**53 on a full block but
     # not on the 3 392-trial last block of 200 000 trials.
-    from chargelimit.montecarlo import SimConfig, simulate_detection
-
     calls = _count_tree_sums(monkeypatch)
     simulate_detection(SimConfig(on_current=5e3 * 1.602176634e-19 * 1e5, bandwidth=5e4,
                                  trials=200_000, seed=33))

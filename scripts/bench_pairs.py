@@ -19,17 +19,19 @@ several invocations fill one file (ROADMAP item 1 names one
 the commit and source digest that the run itself reported, and each
 side's env holds the versions, the machine and ``PYTHONDONTWRITEBYTECODE``
 (when set, every process compiles the package from source).  The script
-says why, exits 1 and writes nothing when the runs of one side report
-different source digests (the side was not one program), or when a run's
-source digest is not that of ``src/chargelimit`` at the commit it reports
-(the checkout had changes that were not committed, or it is no git
-clone, so its runs report no commit).
+says why, exits 1 and writes nothing when a ``perfbench/run.py`` run
+exits non-zero, when the runs of one side report different source
+digests (the side was not one program), or when a run's source digest
+is not that of ``src/chargelimit`` at the commit it reports (the
+checkout had changes that were not committed, or it is no git clone, so
+its runs report no commit).
 
-Once per side, after the runs, the script also starts ``PROBE_REPEATS``
+After the runs, the script also starts ``PROBE_REPEATS``
 ``python -X importtime -m chargelimit`` processes of a ``sweep`` and of
-a ``simulate`` command on that side's sources, and keeps in the side's
-env, under ``imports``, each command's median self import time of numpy
-and of chargelimit, split by ``perfbench/tracing.py``'s own parser.
+a ``simulate`` command on each side's sources, the two sides in turn and
+in alternating order, and keeps in each side's env, under ``imports``,
+each command's median self import time of numpy and of chargelimit,
+split by ``perfbench/tracing.py``'s own parser.
 ``perfbench`` itself times only ``import chargelimit.cli``, which no
 longer loads numpy.  A probe that cannot run is kept as the reason.
 """
@@ -142,26 +144,38 @@ def import_medians(stderrs: dict[str, list[str]]) -> dict:
             for command, texts in stderrs.items()}
 
 
-def import_probe(checkout: Path) -> dict | str:
-    """``import_medians`` of ``PROBE_REPEATS`` runs of each probe command
-    on the sources of ``checkout``, or why a run failed."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "OMP_NUM_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    stderrs = {command: [] for command in _PROBES}
-    for _ in range(PROBE_REPEATS):
+def import_probe(checkouts: dict[str, Path]) -> dict:
+    """Per side, ``import_medians`` of ``PROBE_REPEATS`` runs of each probe
+    command on the sources of its checkout, or why one of its runs failed.
+
+    Each repeat runs each command on every side in turn, and the side
+    order alternates from one repeat to the next as in the pairs of runs,
+    so that a slow spell of the machine falls on both sides alike.
+    """
+    stderrs = {side: {command: [] for command in _PROBES} for side in checkouts}
+    reasons = {}
+    for repeat in range(PROBE_REPEATS):
         for command, argv in _PROBES.items():
-            try:
-                done = subprocess.run([sys.executable, "-X", "importtime", "-m", "chargelimit",
-                                       *argv], cwd=checkout, env=env, capture_output=True,
-                                      text=True, timeout=120)
-            except OSError as error:
-                return f"the {command} probe did not start: {error}"
-            if done.returncode != 0:
-                errors = [line for line in done.stderr.splitlines()
-                          if not line.startswith("import time:")]
-                return f"the {command} probe exited {done.returncode}: " + "".join(errors[-1:])
-            stderrs[command].append(done.stderr)
-    return import_medians(stderrs)
+            for side in list(checkouts)[::-1 if repeat % 2 else 1]:
+                if side in reasons:
+                    continue
+                env = {**os.environ, "PYTHONPATH": str(checkouts[side] / "src"),
+                       "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+                try:
+                    done = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                                           "chargelimit", *argv], cwd=checkouts[side], env=env,
+                                          capture_output=True, text=True, timeout=120)
+                except OSError as error:
+                    reasons[side] = f"the {command} probe did not start: {error}"
+                    continue
+                if done.returncode != 0:
+                    errors = [line for line in done.stderr.splitlines()
+                              if not line.startswith("import time:")]
+                    reasons[side] = (f"the {command} probe exited {done.returncode}: "
+                                     + "".join(errors[-1:]))
+                    continue
+                stderrs[side][command].append(done.stderr)
+    return {side: reasons.get(side) or import_medians(stderrs[side]) for side in checkouts}
 
 
 def spread(values: list[float]) -> dict:
@@ -209,8 +223,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True,
                           timeout=60 * seconds + 600)
     if done.returncode != 0:
-        raise RuntimeError(f"{checkout}: {' '.join(command)} exited {done.returncode}:\n"
-                           f"{done.stderr[-2000:]}")
+        last = done.stderr.strip().splitlines()[-1:]
+        raise ValueError(f"{checkout}: {' '.join(command)} exited {done.returncode}: "
+                         + "".join(last))
     return done.stdout
 
 
@@ -250,8 +265,8 @@ def main(argv=None) -> int:
                     f"{name}={value:.4g}" for name, value in metrics.items()
                     if isinstance(value, float)), file=sys.stderr)
         envs = side_envs(records, os.environ)
-        for side in SIDES:
-            envs[side]["imports"] = import_probe(checkouts[side])
+        for side, imports in import_probe(checkouts).items():
+            envs[side]["imports"] = imports
     except ValueError as error:
         print(f"bench_pairs: {error}; {args.out} is not written", file=sys.stderr)
         return 1

@@ -448,12 +448,13 @@ def _sweep_values(args: argparse.Namespace):
 
     kind = SWEEP_AXES[args.axis][0]
     try:
-        start = parse_quantity(args.start, kind)
-        stop = parse_quantity(args.stop, kind)
+        start, stop = (parse_quantity(text, kind) for text in (args.start, args.stop))
     except argparse.ArgumentTypeError as exc:
         args.parser.error(str(exc))
     if not start < stop:
         args.parser.error(f"sweep start must be < stop, got {start!r} >= {stop!r}")
+    if not math.isfinite(stop - start):
+        raise ParameterError(f"sweep span from {start!r} to {stop!r} is outside the float range")
     if args.spacing == "log":
         if start <= 0.0:
             args.parser.error("log spacing requires start > 0")

@@ -153,21 +153,15 @@ def float_range_checked(func):
     return checked
 
 
+@float_range_checked
 def square(x, name: str):
-    """``x**2`` through Python's float power, element by element.
+    """``x * x``: one IEEE multiply, correctly rounded, for a number and
+    for each element of an ndarray alike, so that an array call carries
+    the bits of its points evaluated one by one on any C library.
 
-    numpy's multiply and power round some squares differently from the C
-    library's ``pow`` that Python's ``**`` calls, so this keeps an array
-    call bit-identical to the same points evaluated one by one.  A
-    square that overflows, or underflows to 0, is a ParameterError.
+    A square that overflows, or underflows to 0, is a ParameterError that
+    names ``x``: the callers' own range checks would name a later term.
     """
-    np = array_module(x)
-    values = [x] if np is None else x.ravel().tolist()
-    try:
-        squares = [v ** 2 for v in values]
-    except OverflowError:  # exactly the |v| >= 2**512
-        squares = [v ** 2 if abs(v) < 2.0**512 else math.inf for v in values]
-    out = squares[0] if np is None else np.reshape(squares, x.shape)
-    require(isfinite(out) & ((out > 0.0) | (x == 0.0)),
-            f"{name}**2 is outside the float range", x)
+    out = x * x
+    require(isfinite(out) & ((out > 0.0) | (x == 0.0)), f"{name}**2 is outside the float range", x)
     return out

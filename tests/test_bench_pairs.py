@@ -253,15 +253,55 @@ def test_import_medians_of_canned_probes():
 
 
 def test_a_probe_that_cannot_run_is_kept_as_its_reason(tmp_path):
-    module = load_script()
-    assert module.import_probe(tmp_path / "absent").startswith("the sweep probe did not start")
-    reason = module.import_probe(tmp_path)  # no sources to import
-    assert reason == "the sweep probe exited 1: " + (
+    # no directory, and no sources to import
+    reasons = load_script().import_probe({"base": tmp_path / "absent", "change": tmp_path})
+    assert reasons["base"].startswith("the sweep probe did not start")
+    assert reasons["change"] == "the sweep probe exited 1: " + (
         f"{sys.executable}: No module named chargelimit")
 
 
 def test_the_probe_times_this_checkout():
-    imports = load_script().import_probe(ROOT)
+    imports = load_script().import_probe({"change": ROOT})["change"]
     assert set(imports) == {"sweep", "simulate"}
     for command in imports.values():
         assert command["numpy_ms"] > 0.0 and command["chargelimit_ms"] > 0.0
+
+
+def test_probes_take_both_sides_in_turn_in_alternating_order(monkeypatch, tmp_path):
+    module = load_script()
+    monkeypatch.setattr(module, "PROBE_REPEATS", 3)
+    calls = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        calls.append((Path(cwd).name, argv[argv.index("chargelimit") + 1]))
+        return subprocess.CompletedProcess(argv, 0, "", importtime_stderr(90_000, 20_000))
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    imports = module.import_probe({"base": tmp_path / "base", "change": tmp_path / "change"})
+    assert calls == [
+        ("base", "sweep"), ("change", "sweep"), ("base", "simulate"), ("change", "simulate"),
+        ("change", "sweep"), ("base", "sweep"), ("change", "simulate"), ("base", "simulate"),
+        ("base", "sweep"), ("change", "sweep"), ("base", "simulate"), ("change", "simulate"),
+    ]
+    assert imports["base"] == imports["change"] == {
+        command: {"numpy_ms": pytest.approx(90.04), "chargelimit_ms": pytest.approx(20.01)}
+        for command in ("sweep", "simulate")}
+
+
+def test_a_failed_run_is_refused_in_one_line(monkeypatch, tmp_path, capsys):
+    module = load_script()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+
+    def fake_run(argv, cwd, **kwargs):
+        return subprocess.CompletedProcess(argv, 1, "", "Traceback (most recent call last):\n"
+                                           "  ...\nValueError: no such workload\n")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    code = module.main(["--base", str(tmp_path), "--change", str(tmp_path), "--workload", "nope",
+                        "--seeds", "1", "--seconds", "1", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bench_pairs: "), err
+    assert err.endswith(f"exited 1: ValueError: no such workload; {out} is not written\n")

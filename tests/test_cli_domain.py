@@ -20,6 +20,7 @@ import io
 import json
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,3 +175,18 @@ def test_simulate_ends_cleanly(argv):
         assert {key for key, value in numbers.items() if value is None} <= allowed
 
     check_ending(argv, on_success)
+
+
+@pytest.mark.parametrize("axis_ends", [
+    ["--axis", "T", "--start=-1e308K", "--stop", "1e308K"],
+    ["--axis", "epsilon_r", "--start=-1e308", "--stop", "1e308"],
+    ["--axis", "R", "--start", "1nm", "--stop", "1e999m", "--spacing", "log"],
+])
+def test_a_span_beyond_the_float_range_is_one_error(axis_ends):
+    # Both ends are numbers, but stop - start is not; no numpy warning
+    # may escape and no nan may be reported.
+    code, out, err = run(["sweep", "--device", "wire", *axis_ends, "--points", "3"])
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: sweep span from "), err
+    assert "nan" not in err

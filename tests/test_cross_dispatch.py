@@ -13,11 +13,14 @@ would take on this one:
   FMA variants of libm.  Nothing in the child can confirm that they
   were in use; on this x86-64 CPU they change the bits of ``math.exp``.
 
-Under each setting the golden ``simulate`` records and the frozen
-inverse-normal and portable-log hashes are rerun in a child pytest.  The
-sweep corpus is left out: ``np.geomspace`` builds its log axes with
-numpy's SIMD ``log10`` and ``power``, so its 18 log-axis digests are
-known to differ under AVX2 dispatch (ROADMAP item 2(c)).
+Under each setting a child pytest reruns the golden ``simulate``
+records, the frozen inverse-normal and portable-log hashes, the
+linear-axis sweep digests, the one-shot and material digests (in this
+process and in a fresh interpreter) and the array calls that must equal
+their point calls bit for bit.  Only the 18 log-axis sweep digests stay
+out: ``np.geomspace`` builds those axes with numpy's SIMD ``log10`` and
+``power``, so they are known to differ under AVX2 dispatch (ROADMAP item
+2(c)).
 """
 
 import os
@@ -27,12 +30,19 @@ from pathlib import Path
 
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from test_sweep_corpus import CASES, FORMATS
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = [
     "tests/test_golden.py",
     "tests/test_kernels.py::test_inverse_normal_bits_frozen",
     "tests/test_kernels.py::test_portable_log_bits_frozen",
+    *(f"tests/test_sweep_corpus.py::test_sweep_matches_recorded_digest[{case}-{fmt}]"
+      for case, argv in sorted(CASES.items()) if "log" not in argv for fmt in FORMATS),
+    "tests/test_sweep_corpus.py::test_one_shot_matches_recorded_digest",
+    "tests/test_sweep_corpus.py::test_material_matches_recorded_digest",
+    "tests/test_sweep_corpus.py::test_one_shot_digests_in_a_fresh_interpreter",
+    "tests/test_devices.py::test_array_call_equals_point_calls_bit_for_bit",
 ]
 
 _TARGETS = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]

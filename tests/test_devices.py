@@ -631,6 +631,47 @@ def test_array_call_equals_point_calls_bit_for_bit(case):
         assert got == want, name
 
 
+#: Dielectric constants on which x*x and Python's x**2 (C pow) disagree.
+_EPSILONS = _square_traps(_RNG.uniform(1.0, 30.0, 200_000))[:50]
+_MASS = GAAS_LIKE.mass_ratio * C.m_e
+
+#: Each swept square's quantity, the same quantity written with ``x * x``
+#: in the order the package multiplies, and the values to square.
+_SQUARES = {
+    "wire_mode_count": (
+        lambda r: wire_mode_count(WireGeometry(r), GAAS_LIKE, 1e-6),
+        lambda r: _MASS * (r * r) * C.e * 1e-6 / C.hbar**2, _RADII),
+    "qpc_subband_spacing": (
+        lambda w: qpc_subband_spacing(QpcGeometry(w), GAAS_LIKE),
+        lambda w: 3.0 * math.pi**2 * C.hbar**2 / (2.0 * _MASS * (w * w)), _RADII),
+    "scale_factor": (
+        lambda eps: effective_scales(Material("custom", 0.067, eps)).scale_factor,
+        lambda eps: 0.067 / (eps * eps), _EPSILONS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SQUARES))
+def test_each_square_is_one_ieee_multiply(name):
+    call, formula, values = _SQUARES[name]
+    want = [formula(v).hex() for v in values.tolist()]
+    assert [call(v).hex() for v in values.tolist()] == want
+    assert [v.hex() for v in call(values).tolist()] == want
+
+
+@pytest.mark.parametrize("name, call, first", [
+    ("radius", lambda v: wire_mode_count(WireGeometry(v), GAAS_LIKE, 0.0), 20e-9),
+    ("width", lambda v: qpc_subband_spacing(QpcGeometry(v), GAAS_LIKE), 20e-9),
+    ("epsilon_r", lambda v: effective_scales(Material("custom", 0.067, v)), 12.9),
+], ids=["radius", "width", "epsilon_r"])
+def test_an_overflowing_square_names_its_element(name, call, first):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=rf"^{name}\*\*2 is outside the float range, "
+                                                 r"got 1e\+200$") as info:
+            call(np.array([first, 1e200]))
+    assert info.value.index == 1
+
+
 def test_scalar_call_returns_python_floats():
     result = wire_pipeline_snr(WireGeometry(20e-9), GAAS_LIKE, 1e6, temperature=4.2)
     for name, value in _fields(result).items():

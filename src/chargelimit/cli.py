@@ -483,7 +483,7 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
         "wire": (WireGeometry, WireDevice, wire_pipeline_snr, material),
         "qpc": (QpcGeometry, QpcDevice, qpc_pipeline_snr, material),
         "set": (SetGeometry, SetDevice, set_pipeline_snr,
-                pick("epsr", args.epsr if args.epsr is not None else 1.0)),
+                pick("epsr", args.epsr)),
     }[args.device]
     size = _DEVICE_COMMANDS[args.device][1]
     extent = pick(size, getattr(args, size))
@@ -553,9 +553,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if getattr(args, dest) is not None and (dest not in takes or dest == swept):
             what = f"a sweep over {axis}" if dest == swept else f"device {args.device!r}"
             args.parser.error(f"{_FLAGS[dest][0][0]} does not apply to {what}")
-    # --df and --temperature are None until here, so that the check sees them given
-    vars(args).update({dest: _FLAGS[dest][2] for dest in ("df", "temperature")
-                       if getattr(args, dest) is None})
+    # --df, --temperature and the set's --epsr are None until here, so that the
+    # check sees them given; now each takes its default of the device command
+    overrides = _DEVICE_COMMANDS[args.device][4]
+    vars(args).update({dest: overrides.get(dest, {}).get("default", _FLAGS[dest][2])
+                       for dest in ("df", "temperature", "epsr") if getattr(args, dest) is None})
     if args.device == "qpc" and axis != "W" and args.width is None:
         args.parser.error("qpc sweeps need --width unless the axis is W")
     if args.device == "set" and axis != "R_island" and args.radius is None:
@@ -576,6 +578,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         inputs.update(_inputs(args, ("df", "temperature")))
         if material is not None:
             inputs.update(_material_inputs(material))
+        _, size, size_key, _, _ = _DEVICE_COMMANDS[args.device]
+        if swept != size:  # null where the flag is not given, as the one-shot commands write it
+            inputs[size_key] = getattr(args, size)
+        if args.device == "set" and swept != "epsr":
+            inputs.update(_inputs(args, ("epsr",)))
         emit_json(args, inputs, {"header": list(SWEEP_HEADER), "rows": []}, rows=rows)
         return 0
     sys.stdout.write(",".join(SWEEP_HEADER) + "\n" + "\n".join(rows) + "\n")

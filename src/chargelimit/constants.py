@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DERIVED, isfinite, record, require, require_nonnegative
+from .errors import isfinite, record, require, require_nonnegative
 
 __all__ = [
     "PhysicalConstants",
@@ -36,8 +36,12 @@ __all__ = [
 class PhysicalConstants:
     """CODATA 2018 constants plus derived vacuum atomic-scale quantities.
 
-    The first seven fields are pinned literals; the rest are derived in
-    ``__post_init__``.  All values are SI.
+    The seven fields are pinned literals.  ``__post_init__`` derives five
+    more from them and sets them after the seven, in this order: ``hbar``
+    (reduced Planck constant, J s), ``e_sq_gauss`` (e^2/(4 pi eps0), J m),
+    ``bohr_radius`` (vacuum Bohr radius a0, m), ``rydberg_energy``
+    (vacuum Rydberg, J) and ``rydberg_frequency`` (vacuum Rydberg / h,
+    Hz).  All values are SI.
     """
 
     # SI defining constants (exact since the 2019 redefinition)
@@ -49,13 +53,6 @@ class PhysicalConstants:
     m_e: float = 9.1093837015e-31     # electron rest mass [kg], u = 2.8e-40
     eps0: float = 8.8541878128e-12    # vacuum permittivity [F/m], u = 1.3e-21
     alpha: float = 7.2973525693e-3    # fine-structure constant, u = 1.1e-12
-
-    # Derived; populated in __post_init__
-    hbar: float = DERIVED            # reduced Planck constant [J s]
-    e_sq_gauss: float = DERIVED      # e^2/(4 pi eps0) [J m]
-    bohr_radius: float = DERIVED     # vacuum Bohr radius a0 [m]
-    rydberg_energy: float = DERIVED  # vacuum Rydberg [J]
-    rydberg_frequency: float = DERIVED  # vacuum Rydberg / h [Hz]
 
     def __post_init__(self) -> None:
         hbar = self.h / (2.0 * math.pi)

@@ -625,14 +625,15 @@ def device_snr(
     _check_modulation(modulation)
     conductance, bias, transport, f_on = _on_state(device)
     op = OperatingPoint(conductance=conductance, bias=bias, temperature=0.0, bandwidth=bandwidth)
-    f_unity = modulation**2 * f_on
+    modulation_sq = modulation * modulation  # one IEEE multiply, in (0, 1] as the depth is
+    f_unity = modulation_sq * f_on
     value = modulation * math.sqrt(f_on / bandwidth)
     # Below the normal float range a square loses the precision that
     # snr**2 * df = f_unity needs.
     tiny = sys.float_info.min
     require(isfinite(value) & (tiny <= f_unity) & (f_unity < math.inf),
             "the inputs put f_unity or the SNR outside the float range", f_unity)
-    require(tiny <= modulation**2, "modulation**2 is below the normal float range", modulation)
+    require(tiny <= modulation_sq, "modulation**2 is below the normal float range", modulation)
     require(tiny <= value * value < math.inf,
             "bandwidth puts snr**2 outside the normal float range", bandwidth)
     return SnrResult(

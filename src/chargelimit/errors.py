@@ -30,9 +30,6 @@ class ParameterError(ValueError):
         self.index = index
 
 
-#: The default of a record field that ``__post_init__`` derives and no
-#: argument may set.
-DERIVED = object()
 _MISSING = object()
 
 
@@ -43,19 +40,16 @@ def record(cls=None, *, kw_only=False):
     keyword, also by position unless ``kw_only``, with the class
     attributes as defaults, then runs ``__post_init__`` if there is one;
     instances compare, hash and print by their fields and refuse
-    assignment and deletion.  A field whose default is :data:`DERIVED`
-    is no argument; ``__post_init__`` sets it with ``object.__setattr__``.
-    The fields live in the instance ``__dict__``, in order.
+    assignment and deletion.  ``__post_init__`` may set further fields
+    with ``object.__setattr__``; they follow the annotated ones.  The
+    fields live in the instance ``__dict__``, in order.
     """
     if cls is None:
         return functools.partial(record, kw_only=kw_only)
-    names = tuple(cls.__dict__.get("__annotations__", ()))
-    template = {name: cls.__dict__.get(name, _MISSING) for name in names
-                if cls.__dict__.get(name) is not DERIVED}  # the arguments and their defaults
+    template = {name: cls.__dict__.get(name, _MISSING)  # the arguments and their defaults
+                for name in cls.__dict__.get("__annotations__", ())}
     init = tuple(template)
     required = [name for name in init if template[name] is _MISSING]
-    for name in set(names) - set(init):
-        delattr(cls, name)
     positional = 0 if kw_only else len(init)
     post_init = getattr(cls, "__post_init__", None)
 

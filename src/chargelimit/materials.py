@@ -6,15 +6,15 @@ by (m*/m_e)/epsilon_r**2 and the effective Bohr radius grows by
 epsilon_r/(m*/m_e).  ``effective_scales`` applies that scaling once so
 the device models never touch the raw material numbers.
 
-Materials are looked up by name from a small built-in table (see
-``data/materials.tab``); extra tables can be merged in from files of the
-same format, e.g. via the CHARGE_LIMIT_MATERIALS environment variable
-handled by the CLI.
+Materials are looked up by name in the built-in table, ``VACUUM`` and
+``GAAS_LIKE`` (see :func:`builtin_materials`); extra tables can be
+merged in from whitespace-delimited files (see
+:func:`parse_materials_table`), e.g. via the CHARGE_LIMIT_MATERIALS
+environment variable handled by the CLI.
 """
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .constants import CONSTANTS
@@ -141,18 +141,15 @@ def load_materials_file(path: str | Path) -> dict[str, Material]:
     return parse_materials_table(text.splitlines(), source=str(p))
 
 
-def builtin_materials() -> dict[str, Material]:
-    """Return the table shipped with the package."""
-    text = (
-        resources.files("chargelimit")
-        .joinpath("data/materials.tab")
-        .read_text()
-    )
-    return parse_materials_table(text.splitlines(), source="builtin materials.tab")
-
-
 #: Free electrons in vacuum — the reference host.
 VACUUM = Material(name="vacuum", mass_ratio=1.0, epsilon_r=1.0)
 
-#: Illustrative GaAs-like host (light effective mass, strong screening).
+#: GaAs-like host (light effective mass, strong screening): an illustrative
+#: parameter set, not a critically evaluated database value.
 GAAS_LIKE = Material(name="gaas", mass_ratio=0.067, epsilon_r=12.9)
+
+
+def builtin_materials() -> dict[str, Material]:
+    """Return the built-in table, keyed by canonical name: a new dict each
+    call, so that a caller may merge into it."""
+    return {"vacuum": VACUUM, "gaas": GAAS_LIKE}

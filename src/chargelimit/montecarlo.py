@@ -14,9 +14,13 @@ here; any other window would test a rival bandwidth bookkeeping instead
 of the one the closed forms use.
 
 Thermal noise enters as a zero-mean Gaussian charge of standard
-deviation sqrt(4*k_B*T*G*df)*window (in coulombs; divided by e in count
-units) added to both channel states.  The blocked state carries no shot
-noise — perfect pinch-off by the sensed charge is assumed, matching the
+deviation sqrt(thermal_sq)*window (in coulombs; divided by e in count
+units) added to both channel states, where thermal_sq = 4*k_B*T*G*df is
+the Johnson term of :func:`chargelimit.noise.noise_breakdown`.  That one
+breakdown also gives the analytic SNR, so the noise model and its
+float-range checks live only in :mod:`chargelimit.noise`, and they run
+before any trial is drawn.  The blocked state carries no shot noise —
+perfect pinch-off by the sensed charge is assumed, matching the
 full-modulation assumption of the closed forms.
 
 Detection uses an explicit count threshold: decide "open" when the
@@ -26,10 +30,12 @@ no error criterion of their own, so nothing is asserted against them.
 
 Reproducibility contract: outcomes are a pure function of the config.
 Randomness is keyed by (seed, role, block-of-trials) with a fixed block
-size, partial results are reduced in block order, and the per-trial
-arithmetic uses only operations that round the same on every CPU and
-numpy build (see :mod:`chargelimit.kernels`), so neither the worker
-count nor the machine can change a single output bit.
+size (a block's open-state uniforms are its n counts and then, with
+thermal noise, its n thermal draws), partial results are reduced in
+block order, and the per-trial arithmetic uses only operations that
+round the same on every CPU and numpy build (see
+:mod:`chargelimit.kernels`), so neither the worker count nor the machine
+can change a single output bit.
 """
 
 from __future__ import annotations
@@ -44,8 +50,7 @@ from .constants import CONSTANTS
 from .devices import DeviceSpec, ModelValidityWarning, device_operating_point
 from .errors import ParameterError, float_range_checked, record, require, require_nonnegative
 from .errors import require_positive
-from .noise import OperatingPoint
-from .noise import snr as analytic_amplitude_snr
+from .noise import OperatingPoint, noise_breakdown, signal_to_noise
 
 __all__ = [
     "SimConfig",
@@ -227,9 +232,10 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     lam = cfg.on_current * window / CONSTANTS.e
     require(math.isfinite(lam), "on_current and bandwidth put the expected count outside "
             "the float range", lam)
-    conductance = 0.0 if cfg.conductance is None else cfg.conductance
-    thermal_sq = 4.0 * CONSTANTS.k_B * cfg.temperature * conductance * cfg.bandwidth
-    sigma = math.sqrt(thermal_sq) * window / CONSTANTS.e
+    breakdown = noise_breakdown(OperatingPoint(current=cfg.on_current, conductance=cfg.conductance,
+                                               temperature=cfg.temperature,
+                                               bandwidth=cfg.bandwidth), fano=cfg.fano)
+    sigma = math.sqrt(breakdown.thermal_sq) * window / CONSTANTS.e
     gaussian = lam > kernels.LAMBDA_GAUSSIAN_CUTOFF or cfg.fano != 1.0
     sqrt_shot = math.sqrt(cfg.fano * lam)
     if gaussian:
@@ -242,27 +248,22 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     trials = cfg.trials
     n_blocks = (trials + rng.BLOCK - 1) // rng.BLOCK
     shift = lam if gaussian else float(math.floor(lam))  # a run of all-0 counts has m2 = 0
-    no_thermal = np.empty(0, dtype=np.float64)
 
     @float_range_checked
     def run_block(index: int):
         n_b = min(rng.BLOCK, trials - index * rng.BLOCK)
         with kernels.block_workspace() as ws:
-            if sigma > 0.0:
-                u_open = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, 2 * n_b, ws.uniforms)
-                u_count, u_thermal = u_open[:n_b], u_open[n_b:]
-            else:
-                u_count = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, n_b, ws.uniforms)
-                u_thermal = no_thermal
+            # the thermal uniforms, if any, follow the count uniforms
+            u_open = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, (1 + (sigma > 0.0)) * n_b,
+                                       ws.uniforms)
             stats = open_block(
-                u_count, u_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot,
+                u_open[:n_b], u_open[n_b:], cdf, k_lo, guide, gaussian, lam, sqrt_shot,
                 sigma, shift, cfg.threshold, ws,
             )
-            if sigma > 0.0:
-                u_blocked = rng.uniform_block(cfg.seed, _BLOCKED_STREAM, index, n_b, ws.uniforms)
-                false_open = blocked_block(u_blocked, sigma, cfg.threshold, ws)
-            else:
-                false_open = 0
+            false_open = blocked_block(
+                rng.uniform_block(cfg.seed, _BLOCKED_STREAM, index, n_b, ws.uniforms),
+                sigma, cfg.threshold, ws,
+            ) if sigma > 0.0 else 0
         return stats + (false_open,)
 
     if workers == 1 or n_blocks == 1:
@@ -273,15 +274,10 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_block, range(n_blocks)))
 
-    s1 = s2 = s3 = s4 = 0.0
-    below = false_open = 0
-    for p1, p2, p3, p4, p_below, p_false in partials:  # fixed block order
-        s1 += p1
-        s2 += p2
-        s3 += p3
-        s4 += p4
-        below += p_below
-        false_open += p_false
+    totals = (0.0, 0.0, 0.0, 0.0, 0, 0)
+    for partial in partials:  # fixed block order
+        totals = tuple(total + part for total, part in zip(totals, partial))
+    s1, s2, s3, s4, below, false_open = totals
 
     try:  # Python's float ** raises where numpy's power gives inf
         mean, m2, m3, m4 = _central_moments(shift, trials, s1, s2, s3, s4)
@@ -297,29 +293,17 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     empirical_snr = mean / std if std > 0.0 else 0.0
 
     err_open = below / trials
-    if sigma > 0.0:
-        err_blocked = false_open / trials
-    else:
-        # Perfect pinch-off and no thermal noise: the blocked charge is
-        # exactly zero, so the decision is deterministic.
-        err_blocked = 1.0 if cfg.threshold <= 0.0 else 0.0
-
-    analytic = analytic_amplitude_snr(
-        OperatingPoint(
-            current=cfg.on_current,
-            conductance=cfg.conductance,
-            temperature=cfg.temperature,
-            bandwidth=cfg.bandwidth,
-        ),
-        fano=cfg.fano,
-    )
+    # Without thermal noise the blocked charge is exactly zero (perfect
+    # pinch-off), so its decision is deterministic.
+    err_blocked = (false_open / trials if sigma > 0.0
+                   else 1.0 if cfg.threshold <= 0.0 else 0.0)
 
     def _binomial_half_width(p: float) -> float:
         return Z95 * math.sqrt(p * (1.0 - p) / trials)
 
     return SimOutcome(
         empirical_snr=empirical_snr,
-        analytic_snr=analytic,
+        analytic_snr=signal_to_noise(cfg.on_current, breakdown),
         err_open=err_open,
         err_blocked=err_blocked,
         balanced_err=0.5 * (err_open + err_blocked),

@@ -154,8 +154,8 @@ def noise_breakdown(op: OperatingPoint, fano: float = 1.0) -> NoiseBreakdown:
     thermal_sq = 4.0 * CONSTANTS.k_B * op.temperature * conductance * op.bandwidth
     variance = shot_sq + thermal_sq
     require(isfinite(variance) & ((variance > 0.0) | (current == 0.0)),
-            "bandwidth and current put the noise variance outside the float range",
-            variance)
+            "bandwidth, current, temperature and conductance put the noise variance outside "
+            "the float range", variance)
     sqrt = (array_module(variance) or math).sqrt
     return NoiseBreakdown(shot_sq=shot_sq, thermal_sq=thermal_sq, total_rms=sqrt(variance))
 

@@ -245,6 +245,9 @@ def test_negative_bandwidth_is_domain_error(capsys):
         (["wire", "--temperature=-1K"], ["temperature"]),
         (["qpc", "--width", "20nm", "--temperature=-1K"], ["temperature"]),
         (["set", "--radius", "50nm", "--temperature=-1K"], ["temperature"]),
+        # The temperature, not the bandwidth, puts the Johnson term out of range.
+        (["qpc", "--width", "20nm", "--material", "gaas", "--temperature", "1e300K",
+          "--df", "1e100Hz"], ["temperature"]),
     ],
 )
 def test_out_of_float_range_is_one_error_line(capsys, argv, names):
@@ -432,6 +435,37 @@ def test_sweep_json_format(capsys):
     assert record["outputs"]["header"] == list(SWEEP_HEADER)
     assert len(record["outputs"]["rows"]) == 3
     assert record["inputs"]["device"] == "wire"
+
+
+def sweep_inputs(capsys, *args):
+    return run_json(capsys, "sweep", *args, "--points", "2", "--format", "json",
+                    "--deterministic")["inputs"]
+
+
+def test_sweep_json_inputs_tell_sizes_apart(capsys):
+    runs = [sweep_inputs(capsys, "--device", "qpc", "--axis", "delta_f", "--start", "1Hz",
+                         "--stop", "10Hz", "--material", "gaas", "--width", width)
+            for width in ("20nm", "40nm")]
+    assert [inputs["width_m"] for inputs in runs] == [2e-08, 4e-08]
+
+
+@pytest.mark.parametrize("args, tail", [
+    (["--device", "wire", "--axis", "T", "--start", "0K", "--stop", "1K", "--material", "gaas"],
+     {"epsilon_r": 12.9, "radius_m": None}),
+    (["--device", "wire", "--axis", "R", "--start", "1nm", "--stop", "2nm"],
+     {"temperature_k": 0.0, "material": "vacuum", "mass_ratio": 1.0, "epsilon_r": 1.0}),
+    (["--device", "qpc", "--axis", "W", "--start", "10nm", "--stop", "20nm"],
+     {"mass_ratio": 1.0, "epsilon_r": 1.0}),
+    (["--device", "set", "--axis", "delta_f", "--start", "1Hz", "--stop", "2Hz",
+      "--radius", "5e-8m"], {"temperature_k": 0.0, "island_radius_m": 5e-08, "epsilon_r": 1.0}),
+    (["--device", "set", "--axis", "R_island", "--start", "10nm", "--stop", "20nm",
+      "--epsr", "12.9"], {"temperature_k": 0.0, "epsilon_r": 12.9}),
+    (["--device", "set", "--axis", "epsilon_r", "--start", "1", "--stop", "2",
+      "--radius", "5e-8m"], {"temperature_k": 0.0, "island_radius_m": 5e-08}),
+])
+def test_sweep_json_inputs_end_with_the_size_and_the_set_epsilon_r_unless_swept(
+        capsys, args, tail):
+    assert list(sweep_inputs(capsys, *args).items())[-len(tail):] == list(tail.items())
 
 
 _SWEEP_AXES = ["--points", "3", "--spacing", "log", "--start", "10nm", "--stop", "100nm"]

@@ -439,6 +439,15 @@ def test_modulation_scaling(factory):
     assert rel(half.sensitivity, 2.0 * full.sensitivity) < 1e-12
 
 
+@pytest.mark.parametrize("modulation", [0.42533730676875514, 0.5874183784430576, 0.3])
+def test_modulation_is_squared_by_one_ieee_multiply(modulation):
+    # Python's ** goes through the C library's pow, which misses the
+    # correctly rounded square of the first two depths on some builds.
+    device = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
+    result = device_snr(device, 1e6, modulation=modulation)
+    assert result.f_unity == modulation * modulation * unity_snr_bandwidth(device)
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
 def test_modulation_range(bad):
     with pytest.raises(ParameterError):

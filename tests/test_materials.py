@@ -177,5 +177,7 @@ def test_load_materials_file_missing(tmp_path):
 
 def test_builtin_materials():
     table = builtin_materials()
-    assert table["vacuum"] == VACUUM
-    assert table["gaas"] == GAAS_LIKE
+    assert table == {"vacuum": VACUUM, "gaas": GAAS_LIKE}
+    assert list(table) == ["vacuum", "gaas"]
+    table.clear()  # each call gets a table of its own
+    assert builtin_materials() == {"vacuum": VACUUM, "gaas": GAAS_LIKE}

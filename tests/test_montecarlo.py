@@ -20,7 +20,7 @@ from chargelimit import (
     simulate_detection,
     validate_device,
 )
-from chargelimit import kernels
+from chargelimit import kernels, rng
 from chargelimit.constants import CONSTANTS
 
 E = CONSTANTS.e
@@ -282,6 +282,22 @@ def test_config_validation():
     ):
         with pytest.raises(ParameterError):
             SimConfig(**{**good, **overrides})
+
+
+def test_out_of_range_noise_fails_before_any_block_is_drawn(monkeypatch):
+    drawn = []
+    uniform_block = rng.uniform_block
+
+    def counted(*args):
+        drawn.append(args[:3])
+        return uniform_block(*args)
+
+    monkeypatch.setattr(rng, "uniform_block", counted)
+    cfg = SimConfig(on_current=1e-13, bandwidth=5e4, temperature=1e300, conductance=1e300,
+                    trials=100, seed=1)
+    with pytest.raises(ParameterError, match="temperature"):
+        simulate_detection(cfg)
+    assert drawn == []
 
 
 def test_workers_validation():

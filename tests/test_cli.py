@@ -442,14 +442,10 @@ def sweep_inputs(capsys, *args):
                     "--deterministic")["inputs"]
 
 
-def test_sweep_json_inputs_tell_sizes_apart(capsys):
-    runs = [sweep_inputs(capsys, "--device", "qpc", "--axis", "delta_f", "--start", "1Hz",
-                         "--stop", "10Hz", "--material", "gaas", "--width", width)
-            for width in ("20nm", "40nm")]
-    assert [inputs["width_m"] for inputs in runs] == [2e-08, 4e-08]
-
-
 @pytest.mark.parametrize("args, tail", [
+    *((["--device", "qpc", "--axis", "delta_f", "--start", "1Hz", "--stop", "10Hz",
+        "--material", "gaas", "--width", width], {"epsilon_r": 12.9, "width_m": value})
+      for width, value in (("20nm", 2e-08), ("40nm", 4e-08))),
     (["--device", "wire", "--axis", "T", "--start", "0K", "--stop", "1K", "--material", "gaas"],
      {"epsilon_r": 12.9, "radius_m": None}),
     (["--device", "wire", "--axis", "R", "--start", "1nm", "--stop", "2nm"],

@@ -39,6 +39,7 @@ generator?, seed?, timestamp?}; the timestamp is omitted under
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -500,7 +501,15 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
 
 
 def _number_cells(column, empty: str) -> list[str]:
+    """``repr`` of each cell of a float64 ``column``, ``empty`` where it is not
+    finite.  A column that repeats within its first 64 cells formats each
+    distinct bit pattern once (bits, so -0.0 and 0.0 stay apart)."""
     values = column.tolist()
+    if len(set(values[:64])) < len(values[:64]):
+        keys = column.view("i8").tolist()
+        text = {key: repr(v) if math.isfinite(v) else empty
+                for key, v in dict(zip(keys, values)).items()}
+        return list(map(text.__getitem__, keys))
     if isfinite(column).all():
         return list(map(repr, values))
     return [repr(v) if math.isfinite(v) else empty for v in values]
@@ -508,35 +517,34 @@ def _number_cells(column, empty: str) -> list[str]:
 
 def _sweep_rows(args: argparse.Namespace, values, result: SnrResult) -> list[str]:
     """Sweep rows, written column by column: CSV lines, or JSON objects as
-    ``emit_json`` would indent them in ``outputs["rows"]``.  Constant columns
-    go into a row template that the others fill.  Floats are ``repr``;
+    ``emit_json`` would indent them in ``outputs["rows"]``.  A CSV row joins
+    its cells; a JSON row fills a template that holds the constant cells.
+    Floats are ``repr``;
     inapplicable and non-finite cells are empty (CSV) or null (JSON)."""
     import numpy as np
 
     json_rows = args.format == "json"
     empty = "null" if json_rows else ""
-    columns = (args.axis, values, *(get(result) for _, _, get in RESULT_FIELDS),
-               ";".join(result.flags))
-    parts, filled = [], []
-    for column in columns:
+    columns = []  # a str for a constant cell, else the cells of a column
+    for column in (args.axis, values, *(get(result) for _, _, get in RESULT_FIELDS),
+                   ";".join(result.flags)):
         if isinstance(column, str):
-            part = json.dumps(column) if json_rows else column
+            columns.append(json.dumps(column) if json_rows else column)
         elif column is None:
-            part = empty
+            columns.append(empty)
         elif np.ndim(column) == 0:
-            part = _number_cells(np.array([float(column)]), empty)[0]
+            columns.append(_number_cells(np.array([float(column)]), empty)[0])
         else:
-            filled.append(_number_cells(column, empty))
-            parts.append("%s")
-            continue
-        parts.append(part.replace("%", "%%"))
-    if json_rows:
-        template = "      {\n" + ",\n".join(
-            f'        "{key}": {part}' for key, part in zip(SWEEP_HEADER, parts)
-        ) + "\n      }"
-    else:
-        template = ",".join(parts)
-    return [template % cells for cells in zip(*filled)]
+            columns.append(_number_cells(column, empty))
+    if not json_rows:
+        return list(map(",".join, zip(*(
+            itertools.repeat(cells, len(values)) if isinstance(cells, str) else cells
+            for cells in columns))))
+    template = "      {\n" + ",\n".join(
+        f'        "{key}": ' + (cells.replace("%", "%%") if isinstance(cells, str) else "%s")
+        for key, cells in zip(SWEEP_HEADER, columns)
+    ) + "\n      }"
+    return [template % cells for cells in zip(*(c for c in columns if not isinstance(c, str)))]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -710,9 +718,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser that every ``main`` call of a process reuses.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with warnings.catch_warnings():  # a result reports it in its flags
             warnings.simplefilter("ignore", ModelValidityWarning)

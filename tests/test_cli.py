@@ -5,13 +5,17 @@ reproducibility checks and an entry-point smoke test shell out to
 ``python -m chargelimit`` so the real process boundary is covered.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import chargelimit
 from chargelimit import SimConfig, cli, simulate_detection
@@ -316,6 +320,46 @@ def test_sweep_csv_round_trips_byte_identical(capsys):
             else:
                 rebuilt.append(repr(float(cell)))
         assert ",".join(rebuilt) == line
+
+
+def _plain_cells(values, empty):
+    return [repr(v) if math.isfinite(v) else empty for v in values]
+
+
+_DISTINCT = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=65,
+                     max_size=120, unique=True)
+_FEW = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, -1.7976931348623157e308,
+                        math.inf, -math.inf, math.nan])
+
+
+@given(values=st.one_of(
+    st.lists(st.floats(), min_size=1, max_size=80),  # length 1 and < 64, mostly distinct
+    st.lists(_FEW, min_size=1, max_size=200),  # repeats from the first cells on
+    _DISTINCT,  # all distinct past 64 cells
+    st.tuples(_DISTINCT, st.lists(_FEW, max_size=40)).map(lambda t: t[0] + t[0][:3] + t[1]),
+), empty=st.sampled_from(["", "null"]))
+@example(values=[0.0, -0.0, 0.0, -0.0], empty="")
+@example(values=[-0.0], empty="null")
+@example(values=[*map(float, range(70)), 3.0, -0.0, 0.0], empty="")
+@example(values=[math.inf, math.nan, 1.0, math.nan, -math.inf, 1.0], empty="null")
+def test_number_cells_equal_plain_repr(values, empty):
+    """Formatting each distinct cell once gives the bytes of one repr per
+    cell: -0.0 keeps its sign next to 0.0, a first repeat after cell 64
+    changes nothing, and non-finite cells are empty or null."""
+    assert cli._number_cells(np.array(values, dtype=np.float64), empty) == _plain_cells(values, empty)
+
+
+def test_number_cells_formats_each_distinct_value_once(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counted, raising=False)
+    values = [0.5, -0.0, 0.0, math.inf, 2.0e-9] * 400
+    assert cli._number_cells(np.array(values), "") == _plain_cells(values, "")
+    assert len(calls) == 4  # 0.5, -0.0, 0.0 and 2e-9; inf is not formatted
 
 
 def test_sweep_qpc_width_scaling(capsys):
@@ -720,12 +764,20 @@ _SIMULATE_COMMANDS = [
 ]
 
 
+_REPEATING_SWEEPS = [  # a wire's R sweep: 7 of its 12 array columns repeat
+    ["sweep", "--device", "wire", "--axis", "R", "--start", "1nm", "--stop", "1um",
+     "--points", "200", "--spacing", "log", "--material", "gaas", "--format", fmt]
+    for fmt in ("csv", "json")
+]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # No command imports scipy: the simulator builds its Poisson table
     # from ratios alone.  The scalar commands need no arrays at all: they
     # run, closed form and pipeline alike, on the standard library,
     # without numpy or the simulator.  No command imports dataclasses,
     # and the scalar ones not inspect either (numpy itself imports it).
+    # A sweep formats a repeating column's distinct cells without numpy.ma.
     code = (
         "import contextlib, io, sys\n"
         "import chargelimit.cli as cli\n"
@@ -735,14 +787,54 @@ def test_cli_import_leaves_scipy_unloaded():
         "loaded = {'numpy', 'scipy', 'chargelimit.montecarlo', 'dataclasses', 'inspect'}\n"
         "loaded &= set(sys.modules)\n"
         "assert not loaded, loaded\n"
-        f"for argv in {_SIMULATE_COMMANDS!r}:\n"
+        f"for argv in {[*_SIMULATE_COMMANDS, *_REPEATING_SWEEPS]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "loaded = {'scipy', 'dataclasses'} & set(sys.modules)\n"
+        "loaded = {'scipy', 'dataclasses', 'numpy.ma'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_REUSE_COMMANDS = (
+    ["wire", "--radius", "20nm", "--bogus"],  # usage error, exit 2
+    ["sweep", *_REPEATING_SWEEPS[0][1:6], "--stop", "1um", "--points", "5"],
+    ["sweep", "--help"],
+    ["wire", "--df=-1Hz"],  # ParameterError, exit 1
+    ["sweep", "--device", "set", "--axis", "W", "--start", "1nm", "--stop", "2nm"],
+    *([*argv, "--json", "--deterministic"] for argv in _SCALAR_COMMANDS),
+    ["--help"],
+    *([*argv, "--deterministic"] for argv in _SIMULATE_COMMANDS[:1]),
+    *_SCALAR_COMMANDS,
+    [*_REPEATING_SWEEPS[1], "--points", "7", "--deterministic"],
+)
+
+
+def test_main_reuses_one_parser_with_the_bytes_of_a_fresh_one(monkeypatch):
+    """main builds its parser once per process; every call, whatever the
+    calls before it did, gives what a freshly built parser gives."""
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = []
+    for argv in _REUSE_COMMANDS:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(argv))
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+    for _ in range(2):
+        assert [_outcome(argv) for argv in _REUSE_COMMANDS] == fresh
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_package_import_leaves_numpy_unloaded_and_resolves_the_simulator():

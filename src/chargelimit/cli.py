@@ -121,9 +121,10 @@ SWEEP_AXES = {
     "T": ("temperature", ("wire", "qpc", "set")),
 }
 #: The value flag each axis stands in for: a sweep's values take its place,
-#: and a sweep over the axis rejects it.  On the material axes a wire's or
-#: qpc's --mass-ratio/--epsr pair stays: it names the custom material whose
-#: m* or epsilon_r the axis varies.
+#: a sweep over the axis rejects it, and its JSON inputs leave its key out
+#: (--mass-ratio's is the material's mass_ratio).  On the material axes a
+#: wire's or qpc's --mass-ratio/--epsr pair stays: it names the custom
+#: material whose m* or epsilon_r the axis varies.
 _AXIS_FLAGS = {"R": "radius", "W": "width", "R_island": "radius", "delta_f": "df",
                "epsilon_r": "epsr", "m_star_ratio": "mass_ratio", "T": "temperature"}
 _MATERIAL_AXES = ("epsilon_r", "m_star_ratio")
@@ -587,10 +588,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if material is not None:
             inputs.update(_material_inputs(material))
         _, size, size_key, _, _ = _DEVICE_COMMANDS[args.device]
-        if swept != size:  # null where the flag is not given, as the one-shot commands write it
-            inputs[size_key] = getattr(args, size)
-        if args.device == "set" and swept != "epsr":
+        # null where the flag is not given, as the one-shot commands write it
+        inputs[size_key] = getattr(args, size)
+        if args.device == "set":
             inputs.update(_inputs(args, ("epsr",)))
+        dest = _AXIS_FLAGS[axis]  # the axis replaces this input: each row names its value
+        del inputs[size_key if dest == size else _FLAGS[dest][3] or dest]
         emit_json(args, inputs, {"header": list(SWEEP_HEADER), "rows": []}, rows=rows)
         return 0
     sys.stdout.write(",".join(SWEEP_HEADER) + "\n" + "\n".join(rows) + "\n")

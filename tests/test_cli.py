@@ -508,6 +508,40 @@ def test_sweep_json_inputs_end_with_the_size_and_the_set_epsilon_r_unless_swept(
     assert list(sweep_inputs(capsys, *args).items())[-len(tail):] == list(tail.items())
 
 
+_SWEEP_KEYS = ["device", "axis", "start", "stop", "points", "spacing", "bandwidth_hz",
+               "temperature_k"]
+_CHANNEL_KEYS = [*_SWEEP_KEYS, "material", "mass_ratio", "epsilon_r"]
+
+
+@pytest.mark.parametrize("args, keys, dropped", [
+    (["wire", "delta_f", "1Hz", "2Hz"], [*_CHANNEL_KEYS, "radius_m"], "bandwidth_hz"),
+    (["wire", "T", "0K", "1K"], [*_CHANNEL_KEYS, "radius_m"], "temperature_k"),
+    (["wire", "epsilon_r", "1", "2", "--mass-ratio", "0.067", "--epsr", "12.9"],
+     [*_CHANNEL_KEYS, "radius_m"], "epsilon_r"),
+    (["wire", "m_star_ratio", "0.5", "1.5"], [*_CHANNEL_KEYS, "radius_m"], "mass_ratio"),
+    (["wire", "R", "1nm", "2nm"], [*_CHANNEL_KEYS, "radius_m"], "radius_m"),
+    (["qpc", "delta_f", "1Hz", "2Hz", "--width", "20nm"], [*_CHANNEL_KEYS, "width_m"],
+     "bandwidth_hz"),
+    (["qpc", "T", "0K", "1K", "--width", "20nm"], [*_CHANNEL_KEYS, "width_m"], "temperature_k"),
+    (["qpc", "m_star_ratio", "0.5", "1.5", "--width", "20nm"], [*_CHANNEL_KEYS, "width_m"],
+     "mass_ratio"),
+    (["qpc", "W", "10nm", "20nm"], [*_CHANNEL_KEYS, "width_m"], "width_m"),
+    (["set", "delta_f", "1Hz", "2Hz", "--radius", "50nm"],
+     [*_SWEEP_KEYS, "island_radius_m", "epsilon_r"], "bandwidth_hz"),
+    (["set", "T", "0K", "1K", "--radius", "50nm"],
+     [*_SWEEP_KEYS, "island_radius_m", "epsilon_r"], "temperature_k"),
+    (["set", "epsilon_r", "1", "2", "--radius", "50nm"],
+     [*_SWEEP_KEYS, "island_radius_m", "epsilon_r"], "epsilon_r"),
+    (["set", "R_island", "10nm", "20nm"], [*_SWEEP_KEYS, "island_radius_m", "epsilon_r"],
+     "island_radius_m"),
+])
+def test_sweep_json_inputs_leave_out_what_the_axis_replaces(capsys, args, keys, dropped):
+    device, axis, start, stop, *rest = args
+    inputs = sweep_inputs(capsys, "--device", device, "--axis", axis, "--start", start,
+                          "--stop", stop, *rest)
+    assert list(inputs) == [key for key in keys if key != dropped]
+
+
 _SWEEP_AXES = ["--points", "3", "--spacing", "log", "--start", "10nm", "--stop", "100nm"]
 
 

@@ -140,9 +140,8 @@ def test_sweep_ends_cleanly(argv):
     device, axis = argv[2], argv[4]
 
     def on_success(record):
-        bandwidth = record["inputs"]["bandwidth_hz"]
-        for row in record["outputs"]["rows"]:
-            df = row["value"] if axis == "delta_f" else bandwidth
+        for row in record["outputs"]["rows"]:  # a delta_f sweep's inputs hold no bandwidth
+            df = row["value"] if axis == "delta_f" else record["inputs"]["bandwidth_hz"]
             check_snr(row, _COLUMNS[device], df, zero_bias=False)
 
     check_ending(argv, on_success)

@@ -506,7 +506,8 @@ def _number_cells(column, empty: str) -> list[str]:
     finite.  A column that repeats within its first 64 cells formats each
     distinct bit pattern once (bits, so -0.0 and 0.0 stay apart)."""
     values = column.tolist()
-    if len(set(values[:64])) < len(values[:64]):
+    head = values[:64]
+    if len(set(head)) < len(head):
         keys = column.view("i8").tolist()
         text = {key: repr(v) if math.isfinite(v) else empty
                 for key, v in dict(zip(keys, values)).items()}
@@ -520,8 +521,8 @@ def _sweep_rows(args: argparse.Namespace, values, result: SnrResult) -> list[str
     """Sweep rows, written column by column: CSV lines, or JSON objects as
     ``emit_json`` would indent them in ``outputs["rows"]``.  A CSV row joins
     its cells; a JSON row fills a template that holds the constant cells.
-    Floats are ``repr``;
-    inapplicable and non-finite cells are empty (CSV) or null (JSON)."""
+    Floats are ``repr``; inapplicable and non-finite cells are empty (CSV)
+    or null (JSON)."""
     import numpy as np
 
     json_rows = args.format == "json"

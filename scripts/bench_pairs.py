@@ -14,8 +14,8 @@ change while the runs last:
         --seeds 31-40 --seconds 20 --out BENCH_N.json
 
 An existing ``--out`` file keeps the summaries of other workloads, so
-several invocations fill one file (ROADMAP item 1 names one
-``BENCH_<n>.json`` per change).  Each run's metrics are kept in it with
+several invocations fill one file (the ROADMAP's north star asks for
+one ``BENCH_<n>.json`` per change).  Each run's metrics are kept in it with
 the commit and source digest that the run itself reported, and each
 side's env holds the versions, the machine and ``PYTHONDONTWRITEBYTECODE``
 (when set, every process compiles the package from source).  The script

@@ -5,7 +5,8 @@ round-robin over the commands so that a slow spell of the machine
 spreads over all of them, and prints the best and the median wall time
 in ms of each.  The commands are those of the ``cli-oneshot``
 benchmark workload at fixed inputs; ``wire`` is the
-``wire --json --deterministic`` call that ROADMAP's one-shot gate names.
+``wire --json --deterministic`` call, and ROADMAP item 2 gates the
+``sweep`` row's best time beyond the reference.
 The round-robin also runs a reference process that imports only the
 standard-library modules the CLI needs; the last two columns are each
 command's best and median beyond the reference's, which is what
@@ -28,7 +29,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-REPEATS = 15  # ROADMAP's one-shot gate is a best-of-15
+REPEATS = 15  # the ROADMAP quotes each command's best-of-15
 REFERENCE = "reference"
 _STDLIB = "import argparse, json, re, os, math, warnings, itertools, contextlib, functools"
 

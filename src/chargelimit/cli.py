@@ -28,12 +28,12 @@ space): lengths nm/um/m, frequencies Hz/kHz/MHz/GHz/THz, temperatures K,
 voltages mV/V, currents pA/nA/uA/mA/A, conductances uS/mS/S.  A bare
 number is the SI base unit.  Suffixes are matched case-insensitively.
 
-Exit codes: 0 success, 1 domain error (bad physics parameter), 2 usage
-error (unparseable flags, a flag the command does not take, or a sweep
-flag for the parameter the axis sweeps).  JSON
-output is a fixed-order envelope {command, inputs, outputs, flags,
-generator?, seed?, timestamp?}; the timestamp is omitted under
---deterministic so outputs can be compared byte for byte.
+Exit codes: 0 success, 1 domain error (bad physics parameter, unreadable
+materials table) or out of memory, 2 usage error (unparseable flags, a
+flag the command does not take, or a sweep flag for the parameter the
+axis sweeps).  JSON output is a fixed-order envelope {command, inputs,
+outputs, flags, generator?, seed?, timestamp?}; the timestamp is omitted
+under --deterministic so outputs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -110,24 +110,22 @@ RESULT_FIELDS = (
 #: Fixed CSV column set for `sweep`; inapplicable columns are left empty.
 SWEEP_HEADER = ("axis", "value", *(key for key, _, _ in RESULT_FIELDS), "flags")
 
-# axis token -> (unit kind, device kinds it applies to)
+#: axis token -> (the value flag it stands in for, device kinds it applies
+#: to).  The sweep's values take the flag's place and its unit kind, a
+#: sweep over the axis rejects the flag, and its JSON inputs leave out the
+#: flag's key (--mass-ratio's is the material's mass_ratio).  On a material
+#: axis, one whose flag is in _MATERIAL_FLAGS, a wire's or qpc's
+#: --mass-ratio/--epsr pair stays: it names the custom material whose m*
+#: or epsilon_r the axis varies.
 SWEEP_AXES = {
-    "R": ("length", ("wire",)),
-    "W": ("length", ("qpc",)),
-    "R_island": ("length", ("set",)),
-    "delta_f": ("frequency", ("wire", "qpc", "set")),
-    "epsilon_r": ("dimensionless", ("wire", "set")),
-    "m_star_ratio": ("dimensionless", ("wire", "qpc")),
+    "R": ("radius", ("wire",)),
+    "W": ("width", ("qpc",)),
+    "R_island": ("radius", ("set",)),
+    "delta_f": ("df", ("wire", "qpc", "set")),
+    "epsilon_r": ("epsr", ("wire", "set")),
+    "m_star_ratio": ("mass_ratio", ("wire", "qpc")),
     "T": ("temperature", ("wire", "qpc", "set")),
 }
-#: The value flag each axis stands in for: a sweep's values take its place,
-#: a sweep over the axis rejects it, and its JSON inputs leave its key out
-#: (--mass-ratio's is the material's mass_ratio).  On the material axes a
-#: wire's or qpc's --mass-ratio/--epsr pair stays: it names the custom
-#: material whose m* or epsilon_r the axis varies.
-_AXIS_FLAGS = {"R": "radius", "W": "width", "R_island": "radius", "delta_f": "df",
-               "epsilon_r": "epsr", "m_star_ratio": "mass_ratio", "T": "temperature"}
-_MATERIAL_AXES = ("epsilon_r", "m_star_ratio")
 
 _UNIT_TABLES = {
     "length": {"nm": 1e-9, "um": 1e-6, "m": 1.0},
@@ -448,7 +446,7 @@ def _sweep_values(args: argparse.Namespace):
     """The sweep's axis values, an ndarray: only a sweep imports numpy."""
     import numpy as np
 
-    kind = SWEEP_AXES[args.axis][0]
+    kind = _FLAGS[SWEEP_AXES[args.axis][0]][1]
     try:
         start, stop = (parse_quantity(text, kind) for text in (args.start, args.stop))
     except argparse.ArgumentTypeError as exc:
@@ -474,10 +472,12 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
     checks.
     """
 
-    def pick(dest: str, default):
-        return values if _AXIS_FLAGS.get(args.axis) == dest else default
+    swept = args.axis and SWEEP_AXES[args.axis][0]
 
-    if material is not None and args.axis in _MATERIAL_AXES:
+    def pick(dest: str, default):
+        return values if swept == dest else default
+
+    if material is not None and swept in _MATERIAL_FLAGS:
         material = Material("custom", pick("mass_ratio", material.mass_ratio),
                             pick("epsr", material.epsilon_r))
     # the pipelines are looked up here, where perfbench's wrappers find them
@@ -503,18 +503,17 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
 
 def _number_cells(column, empty: str) -> list[str]:
     """``repr`` of each cell of a float64 ``column``, ``empty`` where it is not
-    finite.  A column that repeats within its first 64 cells formats each
-    distinct bit pattern once (bits, so -0.0 and 0.0 stay apart)."""
+    finite.  A column that repeats within its first 64 cells, or holds a
+    non-finite cell, formats each distinct bit pattern once (bits, so -0.0
+    and 0.0 stay apart)."""
     values = column.tolist()
     head = values[:64]
-    if len(set(head)) < len(head):
-        keys = column.view("i8").tolist()
-        text = {key: repr(v) if math.isfinite(v) else empty
-                for key, v in dict(zip(keys, values)).items()}
-        return list(map(text.__getitem__, keys))
-    if isfinite(column).all():
+    if len(set(head)) == len(head) and isfinite(column).all():
         return list(map(repr, values))
-    return [repr(v) if math.isfinite(v) else empty for v in values]
+    keys = column.view("i8").tolist()
+    text = {key: repr(v) if math.isfinite(v) else empty
+            for key, v in dict(zip(keys, values)).items()}
+    return list(map(text.__getitem__, keys))
 
 
 def _sweep_rows(args: argparse.Namespace, values, result: SnrResult) -> list[str]:
@@ -551,17 +550,17 @@ def _sweep_rows(args: argparse.Namespace, values, result: SnrResult) -> list[str
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     axis = args.axis
-    kind, devices = SWEEP_AXES[axis]
+    swept, devices = SWEEP_AXES[axis]
     if args.device not in devices:
         args.parser.error(
             f"axis {axis!r} does not apply to device {args.device!r}; "
             f"valid devices: {', '.join(devices)}"
         )
     takes = _DEVICE_COMMANDS[args.device][3]
-    swept = None if args.device != "set" and axis in _MATERIAL_AXES else _AXIS_FLAGS[axis]
+    rejected = None if args.device != "set" and swept in _MATERIAL_FLAGS else swept
     for dest in _SWEEP_FLAGS:
-        if getattr(args, dest) is not None and (dest not in takes or dest == swept):
-            what = f"a sweep over {axis}" if dest == swept else f"device {args.device!r}"
+        if getattr(args, dest) is not None and (dest not in takes or dest == rejected):
+            what = f"a sweep over {axis}" if dest == rejected else f"device {args.device!r}"
             args.parser.error(f"{_FLAGS[dest][0][0]} does not apply to {what}")
     # --df, --temperature and the set's --epsr are None until here, so that the
     # check sees them given; now each takes its default of the device command
@@ -593,8 +592,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         inputs[size_key] = getattr(args, size)
         if args.device == "set":
             inputs.update(_inputs(args, ("epsr",)))
-        dest = _AXIS_FLAGS[axis]  # the axis replaces this input: each row names its value
-        del inputs[size_key if dest == size else _FLAGS[dest][3] or dest]
+        # the axis replaces this input: each row names its value
+        del inputs[size_key if swept == size else _FLAGS[swept][3] or swept]
         emit_json(args, inputs, {"header": list(SWEEP_HEADER), "rows": []}, rows=rows)
         return 0
     sys.stdout.write(",".join(SWEEP_HEADER) + "\n" + "\n".join(rows) + "\n")
@@ -733,8 +732,8 @@ def main(argv=None) -> int:
             warnings.simplefilter("ignore", ModelValidityWarning)
             status = args.func(args)
         sys.stdout.flush()  # a closed reader must surface here, not at exit
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParameterError, MemoryError) as exc:  # numpy's MemoryError names its allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # stdout to devnull, so the flush at exit is quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

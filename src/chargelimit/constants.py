@@ -56,8 +56,8 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         hbar = self.h / (2.0 * math.pi)
-        e_sq = self.e**2 / (4.0 * math.pi * self.eps0)
-        a0 = hbar**2 / (self.m_e * e_sq)
+        e_sq = self.e * self.e / (4.0 * math.pi * self.eps0)
+        a0 = hbar * hbar / (self.m_e * e_sq)
         ry = e_sq / (2.0 * a0)
         object.__setattr__(self, "hbar", hbar)
         object.__setattr__(self, "e_sq_gauss", e_sq)

@@ -89,7 +89,7 @@ __all__ = [
 #     that the identity tests check.  Flipping SET_SPIN_DEGENERACY to 1.0
 #     costs sqrt(2) in SNR and breaks that reduction.
 # --------------------------------------------------------------------------
-WIRE_CONDUCTANCE_PER_MODE = CONSTANTS.e**2 / CONSTANTS.h  # [S]
+WIRE_CONDUCTANCE_PER_MODE = CONSTANTS.e * CONSTANTS.e / CONSTANTS.h  # [S]
 QPC_SPIN_DEGENERACY = 2.0
 SET_SPIN_DEGENERACY = 2.0
 
@@ -304,8 +304,6 @@ def wire_mode_count(
     geometry: WireGeometry,
     material: Material,
     bias: float,
-    *,
-    floor_modes: bool = False,
 ) -> float:
     """Number of conducting modes of a wire channel at a given bias.
 
@@ -325,9 +323,6 @@ def wire_mode_count(
         triggers a ModelValidityWarning: the drain then overwhelms the
         pinch-off potential of the sensed charge and the on/off picture
         degrades.
-    floor_modes : bool, optional
-        If True, floor the continuous mode count to an integer.  The
-        closed-form cancellations hold only in the continuous default.
     """
     require_nonnegative(bias, "bias")
     if anywhere(bias > wire_optimal_bias(geometry, material)):
@@ -338,11 +333,10 @@ def wire_mode_count(
             stacklevel=2,
         )
     mass = material.mass_ratio * CONSTANTS.m_e
-    count = mass * square(geometry.radius, "radius") * CONSTANTS.e * bias / CONSTANTS.hbar**2
+    count = (mass * square(geometry.radius, "radius") * CONSTANTS.e * bias
+             / (CONSTANTS.hbar * CONSTANTS.hbar))
     require(isfinite(count) & ((count > 0.0) | (bias == 0.0)),
             "radius and m* put the wire mode count outside the float range", geometry.radius)
-    if floor_modes:  # an array's or a float's floor, -0.0 kept; only finite counts get here
-        count = count // 1.0 if array_module(count) else float(count // 1.0)
     return count
 
 
@@ -398,7 +392,6 @@ def wire_pipeline_snr(
     bias: float | None = None,
     temperature: float = 0.0,
     modulation: float = 1.0,
-    floor_modes: bool = False,
 ) -> SnrResult:
     """Step-by-step wire-FET SNR: bias -> modes -> conductance -> current.
 
@@ -415,9 +408,7 @@ def wire_pipeline_snr(
         bias = optimal
     elif anywhere(bias > optimal):
         flags = ("bias-above-optimal",)
-    modes = wire_mode_count(geometry, material, bias, floor_modes=floor_modes)
-    if floor_modes:
-        flags = flags + ("floored-modes",)
+    modes = wire_mode_count(geometry, material, bias)
     return _pipeline_result(
         n_modes=modes, bias=bias, temperature=temperature, bandwidth=bandwidth,
         modulation=modulation, flags=flags,
@@ -440,7 +431,7 @@ def qpc_subband_spacing(geometry: QpcGeometry, material: Material) -> float:
     denominator = 2.0 * mass * square(geometry.width, "width")
     message = "width and m* put the sub-band spacing outside the float range"
     require((denominator > 0.0) & isfinite(denominator), message, geometry.width)
-    spacing = 3.0 * math.pi**2 * CONSTANTS.hbar**2 / denominator
+    spacing = 3.0 * (math.pi * math.pi) * (CONSTANTS.hbar * CONSTANTS.hbar) / denominator
     require(spacing > 0.0, message, geometry.width)
     return spacing
 
@@ -631,8 +622,8 @@ def device_snr(
     # Below the normal float range a square loses the precision that
     # snr**2 * df = f_unity needs.
     tiny = sys.float_info.min
-    require(isfinite(value) & (tiny <= f_unity) & (f_unity < math.inf),
-            "the inputs put f_unity or the SNR outside the float range", f_unity)
+    require((tiny <= f_unity) & (f_unity < math.inf),
+            "the inputs put f_unity outside the float range", f_unity)
     require(tiny <= modulation_sq, "modulation**2 is below the normal float range", modulation)
     require(tiny <= value * value < math.inf,
             "bandwidth puts snr**2 outside the normal float range", bandwidth)

@@ -136,7 +136,7 @@ def load_materials_file(path: str | Path) -> dict[str, Material]:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read materials table {p}: {exc}") from None
     return parse_materials_table(text.splitlines(), source=str(p))
 

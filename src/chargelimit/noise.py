@@ -138,8 +138,8 @@ def noise_breakdown(op: OperatingPoint, fano: float = 1.0) -> NoiseBreakdown:
     fano : float, optional
         Multiplier on the shot-noise variance.  1 (default) is the
         uncorrelated-tunneling value; values below 1 model correlation-
-        suppressed shot noise.  Provided as an extension knob only —
-        every closed-form result in this package uses 1.
+        suppressed shot noise.  The detector models all use 1; only the
+        simulator takes another, from ``simulate --fano``.
 
     Returns
     -------

@@ -245,6 +245,10 @@ def test_negative_bandwidth_is_domain_error(capsys):
         (["set", "--radius", "9.94471e+107", "--df", "3.9895e+117", "--epsr", "4.3173e+98"],
          ["bandwidth"]),
         (["set", "--radius", "1.0m", "--modulation", "1e-156"], ["modulation"]),
+        # snr = sqrt(f_unity/df) overflows while f_unity stays finite: the bandwidth is named.
+        (["wire", "--df", "1e-320Hz"], ["bandwidth", "got 1e-320"]),
+        (["qpc", "--width", "20nm", "--df", "1e-320Hz"], ["bandwidth", "got 1e-320"]),
+        (["set", "--radius", "50nm", "--df", "1e-320Hz"], ["bandwidth", "got 1e-320"]),
         # Only T == 0 takes the closed form; a negative one reaches the checks.
         (["wire", "--temperature=-1K"], ["temperature"]),
         (["qpc", "--width", "20nm", "--temperature=-1K"], ["temperature"]),
@@ -262,6 +266,24 @@ def test_out_of_float_range_is_one_error_line(capsys, argv, names):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     for name in names:
         assert name in lines[0]
+
+
+def test_a_sweep_too_large_for_memory_is_one_error_line():
+    # The child's address space is capped, so the axis allocation fails
+    # before any memory is committed.
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+             "from chargelimit.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("CHARGE_LIMIT_MATERIALS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "sweep", "--device", "wire", "--axis", "R",
+         "--start", "1nm", "--stop", "1um", "--points", "1000000000000"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -617,6 +639,21 @@ def test_material_env_missing_file(monkeypatch, capsys):
     monkeypatch.setenv("CHARGE_LIMIT_MATERIALS", "/nonexistent/materials.tab")
     assert main(["material", "list"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["material", "list"], ["material", "show", "gaas"], ["wire"], ["qpc", "--width", "20nm"],
+    ["sweep", "--device", "wire", "--axis", "T", "--start", "0K", "--stop", "1K"],
+    ["sweep", "--device", "qpc", "--axis", "W", "--start", "10nm", "--stop", "20nm"],
+])
+def test_material_env_table_not_utf8_is_one_error_line(tmp_path, monkeypatch, argv):
+    table = tmp_path / "binary.tab"
+    table.write_bytes(b"\xff\xfe")
+    monkeypatch.setenv("CHARGE_LIMIT_MATERIALS", str(table))
+    code, out, err = _outcome(argv)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read materials table {table}: ")
 
 
 def test_unknown_material_is_domain_error(capsys):

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargelimit.cli import SWEEP_AXES, main
+from chargelimit.cli import _FLAGS, SWEEP_AXES, main
 
 _BASE = ("snr", "f_unity_hz", "sensitivity_e_per_rthz", "shot_variance_a2",
          "thermal_variance_a2", "total_rms_a")
@@ -117,7 +117,7 @@ def test_device_command_ends_cleanly(argv):
 def sweep_command(pair):
     device, axis = pair
     unit = {"length": "m", "frequency": "Hz", "temperature": "K",
-            "dimensionless": ""}[SWEEP_AXES[axis][0]]
+            "dimensionless": ""}[_FLAGS[SWEEP_AXES[axis][0]][1]]
     ends = st.tuples(magnitude, magnitude).map(sorted)
     extra = {"wire": st.just([]),
              "qpc": quantity("m").map(lambda text: ["--width", text]),

@@ -129,24 +129,6 @@ def test_wire_mode_count_linear_in_bias():
     assert wire_mode_count(geometry, GAAS_LIKE, 0.0) == 0.0
 
 
-def test_wire_mode_count_floor():
-    geometry = WireGeometry(5e-9)
-    bias = 0.7 * wire_optimal_bias(geometry, GAAS_LIKE)
-    count = wire_mode_count(geometry, GAAS_LIKE, bias)
-    floored = wire_mode_count(geometry, GAAS_LIKE, bias, floor_modes=True)
-    assert floored == math.floor(count)
-
-
-def test_wire_mode_count_floor_of_a_numpy_scalar_is_a_python_float():
-    geometry = WireGeometry(np.float64(50e-9))
-    bias = np.float64(0.7 * wire_optimal_bias(geometry, GAAS_LIKE))
-    floored = wire_mode_count(geometry, GAAS_LIKE, bias, floor_modes=True)
-    assert type(floored) is float
-    assert floored == math.floor(wire_mode_count(geometry, GAAS_LIKE, bias))
-    result = wire_pipeline_snr(geometry, GAAS_LIKE, 1.0, bias=bias, floor_modes=True)
-    assert type(result.transport.n_modes) is float
-
-
 def test_wire_mode_count_rejects_negative_bias():
     with pytest.raises(ParameterError):
         wire_mode_count(WireGeometry(5e-9), VACUUM, -1.0)
@@ -241,15 +223,6 @@ def test_wire_pipeline_overbias_flags_and_warns():
     with pytest.warns(ModelValidityWarning):
         result = wire_pipeline_snr(geometry, GAAS_LIKE, 1e6, bias=2.0 * optimal)
     assert "bias-above-optimal" in result.flags
-
-
-def test_wire_pipeline_floor_modes_flag():
-    geometry = WireGeometry(20e-9)
-    result = wire_pipeline_snr(geometry, GAAS_LIKE, 1e6, floor_modes=True)
-    assert "floored-modes" in result.flags
-    assert result.transport.n_modes == math.floor(
-        wire_mode_count(geometry, GAAS_LIKE, wire_optimal_bias(geometry, GAAS_LIKE))
-    )
 
 
 def test_wire_pipeline_temperature_degrades_snr():

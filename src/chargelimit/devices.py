@@ -300,11 +300,7 @@ def wire_optimal_bias(geometry: WireGeometry, material: Material) -> float:
     return bias
 
 
-def wire_mode_count(
-    geometry: WireGeometry,
-    material: Material,
-    bias: float,
-) -> float:
+def wire_mode_count(geometry: WireGeometry, material: Material, bias: float) -> float:
     """Number of conducting modes of a wire channel at a given bias.
 
     The carrier kinetic-energy window is e*bias, and the 2D density of

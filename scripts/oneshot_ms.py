@@ -5,7 +5,7 @@ round-robin over the commands so that a slow spell of the machine
 spreads over all of them, and prints the best and the median wall time
 in ms of each.  The commands are those of the ``cli-oneshot``
 benchmark workload at fixed inputs; ``wire`` is the
-``wire --json --deterministic`` call, and ROADMAP item 2 gates the
+``wire --json --deterministic`` call, and ROADMAP item 3 gates the
 ``sweep`` row's best time beyond the reference.
 The round-robin also runs a reference process that imports only the
 standard-library modules the CLI needs; the last two columns are each

@@ -46,11 +46,9 @@ import math
 import os
 import re
 import sys
-import warnings
 
 from .constants import CONSTANTS
 from .devices import (
-    ModelValidityWarning,
     QpcDevice,
     QpcGeometry,
     SetDevice,
@@ -728,9 +726,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with warnings.catch_warnings():  # a result reports it in its flags
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            status = args.func(args)
+        status = args.func(args)
         sys.stdout.flush()  # a closed reader must surface here, not at exit
     except (ParameterError, MemoryError) as exc:  # numpy's MemoryError names its allocation
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

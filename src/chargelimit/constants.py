@@ -1,4 +1,4 @@
-"""Physical constants and unit conversions.
+"""Physical constants.
 
 Single source of the fundamental constants used everywhere else in the
 package.  Values are CODATA 2018, hard-coded so results do not drift with
@@ -19,17 +19,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import isfinite, record, require, require_nonnegative
+from .errors import record
 
-__all__ = [
-    "PhysicalConstants",
-    "CONSTANTS",
-    "energy_to_frequency",
-    "frequency_to_energy",
-    "energy_to_temperature",
-    "temperature_to_energy",
-    "thermal_voltage_threshold",
-]
+__all__ = ["PhysicalConstants", "CONSTANTS"]
 
 
 @record
@@ -68,47 +60,3 @@ class PhysicalConstants:
 
 #: The constants instance used throughout the package.
 CONSTANTS = PhysicalConstants()
-
-
-def _require_finite(value: float, name: str) -> None:
-    require(isfinite(value), f"{name} must be finite", value)
-
-
-def energy_to_frequency(energy: float) -> float:
-    """Convert an energy in joules to the equivalent frequency E/h in Hz."""
-    _require_finite(energy, "energy")
-    return energy / CONSTANTS.h
-
-
-def frequency_to_energy(frequency: float) -> float:
-    """Convert a frequency in Hz to the equivalent energy h*f in joules."""
-    _require_finite(frequency, "frequency")
-    return frequency * CONSTANTS.h
-
-
-def energy_to_temperature(energy: float) -> float:
-    """Convert an energy in joules to the equivalent temperature E/k_B in K."""
-    _require_finite(energy, "energy")
-    return energy / CONSTANTS.k_B
-
-
-def temperature_to_energy(temperature: float) -> float:
-    """Convert a temperature in K to the equivalent energy k_B*T in joules."""
-    _require_finite(temperature, "temperature")
-    return temperature * CONSTANTS.k_B
-
-
-def thermal_voltage_threshold(temperature: float) -> float:
-    """Bias voltage above which shot noise exceeds thermal noise.
-
-    For a conductor carrying I = G*V, the shot term 2*e*I*df outgrows the
-    Johnson term 4*k_B*T*G*df once V > 2*k_B*T/e.  Returns that threshold
-    in volts.
-
-    Parameters
-    ----------
-    temperature : float
-        Temperature in kelvin, >= 0.
-    """
-    require_nonnegative(temperature, "temperature")
-    return 2.0 * CONSTANTS.k_B * temperature / CONSTANTS.e

@@ -22,8 +22,7 @@ Each device kind supplies one on-state: its conductance G and bias V,
 the transport state behind them, and its unity-SNR bandwidth at full
 modulation (the effective Rydberg frequency for the wire, the sub-band
 spacing or the charging energy over h for the QPC and the SET).
-:func:`device_snr`, :func:`device_operating_point`,
-:func:`unity_snr_bandwidth` and :func:`sensitivity` read every kind
+:func:`device_snr` and :func:`device_operating_point` read every kind
 through that one lookup; the closed form is snr = sqrt(f_unity/df).
 
 Every device also has a step-by-step pipeline (bias -> conductance ->
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 
 from .constants import CONSTANTS
 from .errors import (
@@ -72,8 +70,6 @@ __all__ = [
     "set_pipeline_snr",
     "device_snr",
     "device_operating_point",
-    "unity_snr_bandwidth",
-    "sensitivity",
 ]
 
 # --------------------------------------------------------------------------
@@ -315,19 +311,13 @@ def wire_mode_count(geometry: WireGeometry, material: Material, bias: float) -> 
     Parameters
     ----------
     bias : float
-        Source-drain bias in V, >= 0.  A bias above the optimal value
-        triggers a ModelValidityWarning: the drain then overwhelms the
-        pinch-off potential of the sensed charge and the on/off picture
-        degrades.
+        Source-drain bias in V, >= 0.  Any bias is counted without a
+        warning; above the optimal value the drain overwhelms the
+        pinch-off potential of the sensed charge, and
+        :func:`wire_pipeline_snr` reports that through its
+        ``bias-above-optimal`` flag.
     """
     require_nonnegative(bias, "bias")
-    if anywhere(bias > wire_optimal_bias(geometry, material)):
-        warnings.warn(
-            "bias exceeds the pinch-off-limited optimum; mode count is "
-            "evaluated anyway but single-charge switching is no longer assured",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
     mass = material.mass_ratio * CONSTANTS.m_e
     count = (mass * square(geometry.radius, "radius") * CONSTANTS.e * bias
              / (CONSTANTS.hbar * CONSTANTS.hbar))
@@ -640,13 +630,3 @@ def device_operating_point(
     conductance, bias, _, _ = _on_state(device)
     return OperatingPoint(conductance=conductance, bias=bias, temperature=temperature,
                           bandwidth=bandwidth)
-
-
-def unity_snr_bandwidth(device: DeviceSpec) -> float:
-    """Bandwidth (Hz) at which the device's amplitude SNR equals 1."""
-    return _on_state(device)[3]
-
-
-def sensitivity(device: DeviceSpec) -> float:
-    """Charge sensitivity 1/sqrt(f_unity) in e/sqrt(Hz)."""
-    return _sensitivity_from_unity(unity_snr_bandwidth(device))

@@ -16,46 +16,40 @@ from __future__ import annotations
 
 import math
 
-from .constants import CONSTANTS, thermal_voltage_threshold
-from .errors import ParameterError, anywhere, array_module, isfinite, record, require
+from .constants import CONSTANTS
+from .errors import ParameterError, array_module, isfinite, record, require
 from .errors import require_nonnegative, require_positive
 
-__all__ = [
-    "OperatingPoint",
-    "NoiseBreakdown",
-    "ShotDominance",
-    "noise_breakdown",
-    "snr",
-    "shot_dominated",
-]
-
-_CONSISTENCY_RTOL = 1e-12
+__all__ = ["OperatingPoint", "NoiseBreakdown", "noise_breakdown"]
 
 
 @record(kw_only=True)
 class OperatingPoint:
     """Bias point of a charge detector during a measurement.
 
+    It is given by one of two routes:
+
+    * a ``conductance`` and a ``bias``, as the device models give it; the
+      current is their product;
+    * a ``current``, as the simulator gives it, with a ``conductance``
+      for the Johnson term when one is known (without one the term is 0).
+
+    A current with a bias, a bias without a conductance, or neither
+    route is a ParameterError: no conductance is ever inferred from
+    current/bias.
+
     Parameters
     ----------
     bandwidth : float
         Measurement bandwidth in Hz, > 0.  Required.
     current : float, optional
-        Mean sense current in A, >= 0.  May be omitted if both
-        ``conductance`` and ``bias`` are given, in which case the
-        current is their product.
+        Mean sense current in A, >= 0.
     conductance : float, optional
         Mean channel conductance in S, >= 0.
     bias : float, optional
         Source-drain bias in V, >= 0.
     temperature : float, optional
         Temperature in K, >= 0.  Defaults to 0 (shot noise only).
-
-    Notes
-    -----
-    If ``current``, ``conductance`` and ``bias`` are all supplied they
-    must be mutually consistent: current = conductance * bias to
-    relative 1e-12.
     """
 
     bandwidth: float
@@ -71,43 +65,23 @@ class OperatingPoint:
             value = getattr(self, name)
             if value is not None:
                 require_nonnegative(value, name)
-        if self.current is None and (self.conductance is None or self.bias is None):
-            raise ParameterError(
-                "operating point needs either a current or both a conductance and a bias"
-            )
-        if all(v is not None for v in (self.current, self.conductance, self.bias)):
-            product = self.conductance * self.bias
-            gap = abs(self.current - product)  # compared with rtol * max(|current|, |product|)
-            if anywhere((gap > _CONSISTENCY_RTOL * abs(self.current))
-                        & (gap > _CONSISTENCY_RTOL * abs(product))):
-                raise ParameterError(
-                    f"inconsistent operating point: current={self.current!r} but "
-                    f"conductance*bias={product!r}"
-                )
+        if self.current is None:
+            routed = self.conductance is not None and self.bias is not None
+        else:
+            routed = self.bias is None
+        if not routed:
+            raise ParameterError("operating point needs either a current (with an optional "
+                                 "conductance) or a conductance and a bias")
 
     def sense_current(self) -> float:
-        """Mean sense current in A, derived from conductance*bias if needed."""
+        """Mean sense current in A: the current given, or conductance*bias."""
         if self.current is not None:
             return self.current
-        assert self.conductance is not None and self.bias is not None
         return self.conductance * self.bias
 
     def channel_conductance(self) -> float:
-        """Mean conductance in S for the Johnson term.
-
-        Falls back to current/bias when only those are known, and to 0
-        when the conductance cannot be inferred at all (T = 0 makes the
-        Johnson term vanish regardless).
-        """
-        if self.conductance is not None:
-            return self.conductance
-        if self.bias is not None and self.current is not None:
-            np = array_module(self.current, self.bias)
-            if np is None:
-                return float(self.current / self.bias) if self.bias > 0.0 else 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(self.bias > 0.0, np.divide(self.current, self.bias), 0.0)
-        return 0.0
+        """Mean conductance in S for the Johnson term; 0 when none was given."""
+        return 0.0 if self.conductance is None else self.conductance
 
 
 @record
@@ -117,15 +91,6 @@ class NoiseBreakdown:
     shot_sq: float
     thermal_sq: float
     total_rms: float
-
-
-@record
-class ShotDominance:
-    """Whether shot noise exceeds thermal noise, and by what factor."""
-
-    dominated: bool
-    threshold_voltage: float  # 2*k_B*T/e [V]
-    margin: float             # bias / threshold_voltage; inf at T = 0
 
 
 def noise_breakdown(op: OperatingPoint, fano: float = 1.0) -> NoiseBreakdown:
@@ -167,36 +132,3 @@ def signal_to_noise(current, breakdown: NoiseBreakdown):
         return np.divide(current, breakdown.total_rms, where=current != 0.0,
                          out=np.zeros(np.shape(breakdown.total_rms)))
     return 0.0 if current == 0.0 else current / breakdown.total_rms
-
-
-def snr(op: OperatingPoint, fano: float = 1.0) -> float:
-    """Amplitude signal-to-noise ratio: mean current over rms noise current.
-
-    At T = 0 this reduces to sqrt(I / (2*e*df)) — the square root of the
-    number of electrons passing in half the inverse bandwidth.  Returns
-    0 for zero current (sweeps pass through pinch-off) since the noise
-    floor also vanishes there at T = 0.
-    """
-    return signal_to_noise(op.sense_current(), noise_breakdown(op, fano=fano))
-
-
-def shot_dominated(op: OperatingPoint) -> ShotDominance:
-    """Check whether the bias puts the detector in the shot-noise regime.
-
-    Shot noise exceeds thermal noise when bias > 2*k_B*T/e (strict).
-    Requires the operating point to carry an explicit bias.
-    """
-    if op.bias is None:
-        raise ParameterError("shot_dominated needs an operating point with a bias")
-    threshold = thermal_voltage_threshold(op.temperature)
-    if op.temperature == 0.0:
-        return ShotDominance(
-            dominated=op.bias > 0.0,
-            threshold_voltage=0.0,
-            margin=math.inf if op.bias > 0.0 else 0.0,
-        )
-    return ShotDominance(
-        dominated=op.bias > threshold,
-        threshold_voltage=threshold,
-        margin=op.bias / threshold,
-    )

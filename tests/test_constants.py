@@ -1,4 +1,4 @@
-"""Checks for the pinned constant set and energy-scale conversions.
+"""Checks for the pinned constant set.
 
 Anchor values are frozen literals from the published CODATA 2018 tables.
 They are intentionally *not* read from scipy.constants at runtime: scipy
@@ -8,17 +8,7 @@ disagree in the 10th digit, which is exactly where these checks look.
 
 import math
 
-import pytest
-from hypothesis import given, strategies as st
-
-from chargelimit import CONSTANTS, ParameterError
-from chargelimit.constants import (
-    energy_to_frequency,
-    energy_to_temperature,
-    frequency_to_energy,
-    temperature_to_energy,
-    thermal_voltage_threshold,
-)
+from chargelimit import CONSTANTS
 
 # 2019 SI redefinition: these four are exact by definition.
 E_EXACT = 1.602176634e-19
@@ -101,52 +91,3 @@ def test_hartree_voltage_anchor():
 
 def test_rydberg_frequency_is_energy_over_h():
     assert CONSTANTS.rydberg_frequency == CONSTANTS.rydberg_energy / CONSTANTS.h
-
-
-def test_electronvolt_to_frequency():
-    # 1 eV <-> e/h Hz; e and h are exact so this anchor is exact-derived.
-    assert rel(energy_to_frequency(E_EXACT), 2.4179892420849183e14) < 1e-12
-
-
-def test_conversion_examples():
-    assert energy_to_frequency(H_EXACT) == 1.0
-    assert frequency_to_energy(1.0) == H_EXACT
-    assert energy_to_temperature(KB_EXACT) == 1.0
-    assert temperature_to_energy(1.0) == KB_EXACT
-
-
-@given(st.floats(min_value=1e-30, max_value=1e-12))
-def test_energy_frequency_round_trip(energy):
-    back = frequency_to_energy(energy_to_frequency(energy))
-    assert rel(back, energy) < 1e-15
-
-
-@given(st.floats(min_value=1e-30, max_value=1e-12))
-def test_energy_temperature_round_trip(energy):
-    back = temperature_to_energy(energy_to_temperature(energy))
-    assert rel(back, energy) < 1e-15
-
-
-def test_thermal_voltage_threshold_room_temperature():
-    assert rel(thermal_voltage_threshold(300.0), 0.05170399957287107) < 1e-15
-
-
-def test_thermal_voltage_threshold_cryogenic():
-    assert rel(thermal_voltage_threshold(4.2), 7.238559940201951e-4) < 1e-15
-
-
-def test_thermal_voltage_threshold_zero():
-    assert thermal_voltage_threshold(0.0) == 0.0
-
-
-def test_thermal_voltage_threshold_rejects_negative():
-    with pytest.raises(ParameterError):
-        thermal_voltage_threshold(-1.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_conversions_reject_non_finite(bad):
-    with pytest.raises(ParameterError):
-        energy_to_frequency(bad)
-    with pytest.raises(ParameterError):
-        temperature_to_energy(bad)

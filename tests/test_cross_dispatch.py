@@ -20,7 +20,7 @@ process and in a fresh interpreter) and the array calls that must equal
 their point calls bit for bit.  Only the 18 log-axis sweep digests stay
 out: ``np.geomspace`` builds those axes with numpy's SIMD ``log10`` and
 ``power``, so they are known to differ under AVX2 dispatch (ROADMAP item
-1(c)).
+2(c)).
 """
 
 import os

@@ -13,7 +13,6 @@ from chargelimit import (
     GAAS_LIKE,
     VACUUM,
     Material,
-    ModelValidityWarning,
     ParameterError,
     QpcDevice,
     QpcGeometry,
@@ -27,12 +26,10 @@ from chargelimit import (
     qpc_pipeline_snr,
     qpc_snr,
     qpc_subband_spacing,
-    sensitivity,
     set_blockade,
     set_island_capacitance,
     set_pipeline_snr,
     set_snr,
-    unity_snr_bandwidth,
     wire_mode_count,
     wire_optimal_bias,
     wire_pipeline_snr,
@@ -134,13 +131,6 @@ def test_wire_mode_count_rejects_negative_bias():
         wire_mode_count(WireGeometry(5e-9), VACUUM, -1.0)
 
 
-def test_wire_mode_count_warns_above_optimal():
-    geometry = WireGeometry(5e-9)
-    bias = 1.5 * wire_optimal_bias(geometry, VACUUM)
-    with pytest.warns(ModelValidityWarning):
-        wire_mode_count(geometry, VACUUM, bias)
-
-
 def test_wire_sense_current_values():
     assert rel(wire_sense_current(VACUUM), 1.0541815836449444e-3) < 1e-12
     assert rel(wire_sense_current(GAAS_LIKE), 4.244346259492296e-7) < 1e-12
@@ -217,10 +207,11 @@ def test_wire_pipeline_underbias_quadratic():
     assert half.flags == ()
 
 
-def test_wire_pipeline_overbias_flags_and_warns():
+def test_wire_pipeline_overbias_flags():
     geometry = WireGeometry(20e-9)
     optimal = wire_optimal_bias(geometry, GAAS_LIKE)
-    with pytest.warns(ModelValidityWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = wire_pipeline_snr(geometry, GAAS_LIKE, 1e6, bias=2.0 * optimal)
     assert "bias-above-optimal" in result.flags
 
@@ -418,7 +409,7 @@ def test_modulation_is_squared_by_one_ieee_multiply(modulation):
     # correctly rounded square of the first two depths on some builds.
     device = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
     result = device_snr(device, 1e6, modulation=modulation)
-    assert result.f_unity == modulation * modulation * unity_snr_bandwidth(device)
+    assert result.f_unity == modulation * modulation * device_snr(device, 1e6).f_unity
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
@@ -439,17 +430,6 @@ def test_device_snr_dispatch():
     assert device_snr(wire, 1e6).snr == wire_snr(GAAS_LIKE, 1e6).snr
     assert device_snr(qpc, 1e6).snr == qpc_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6).snr
     assert device_snr(sett, 1e6).snr == set_snr(SetGeometry(50e-9), 12.9, 1e6).snr
-
-
-def test_unity_bandwidth_and_sensitivity_dispatch():
-    for device in (
-        WireDevice(WireGeometry(20e-9), GAAS_LIKE),
-        QpcDevice(QpcGeometry(20e-9), GAAS_LIKE),
-        SetDevice(SetGeometry(50e-9), 12.9),
-    ):
-        f_unity = unity_snr_bandwidth(device)
-        assert rel(device_snr(device, 1e6).f_unity, f_unity) < 1e-12
-        assert rel(sensitivity(device), 1.0 / math.sqrt(f_unity)) < 1e-15
 
 
 def test_device_operating_point_dispatch():
@@ -482,8 +462,6 @@ def test_closed_form_reports_the_device_operating_point(device):
 def test_dispatch_rejects_unknown_kind():
     with pytest.raises(TypeError, match="unknown device kind"):
         device_snr(object(), 1e6)
-    with pytest.raises(TypeError, match="unknown device kind"):
-        unity_snr_bandwidth("wire")
     with pytest.raises(TypeError, match="unknown device kind"):
         device_operating_point(3.14, 1e6)
 

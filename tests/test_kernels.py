@@ -366,6 +366,26 @@ def test_uniform_block_empty():
     assert uniform_block(1, 0, 0, 0).size == 0
 
 
+#: 20 (seed, stream, block) keys: both simulator streams, early and far
+#: blocks, and the seed range's ends.
+_RAW_KEYS = [(seed, stream, block) for seed in (0, 1, 101, 2**32 + 5, 2**63, 2**64 - 1)
+             for stream, block in ((0, 0), (1, 0), (0, 9))] + [(7, 1, 2**31), (2**64 - 1, 1, 15)]
+
+
+@pytest.mark.parametrize("count", [BLOCK, 2 * BLOCK, 70_000 - BLOCK],
+                         ids=["block", "thermal-block", "partial"])
+def test_uniforms_are_the_philox_raw_stream(count):
+    # A seed fixes a bit generator's raw stream; NumPy's policy leaves
+    # ``Generator.random`` free to change between releases.  Should one
+    # change it, this fails before any seeded output moves unnoticed.
+    out = np.empty(2 * BLOCK)
+    for key in _RAW_KEYS:
+        raw = np.random.Philox(np.random.SeedSequence(key)).random_raw(count)
+        want = ((raw >> 11) * 2**-53).view(np.uint64)
+        assert np.array_equal(uniform_block(*key, count).view(np.uint64), want), key
+        assert np.array_equal(uniform_block(*key, count, out).view(np.uint64), want), key
+
+
 @pytest.mark.parametrize(
     "seed,stream,block,count",
     [(-1, 0, 0, 1), (2**64, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1), (0, 0, 0, -1)],

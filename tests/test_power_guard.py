@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chargelimit"
 
-_NOT_YET = "moves published bits; ROADMAP item 1(d) re-records them with the multiply"
+_NOT_YET = "moves published bits; ROADMAP item 2(d) re-records them with the multiply"
 
 #: (module, source of the power as ``ast.unparse`` writes it) -> why it stays.
 ALLOWED = {

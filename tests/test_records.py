@@ -25,7 +25,6 @@ from chargelimit import (
     SetDevice,
     SetElectrostatics,
     SetGeometry,
-    ShotDominance,
     SnrResult,
     TransportState,
     WireDevice,
@@ -55,7 +54,7 @@ CASES = {
         dict(rydberg_energy=1e-21, rydberg_frequency=1e12, bohr_radius=1e-8, scale_factor=0.5),
         {}, None, ()),
     OperatingPoint: (
-        dict(bandwidth=1e6, current=1e-9, conductance=1e-6, bias=1e-3, temperature=4.2),
+        dict(bandwidth=1e6, current=1e-9, conductance=1e-6, bias=None, temperature=4.2),
         dict(conductance=None, bias=None, temperature=0.0),
         dict(bandwidth=0.0), ()),
     WireGeometry: (dict(radius=20e-9), {}, dict(radius=-1.0), ()),
@@ -68,7 +67,6 @@ CASES = {
         dict(n_modes=2.0, kinetic_energy=1e-22, bias=1e-3, conductance=7.7e-5, current=7.7e-8),
         {}, None, ()),
     NoiseBreakdown: (dict(shot_sq=1e-20, thermal_sq=4e-21, total_rms=1.2e-10), {}, None, ()),
-    ShotDominance: (dict(dominated=True, threshold_voltage=7.2e-4, margin=1.4), {}, None, ()),
     SetElectrostatics: (
         dict(capacitance=1e-17, charging_energy=1e-21, blockade_voltage=8e-3), {}, None, ()),
     SnrResult: (

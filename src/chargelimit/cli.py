@@ -59,7 +59,6 @@ from .devices import (
     device_snr,
     qpc_pipeline_snr,
     set_pipeline_snr,
-    set_snr,
     wire_pipeline_snr,
     wire_snr,
 )
@@ -619,7 +618,7 @@ def _report_tables() -> list[tuple]:
 
     vacuum_wire = wire_snr(VACUUM, 1.0)
     gaas_wire = wire_snr(GAAS_LIKE, 1.0)
-    set_result = set_snr(SetGeometry(50e-9), 12.9, 1.0)
+    set_result = device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1.0)
     ratio = vacuum_wire.sensitivity / 2.0e-8
     gaas = {"material": "gaas", "bandwidth_hz": 1.0}
     checks = [  # label, device, inputs, result, target, within target
@@ -670,10 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON envelope")
-    common.add_argument(
-        "--deterministic", action="store_true",
-        help="omit the timestamp so outputs are byte-stable",
-    )
+    deterministic = argparse.ArgumentParser(add_help=False)  # a sweep's format is its --format
+    for parent in (common, deterministic):
+        parent.add_argument(
+            "--deterministic", action="store_true",
+            help="omit the timestamp so outputs are byte-stable",
+        )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", parents=[common], help="pinned constants and derived scales")
@@ -689,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_flags(p, dests, overrides)
         p.set_defaults(func=cmd_device, parser=p, device=kind, axis=None)
 
-    p = sub.add_parser("sweep", parents=[common], help="sweep one parameter axis")
+    p = sub.add_parser("sweep", parents=[deterministic], help="sweep one parameter axis")
     p.add_argument("--device", choices=("wire", "qpc", "set"), required=True)
     p.add_argument("--axis", choices=tuple(SWEEP_AXES), required=True)
     p.add_argument("--start", required=True, help="axis start (unit suffix allowed)")

@@ -22,8 +22,8 @@ Each device kind supplies one on-state: its conductance G and bias V,
 the transport state behind them, and its unity-SNR bandwidth at full
 modulation (the effective Rydberg frequency for the wire, the sub-band
 spacing or the charging energy over h for the QPC and the SET).
-:func:`device_snr` and :func:`device_operating_point` read every kind
-through that one lookup; the closed form is snr = sqrt(f_unity/df).
+:func:`device_snr` reads every kind through that one lookup; the closed
+form is snr = sqrt(f_unity/df).
 
 Every device also has a step-by-step pipeline (bias -> conductance ->
 current -> generic noise SNR) that shares only the default bias with the
@@ -55,21 +55,17 @@ __all__ = [
     "TransportState",
     "SetElectrostatics",
     "SnrResult",
-    "ModelValidityWarning",
     "wire_optimal_bias",
     "wire_mode_count",
     "wire_sense_current",
     "wire_snr",
     "wire_pipeline_snr",
     "qpc_subband_spacing",
-    "qpc_snr",
     "qpc_pipeline_snr",
     "set_island_capacitance",
     "set_blockade",
-    "set_snr",
     "set_pipeline_snr",
     "device_snr",
-    "device_operating_point",
 ]
 
 # --------------------------------------------------------------------------
@@ -88,10 +84,6 @@ __all__ = [
 WIRE_CONDUCTANCE_PER_MODE = CONSTANTS.e * CONSTANTS.e / CONSTANTS.h  # [S]
 QPC_SPIN_DEGENERACY = 2.0
 SET_SPIN_DEGENERACY = 2.0
-
-
-class ModelValidityWarning(UserWarning):
-    """A parameter choice leaves the regime where the model is trustworthy."""
 
 
 @record
@@ -352,12 +344,7 @@ def _wire_on_state(device: WireDevice) -> tuple:
     return conductance, bias, transport, rydberg_frequency
 
 
-def wire_snr(
-    material: Material,
-    bandwidth: float,
-    *,
-    modulation: float = 1.0,
-) -> SnrResult:
+def wire_snr(material: Material, bandwidth: float) -> SnrResult:
     """Closed-form wire-FET SNR at a given bandwidth.
 
     snr = sqrt(f_Ry_star / bandwidth): the unity-SNR bandwidth of the
@@ -366,7 +353,7 @@ def wire_snr(
     the reference radius R = a_star where exactly one mode conducts.
     """
     reference = WireGeometry(radius=effective_scales(material).bohr_radius)
-    return device_snr(WireDevice(reference, material), bandwidth, modulation=modulation)
+    return device_snr(WireDevice(reference, material), bandwidth)
 
 
 @float_range_checked
@@ -423,7 +410,16 @@ def qpc_subband_spacing(geometry: QpcGeometry, material: Material) -> float:
 
 
 def _qpc_on_state(device: QpcDevice) -> tuple:
-    """One spin-degenerate sub-band biased across the sub-band spacing."""
+    """One spin-degenerate sub-band biased across the sub-band spacing.
+
+    With G = 2e^2/h the closed form is snr = sqrt(spacing/(h*bandwidth)),
+    i.e. f_unity is the sub-band spacing expressed as a frequency.
+    Equivalently, in terms of hydrogenic scales,
+
+        snr^2 = 3*pi^2 * (Ry/(h*df)) * (m_e/m*) * (a0/W)^2
+
+    and the tests hold the two forms together to relative 1e-12.
+    """
     spacing = qpc_subband_spacing(device.geometry, device.material)
     bias = spacing / CONSTANTS.e
     conductance = QPC_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
@@ -435,27 +431,6 @@ def _qpc_on_state(device: QpcDevice) -> tuple:
         current=conductance * bias,
     )
     return conductance, bias, transport, spacing / CONSTANTS.h
-
-
-def qpc_snr(
-    geometry: QpcGeometry,
-    material: Material,
-    bandwidth: float,
-    *,
-    modulation: float = 1.0,
-) -> SnrResult:
-    """Closed-form QPC SNR at a given bandwidth.
-
-    One spin-degenerate sub-band (G = 2e^2/h) biased across the sub-band
-    spacing gives snr = sqrt(spacing/(h*bandwidth)), i.e. f_unity is the
-    sub-band spacing expressed as a frequency.  Equivalently, in terms
-    of hydrogenic scales,
-
-        snr^2 = 3*pi^2 * (Ry/(h*df)) * (m_e/m*) * (a0/W)^2
-
-    and the tests hold the two forms together to relative 1e-12.
-    """
-    return device_snr(QpcDevice(geometry, material), bandwidth, modulation=modulation)
 
 
 @float_range_checked
@@ -471,8 +446,8 @@ def qpc_pipeline_snr(
     """Step-by-step QPC SNR through the generic noise machinery.
 
     The default bias drops the full sub-band spacing across the
-    constriction; T = 0 with that default matches :func:`qpc_snr` to
-    relative 1e-12.
+    constriction; T = 0 with that default matches :func:`device_snr` of
+    the :class:`QpcDevice` to relative 1e-12.
     """
     _check_modulation(modulation)
     if bias is None:
@@ -521,32 +496,20 @@ def set_blockade(geometry: SetGeometry, epsilon_r: float) -> SetElectrostatics:
 
 
 def _set_on_state(device: SetDevice) -> tuple:
-    """Biased at the blockade voltage with on-state conductance 2e^2/h."""
-    electrostatics = set_blockade(device.geometry, device.epsilon_r)
-    conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
-    return (conductance, electrostatics.blockade_voltage, electrostatics,
-            electrostatics.charging_energy / CONSTANTS.h)
+    """Biased at the blockade voltage with on-state conductance 2e^2/h.
 
-
-def set_snr(
-    geometry: SetGeometry,
-    epsilon_r: float,
-    bandwidth: float,
-    *,
-    modulation: float = 1.0,
-) -> SnrResult:
-    """Closed-form SET SNR at a given bandwidth.
-
-    Biased at the blockade voltage with on-state conductance 2e^2/h, the
-    SNR is sqrt(E_charging/(h*bandwidth)); f_unity is the charging
-    energy as a frequency.  With the thin-disk capacitance this is
-    identical to the hydrogenic form
+    The closed form is snr = sqrt(E_charging/(h*bandwidth)); f_unity is
+    the charging energy as a frequency.  With the thin-disk capacitance
+    this is identical to the hydrogenic form
 
         snr^2 = (Ry/(h*df)) * pi*a0 / (2*epsilon_r*R_island)
 
     which the tests hold to relative 1e-12.
     """
-    return device_snr(SetDevice(geometry, epsilon_r), bandwidth, modulation=modulation)
+    electrostatics = set_blockade(device.geometry, device.epsilon_r)
+    conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
+    return (conductance, electrostatics.blockade_voltage, electrostatics,
+            electrostatics.charging_energy / CONSTANTS.h)
 
 
 @float_range_checked
@@ -562,7 +525,7 @@ def set_pipeline_snr(
     """Step-by-step SET SNR through the generic noise machinery.
 
     Defaults to the blockade-voltage bias; with T = 0 that matches
-    :func:`set_snr` to relative 1e-12.
+    :func:`device_snr` of the :class:`SetDevice` to relative 1e-12.
     """
     _check_modulation(modulation)
     electrostatics = set_blockade(geometry, epsilon_r)
@@ -579,15 +542,9 @@ def set_pipeline_snr(
 # Every device kind through its on-state
 # --------------------------------------------------------------------------
 
+#: device kind -> its on-state: (G, V, transport state, unity-SNR
+#: bandwidth at full modulation).
 _ON_STATES = {WireDevice: _wire_on_state, QpcDevice: _qpc_on_state, SetDevice: _set_on_state}
-
-
-def _on_state(device: DeviceSpec) -> tuple:
-    """(G, V, transport state, unity-SNR bandwidth at full modulation)."""
-    on_state = _ON_STATES.get(type(device))
-    if on_state is None:
-        raise TypeError(f"unknown device kind: {type(device).__name__}")
-    return on_state(device)
 
 
 def device_snr(
@@ -600,7 +557,10 @@ def device_snr(
     noise of the on-state at T = 0.
     """
     _check_modulation(modulation)
-    conductance, bias, transport, f_on = _on_state(device)
+    on_state = _ON_STATES.get(type(device))
+    if on_state is None:
+        raise TypeError(f"unknown device kind: {type(device).__name__}")
+    conductance, bias, transport, f_on = on_state(device)
     op = OperatingPoint(conductance=conductance, bias=bias, temperature=0.0, bandwidth=bandwidth)
     modulation_sq = modulation * modulation  # one IEEE multiply, in (0, 1] as the depth is
     f_unity = modulation_sq * f_on
@@ -621,12 +581,3 @@ def device_snr(
         transport=transport,
         operating_point=op,
     )
-
-
-def device_operating_point(
-    device: DeviceSpec, bandwidth: float, temperature: float = 0.0
-) -> OperatingPoint:
-    """On-state operating point (G, V) of a device, for noise or Monte Carlo."""
-    conductance, bias, _, _ = _on_state(device)
-    return OperatingPoint(conductance=conductance, bias=bias, temperature=temperature,
-                          bandwidth=bandwidth)

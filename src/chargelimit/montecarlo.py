@@ -41,13 +41,12 @@ can change a single output bit.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from . import kernels, rng
 from .constants import CONSTANTS
-from .devices import DeviceSpec, ModelValidityWarning, device_operating_point
+from .devices import DeviceSpec, device_snr
 from .errors import ParameterError, float_range_checked, record, require, require_nonnegative
 from .errors import require_positive
 from .noise import OperatingPoint, noise_breakdown, signal_to_noise
@@ -82,7 +81,7 @@ class SimConfig:
         Temperature in K for the thermal-noise term.  Default 0.
     conductance : float, optional
         Channel conductance in S for the thermal-noise term; ``None``
-        means no Johnson noise (equivalent to 0 S or T = 0).
+        means no Johnson noise, and is valid only at T = 0.
     trials : int
         Number of independent windows simulated per state, >= 1.
     seed : int
@@ -110,6 +109,9 @@ class SimConfig:
         require_nonnegative(self.temperature, "temperature")
         if self.conductance is not None:
             require_nonnegative(self.conductance, "conductance")
+        require(self.temperature <= 0.0 or self.conductance is not None,
+                "a temperature above 0 K needs a conductance for its Johnson noise",
+                self.temperature)
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ParameterError(f"trials must be an int >= 1, got {self.trials!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
@@ -324,42 +326,16 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     )
 
 
-def validate_device(
-    device: DeviceSpec,
-    bandwidth: float,
-    trials: int,
-    seed: int,
-    *,
-    threshold: float = 0.5,
-    workers: int = 1,
-) -> SimOutcome:
-    """Simulate a device at its on-state operating point and compare SNRs.
+def validate_device(device: DeviceSpec, bandwidth: float, trials: int, seed: int) -> SimOutcome:
+    """Simulate a device at its on-state current and compare SNRs.
 
-    Runs the counting simulation at T = 0 with the device's own current
-    and conductance.  The outcome's :meth:`SimOutcome.n_sigma` scores the
-    empirical SNR against the analytic value in units of the estimator's
-    standard error, and :meth:`SimOutcome.within_3_sigma` says whether
-    they agree within 3 sigma.  Warns when the expected count per window
-    is below 10, where the Poisson law is visibly non-Gaussian and the
-    comparison is loose.
+    Runs the counting simulation at T = 0, with the on-state sense
+    current of :func:`chargelimit.devices.device_snr` at ``bandwidth``.
+    The outcome's :meth:`SimOutcome.n_sigma` scores the empirical SNR
+    against the analytic value in units of the estimator's standard
+    error, and :meth:`SimOutcome.within_3_sigma` says whether they agree
+    within 3 sigma; a run without spread is flagged ``zero-spread``.
     """
-    op = device_operating_point(device, bandwidth)
-    current = op.sense_current()
-    expected = current / (2.0 * bandwidth * CONSTANTS.e)
-    if expected < 10.0:
-        warnings.warn(
-            f"expected count per window is {expected:.3g} (< 10); the "
-            "sqrt-count comparison is only loosely meaningful here",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
-    cfg = SimConfig(
-        on_current=current,
-        bandwidth=bandwidth,
-        temperature=0.0,
-        conductance=op.channel_conductance(),
-        trials=trials,
-        seed=seed,
-        threshold=threshold,
-    )
-    return simulate_detection(cfg, workers=workers)
+    current = device_snr(device, bandwidth).operating_point.sense_current()
+    return simulate_detection(SimConfig(on_current=current, bandwidth=bandwidth, trials=trials,
+                                        seed=seed))

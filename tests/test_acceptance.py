@@ -19,14 +19,15 @@ from chargelimit import (
     GAAS_LIKE,
     VACUUM,
     Material,
+    QpcDevice,
     QpcGeometry,
+    SetDevice,
     SetGeometry,
     SimConfig,
     WireGeometry,
+    device_snr,
     qpc_pipeline_snr,
-    qpc_snr,
     set_pipeline_snr,
-    set_snr,
     simulate_detection,
     wire_pipeline_snr,
     wire_snr,
@@ -99,7 +100,7 @@ def test_criterion_4_hydrogenic_identities():
         epsilon_r = 10.0 ** draws.uniform(0.0, 2.0)
         material = Material("draw", mass_ratio, epsilon_r)
 
-        qpc = qpc_snr(QpcGeometry(length), material, bandwidth)
+        qpc = device_snr(QpcDevice(QpcGeometry(length), material), bandwidth)
         bohr_form = (
             3.0
             * math.pi**2
@@ -109,7 +110,7 @@ def test_criterion_4_hydrogenic_identities():
         )
         worst_qpc = max(worst_qpc, rel(qpc.snr**2 * bandwidth, bohr_form))
 
-        sett = set_snr(SetGeometry(length), epsilon_r, bandwidth)
+        sett = device_snr(SetDevice(SetGeometry(length), epsilon_r), bandwidth)
         rydberg_form = (
             C.rydberg_frequency * math.pi * C.bohr_radius / (2.0 * epsilon_r * length)
         )
@@ -139,11 +140,11 @@ def test_criterion_5_closed_form_vs_pipeline():
                 wire_pipeline_snr(WireGeometry(length), material, bandwidth).snr,
             ),
             (
-                qpc_snr(QpcGeometry(length), material, bandwidth).snr,
+                device_snr(QpcDevice(QpcGeometry(length), material), bandwidth).snr,
                 qpc_pipeline_snr(QpcGeometry(length), material, bandwidth).snr,
             ),
             (
-                set_snr(SetGeometry(length), epsilon_r, bandwidth).snr,
+                device_snr(SetDevice(SetGeometry(length), epsilon_r), bandwidth).snr,
                 set_pipeline_snr(SetGeometry(length), epsilon_r, bandwidth).snr,
             ),
         )

@@ -492,6 +492,14 @@ def test_sweep_start_must_precede_stop():
     assert err.value.code == 2
 
 
+def test_sweep_takes_its_format_from_format_not_json(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--device", "wire", "--axis", "R", "--start", "1nm", "--stop", "2nm",
+              "--points", "2", "--json"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_sweep_json_format(capsys):
     record = run_json(
         capsys,
@@ -710,6 +718,17 @@ def test_simulate_without_spread_is_flagged_not_scored(capsys):
     assert out["empirical_snr"] == 0.0 and out["std_charge"] == 0.0
     assert out["n_sigma"] is None and out["within_3_sigma"] is None
     assert record["flags"] == ["zero-spread"]
+
+
+def test_simulate_temperature_without_a_conductance_is_one_error_line(capsys):
+    # Without a conductance the Johnson term would be 0 S, so 4.2 K would
+    # be dropped silently.
+    assert main(["simulate", "--current", "1.602176634e-13A", "--df", "5e4Hz", "--trials", "1000",
+                 "--seed", "1", "--temperature", "4.2K", "--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a temperature above 0 K needs a conductance for its Johnson "
+                            "noise, got 4.2\n")
 
 
 def test_simulate_current_unit_suffix(capsys):

@@ -20,16 +20,13 @@ from chargelimit import (
     SetGeometry,
     WireDevice,
     WireGeometry,
-    device_operating_point,
     device_snr,
     effective_scales,
     qpc_pipeline_snr,
-    qpc_snr,
     qpc_subband_spacing,
     set_blockade,
     set_island_capacitance,
     set_pipeline_snr,
-    set_snr,
     wire_mode_count,
     wire_optimal_bias,
     wire_pipeline_snr,
@@ -269,7 +266,7 @@ def test_qpc_spacing_against_numerical_well_levels():
 
 
 def test_qpc_snr_form():
-    result = qpc_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6)
+    result = device_snr(QpcDevice(QpcGeometry(20e-9), GAAS_LIKE), 1e6)
     spacing = qpc_subband_spacing(QpcGeometry(20e-9), GAAS_LIKE)
     assert rel(result.f_unity, spacing / C.h) < 1e-15
     assert rel(result.snr, math.sqrt(result.f_unity / 1e6)) < 1e-15
@@ -277,7 +274,7 @@ def test_qpc_snr_form():
 
 
 def test_qpc_transport_state():
-    result = qpc_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6)
+    result = device_snr(QpcDevice(QpcGeometry(20e-9), GAAS_LIKE), 1e6)
     t = result.transport
     assert t.n_modes == 2.0
     assert rel(t.conductance, 2.0 * C.e**2 / C.h) < 1e-15
@@ -289,7 +286,7 @@ def test_qpc_hydrogenic_identity():
     # The spacing form and the atomic-units form are the same algebra:
     # snr^2 * df = 3*pi^2 * f_Ry * (m_e/m*) * (a0/W)^2.
     for width in (2e-9, 20e-9, 200e-9):
-        result = qpc_snr(QpcGeometry(width), GAAS_LIKE, 1e4)
+        result = device_snr(QpcDevice(QpcGeometry(width), GAAS_LIKE), 1e4)
         lhs = result.snr**2 * 1e4
         rhs = (
             3.0
@@ -302,7 +299,7 @@ def test_qpc_hydrogenic_identity():
 
 
 def test_qpc_pipeline_matches_closed_form():
-    closed = qpc_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6)
+    closed = device_snr(QpcDevice(QpcGeometry(20e-9), GAAS_LIKE), 1e6)
     piped = qpc_pipeline_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6)
     assert rel(piped.snr, closed.snr) < 1e-12
     assert rel(piped.f_unity, closed.f_unity) < 1e-12
@@ -341,12 +338,12 @@ def test_set_charging_energy_reduces_to_rydberg():
     radius = math.pi * C.bohr_radius / 2.0
     e = set_blockade(SetGeometry(radius), 1.0)
     assert rel(e.charging_energy, C.rydberg_energy) < 1e-12
-    result = set_snr(SetGeometry(radius), 1.0, 1.0)
+    result = device_snr(SetDevice(SetGeometry(radius), 1.0), 1.0)
     assert rel(result.f_unity, C.rydberg_frequency) < 1e-12
 
 
 def test_set_snr_form():
-    result = set_snr(SetGeometry(50e-9), 12.9, 1.0)
+    result = device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1.0)
     assert rel(result.f_unity, 423971175123.34814) < 1e-12
     assert rel(result.sensitivity, 1.5357899969311475e-6) < 1e-12
     assert rel(result.snr, math.sqrt(result.f_unity)) < 1e-15
@@ -356,22 +353,22 @@ def test_set_snr_form():
 def test_set_hydrogenic_identity():
     # snr^2 * df = f_Ry * pi * a0 / (2 * eps_r * R) for any island.
     for radius, epsr in ((5e-9, 1.0), (50e-9, 12.9), (5e-7, 3.9)):
-        result = set_snr(SetGeometry(radius), epsr, 1e3)
+        result = device_snr(SetDevice(SetGeometry(radius), epsr), 1e3)
         lhs = result.snr**2 * 1e3
         rhs = C.rydberg_frequency * math.pi * C.bohr_radius / (2.0 * epsr * radius)
         assert rel(lhs, rhs) < 1e-12
 
 
 def test_set_sensitivity_scaling():
-    base = set_snr(SetGeometry(50e-9), 12.9, 1.0).sensitivity
-    bigger = set_snr(SetGeometry(200e-9), 12.9, 1.0).sensitivity
+    base = device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1.0).sensitivity
+    bigger = device_snr(SetDevice(SetGeometry(200e-9), 12.9), 1.0).sensitivity
     assert rel(bigger, 2.0 * base) < 1e-12  # sqrt(4x radius)
-    screened = set_snr(SetGeometry(50e-9), 4.0 * 12.9, 1.0).sensitivity
+    screened = device_snr(SetDevice(SetGeometry(50e-9), 4.0 * 12.9), 1.0).sensitivity
     assert rel(screened, 2.0 * base) < 1e-12
 
 
 def test_set_pipeline_matches_closed_form():
-    closed = set_snr(SetGeometry(50e-9), 12.9, 1e6)
+    closed = device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1e6)
     piped = set_pipeline_snr(SetGeometry(50e-9), 12.9, 1e6)
     assert rel(piped.snr, closed.snr) < 1e-12
     assert rel(piped.f_unity, closed.f_unity) < 1e-12
@@ -389,9 +386,9 @@ def test_set_pipeline_temperature_degrades_snr():
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda m: wire_snr(GAAS_LIKE, 1e6, modulation=m),
-        lambda m: qpc_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6, modulation=m),
-        lambda m: set_snr(SetGeometry(50e-9), 12.9, 1e6, modulation=m),
+        lambda m: device_snr(WireDevice(WireGeometry(20e-9), GAAS_LIKE), 1e6, modulation=m),
+        lambda m: device_snr(QpcDevice(QpcGeometry(20e-9), GAAS_LIKE), 1e6, modulation=m),
+        lambda m: device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1e6, modulation=m),
         lambda m: wire_pipeline_snr(WireGeometry(20e-9), GAAS_LIKE, 1e6, modulation=m),
     ],
 )
@@ -415,7 +412,7 @@ def test_modulation_is_squared_by_one_ieee_multiply(modulation):
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
 def test_modulation_range(bad):
     with pytest.raises(ParameterError):
-        wire_snr(GAAS_LIKE, 1e6, modulation=bad)
+        device_snr(WireDevice(WireGeometry(20e-9), GAAS_LIKE), 1e6, modulation=bad)
     with pytest.raises(ParameterError):
         set_pipeline_snr(SetGeometry(50e-9), 12.9, 1e6, modulation=bad)
 
@@ -428,42 +425,31 @@ def test_device_snr_dispatch():
     qpc = QpcDevice(QpcGeometry(20e-9), GAAS_LIKE)
     sett = SetDevice(SetGeometry(50e-9), 12.9)
     assert device_snr(wire, 1e6).snr == wire_snr(GAAS_LIKE, 1e6).snr
-    assert device_snr(qpc, 1e6).snr == qpc_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6).snr
-    assert device_snr(sett, 1e6).snr == set_snr(SetGeometry(50e-9), 12.9, 1e6).snr
+    spacing = qpc_subband_spacing(QpcGeometry(20e-9), GAAS_LIKE)
+    assert device_snr(qpc, 1e6).f_unity == spacing / C.h
+    charging = set_blockade(SetGeometry(50e-9), 12.9).charging_energy
+    assert device_snr(sett, 1e6).f_unity == charging / C.h
 
 
 def test_device_operating_point_dispatch():
     wire = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
-    op = device_operating_point(wire, 1e6)
+    op = device_snr(wire, 1e6).operating_point
     assert rel(op.sense_current(), wire_sense_current(GAAS_LIKE)) < 1e-12
     qpc = QpcDevice(QpcGeometry(20e-9), GAAS_LIKE)
-    op = device_operating_point(qpc, 1e6)
+    op = device_snr(qpc, 1e6).operating_point
     spacing = qpc_subband_spacing(QpcGeometry(20e-9), GAAS_LIKE)
     assert rel(op.bias, spacing / C.e) < 1e-15
     assert rel(op.channel_conductance(), 2.0 * C.e**2 / C.h) < 1e-15
     sett = SetDevice(SetGeometry(50e-9), 12.9)
-    op = device_operating_point(sett, 1e6)
+    op = device_snr(sett, 1e6).operating_point
     assert rel(op.bias, set_blockade(SetGeometry(50e-9), 12.9).blockade_voltage) < 1e-15
-
-
-@pytest.mark.parametrize(
-    "device",
-    [
-        WireDevice(WireGeometry(20e-9), GAAS_LIKE),
-        QpcDevice(QpcGeometry(20e-9), GAAS_LIKE),
-        SetDevice(SetGeometry(50e-9), 12.9),
-    ],
-    ids=["wire", "qpc", "set"],
-)
-def test_closed_form_reports_the_device_operating_point(device):
-    assert device_snr(device, 1e6).operating_point == device_operating_point(device, 1e6)
 
 
 def test_dispatch_rejects_unknown_kind():
     with pytest.raises(TypeError, match="unknown device kind"):
         device_snr(object(), 1e6)
     with pytest.raises(TypeError, match="unknown device kind"):
-        device_operating_point(3.14, 1e6)
+        device_snr(3.14, 1e6)
 
 
 # --------------------------------------------------- property invariants
@@ -474,7 +460,7 @@ def test_dispatch_rejects_unknown_kind():
     st.floats(min_value=1.0, max_value=1e12),
 )
 def test_snr_result_internal_consistency_qpc(width, bandwidth):
-    result = qpc_snr(QpcGeometry(width), GAAS_LIKE, bandwidth)
+    result = device_snr(QpcDevice(QpcGeometry(width), GAAS_LIKE), bandwidth)
     assert rel(result.snr, math.sqrt(result.f_unity / bandwidth)) < 1e-12
     assert rel(result.sensitivity, 1.0 / math.sqrt(result.f_unity)) < 1e-12
 
@@ -485,7 +471,7 @@ def test_snr_result_internal_consistency_qpc(width, bandwidth):
     st.floats(min_value=1.0, max_value=1e12),
 )
 def test_snr_result_internal_consistency_set(radius, epsr, bandwidth):
-    result = set_snr(SetGeometry(radius), epsr, bandwidth)
+    result = device_snr(SetDevice(SetGeometry(radius), epsr), bandwidth)
     assert rel(result.snr, math.sqrt(result.f_unity / bandwidth)) < 1e-12
     assert rel(result.sensitivity, 1.0 / math.sqrt(result.f_unity)) < 1e-12
 

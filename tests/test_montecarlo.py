@@ -3,16 +3,14 @@
 import math
 import resource
 import sys
+import warnings
 
 import pytest
 from scipy.special import ndtr
 
 from chargelimit import (
     GAAS_LIKE,
-    ModelValidityWarning,
     ParameterError,
-    SetDevice,
-    SetGeometry,
     SimConfig,
     SimOutcome,
     WireDevice,
@@ -284,6 +282,14 @@ def test_config_validation():
             SimConfig(**{**good, **overrides})
 
 
+def test_a_temperature_above_0_k_needs_a_conductance():
+    good = dict(on_current=1e-9, bandwidth=1e6, trials=10, seed=0)
+    with pytest.raises(ParameterError, match="needs a conductance .*, got 4.2$"):
+        SimConfig(**good, temperature=4.2)
+    SimConfig(**good, temperature=4.2, conductance=0.0)
+    SimConfig(**good, temperature=-0.0)
+
+
 def test_out_of_range_noise_fails_before_any_block_is_drawn(monkeypatch):
     drawn = []
     uniform_block = rng.uniform_block
@@ -323,18 +329,13 @@ def test_validate_device_without_spread_is_flagged_not_scored():
     # 1.3e-8 electrons per window: all 2 000 counts are 0, so the charge
     # has no spread and the run carries a flag instead of a verdict.
     device = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
-    with pytest.warns(ModelValidityWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         check = validate_device(device, 1e20, trials=2000, seed=5)
     assert check.std_charge == 0.0
     assert check.n_sigma() is None
     assert check.within_3_sigma() is None
     assert check.flags() == ["zero-spread"]
-
-
-def test_validate_device_warns_on_sparse_counts():
-    device = SetDevice(SetGeometry(50e-9), 12.9)
-    with pytest.warns(ModelValidityWarning):
-        validate_device(device, 1e11, trials=2000, seed=5)
 
 
 def test_n_sigma_score():

@@ -725,7 +725,9 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:  # reported by the subcommand, with its own usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed reader must surface here, not at exit

@@ -49,7 +49,14 @@ full kernel gives, bit for bit.
 Poisson inversion uses a guide table (Chen & Asau 1974; Devroye 1986,
 §III.2) built once per simulation: one lookup per uniform, and a binary
 search only where a bucket spans several CDF entries, so every count
-equals the clamped ``searchsorted(cdf, u, "right")``.  The CDF is built
+equals the clamped ``searchsorted(cdf, u, "right")``.  On a long run
+the table has about 16 buckets per CDF entry, so only 1-2% of the
+uniforms fall in a bucket that holds an entry.  A noise-free block on
+the certified histogram path takes each count's offset from the
+bucket's integer count index in one gather, searches only the uniforms
+of the buckets that hold an entry, and bins the offsets: five passes
+over the block, and no float counts.  Thermal and uncertified blocks
+keep the per-trial float lookup, base plus a cut comparison.  The CDF is built
 from the mode outward by the ratios p(k)/p(k-1) = lam/k (Devroye 1986,
 §X.3; Kemp & Kemp, Appl. Statist. 40 (1991) 143), so it too is made of
 IEEE operations and sequential sums only, and needs no log-gamma.
@@ -60,7 +67,10 @@ workspace that a running block holds (:func:`block_workspace`).  A
 freed block-sized array would be handed back to the operating system
 and its pages faulted in again by the next block.  Only the index sets
 of ``np.flatnonzero`` are still allocated per block; the allocator
-keeps reusing their memory.
+keeps reusing their memory.  The CDF and guide tables are built once
+per simulation, up to 2**15 buckets (three 256 KB arrays) for a long
+run at lam near 4 000, so a repeated run faults in their pages again
+(about 100 to 300 pages); a block allocates no table.
 """
 
 from __future__ import annotations
@@ -138,11 +148,11 @@ class _Workspace:
 
     ``f`` holds seven float64 buffers: the open-state charge, the thermal
     charge and five inverse-normal temporaries, reused in turn by the
-    Poisson lookup and the tree sums; the blocked kernel gathers the
-    uniforms between its cut points into ``f[0]`` and their thermal
-    charges into ``f[1]``.  ``buckets`` holds the guide-table indices,
-    then the counts' offsets from ``k_lo`` that the histogram bins,
-    ``b`` two bool masks (the blocked kernel's two cut comparisons) and
+    Poisson lookup and the tree sums; the histogram path keeps its
+    counts' offsets from ``k_lo`` in ``f[0]`` viewed as intp, and the
+    blocked kernel gathers the uniforms between its cut points into
+    ``f[0]`` and their thermal charges into ``f[1]``.  ``buckets`` holds
+    the guide-table indices, ``b`` two bool masks (the blocked kernel's two cut comparisons) and
     ``uniforms`` the 2n uniforms of a block with thermal noise.  The
     public :func:`portable_log` and :func:`inverse_normal` borrow a block
     workspace too, so they allocate only their output up to ``BLOCK``
@@ -261,7 +271,7 @@ def _poisson_counts(u, cdf, k_lo, guide, ws):
     in ``ws.f[0]``, through the guide table of :func:`poisson_guide_table`,
     using ``ws.buckets``, ``f[2]`` and ``b[0]``."""
     n = u.shape[0]
-    base, cut = guide
+    base, cut, _ = guide
     bucket = np.multiply(u, base.shape[0], out=ws.buckets[:n], casting="unsafe")
     q = np.take(base, bucket, out=ws.f[0][:n], mode="clip")
     q += np.less_equal(np.take(cut, bucket, out=ws.f[2][:n], mode="clip"), u, out=ws.b[0][:n])
@@ -271,19 +281,29 @@ def _poisson_counts(u, cdf, k_lo, guide, ws):
     return q
 
 
-def _histogram_sums(q, k_lo, size, shift, threshold, ws):
-    """``(s1, s2, s3, s4, below)`` of the whole counts ``q`` in
-    ``[k_lo, k_lo + size)`` from their histogram, in ``ws.buckets``, or
-    None unless n * max|k - shift|**4 < 2**53 certifies the tree's sums
-    exact: then they are the integer sums computed here."""
-    n = q.shape[0]
+def _histogram_sums(u, cdf, k_lo, guide, shift, threshold, ws):
+    """``(s1, s2, s3, s4, below)`` of the counts that ``u`` samples, from
+    their histogram, or None unless n * max|k - shift|**4 < 2**53
+    certifies the tree's sums exact: then they are the integer sums
+    computed here.
+
+    Each uniform takes its count's offset from ``k_lo`` straight from the
+    guide table's ``index`` (an intp gather into ``ws.f[0]``), which is
+    exact in every bucket that holds no CDF entry; only the uniforms of
+    the other buckets, marked by the sentinel ``len(cdf)``, go through
+    the clamped binary search.  ``bincount`` bins the offsets."""
+    n, size = u.shape[0], cdf.shape[0]
     if not float(shift).is_integer():
         return None
     lo = k_lo - int(shift)
     if n * max(-lo, lo + size - 1) ** 4 >= 2**53:
         return None
-    counts = np.bincount(np.subtract(q, k_lo, out=ws.buckets[:n], casting="unsafe"),
-                         minlength=size)
+    index = guide[2]
+    bucket = np.multiply(u, index.shape[0], out=ws.buckets[:n], casting="unsafe")
+    k = np.take(index, bucket, out=ws.f[0][:n].view(np.intp), mode="clip")
+    mixed = np.flatnonzero(np.equal(k, size, out=ws.b[0][:n]))
+    k[mixed] = np.minimum(np.searchsorted(cdf, u.take(mixed), side="right"), size - 1)
+    counts = np.bincount(k, minlength=size)
     v = np.arange(lo, lo + size)
     sums, term = [], counts
     for _ in range(4):
@@ -300,11 +320,11 @@ def _open_block(
         z = _inverse_normal_vector(u_count, ws.f[0][:n], ws)
         q = np.add(lam, np.multiply(sqrt_shot, z, out=z), out=z)
     else:
-        q = _poisson_counts(u_count, cdf, k_lo, guide, ws)
         if sigma == 0.0:
-            exact = _histogram_sums(q, k_lo, cdf.shape[0], shift, threshold, ws)
+            exact = _histogram_sums(u_count, cdf, k_lo, guide, shift, threshold, ws)
             if exact is not None:
                 return exact
+        q = _poisson_counts(u_count, cdf, k_lo, guide, ws)
     d2 = ws.f[1][:n]
     if sigma > 0.0:
         q += np.multiply(sigma, _inverse_normal_vector(u_thermal, d2, ws), out=d2)
@@ -386,24 +406,45 @@ def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
     return k_lo, np.cumsum(pmf)
 
 
-def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int) -> np.ndarray:
-    """``(2, m)`` guide table: ``k_lo + g`` and the cut ``cdf[g]`` per bucket.
+def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int) -> tuple[np.ndarray, ...]:
+    """Guide table ``(base, cut, index)``, three arrays of m buckets.
 
-    m, a power of two (so ``u*m`` and ``j/m`` are exact), is at least
-    ``min(len(cdf), trials)``: the build costs at most about one binary
-    search per trial.  Bucket j starts at
-    ``g = min(searchsorted(cdf, j/m, "right"), len(cdf) - 1)``; where the
-    next one starts at most one entry later, u in it samples
-    ``k_lo + g + (cdf[g] <= u)``.  Wider buckets get a NaN base (searched
-    instead); the cut is inf where the clamp alone decides.
+    m is a power of two (so ``u*m`` and ``j/m`` are exact), the smallest
+    at least ``max(min(16 * len(cdf), trials // 2), min(len(cdf), trials))``,
+    the 16 * len(cdf) term only while it is at most 2**15.  That is about
+    16 buckets per CDF entry on a long run (16 measured faster end to end
+    than 4, 8 and 32), never more than one bucket per two trials beyond
+    ``min(len(cdf), trials)``, so the build costs at most about one binary
+    search per trial.  Past 2 048 CDF entries (lam of about 12 600) no
+    full block takes the histogram path that the finer table serves, so
+    m stays ``min(len(cdf), trials)`` rounded up.
+
+    Bucket j covers ``[j/m, (j+1)/m)`` and starts at
+    ``g = min(searchsorted(cdf, j/m, "right"), len(cdf) - 1)``.  ``base``
+    and ``cut`` serve the per-trial lookup: where the next bucket starts
+    at most one entry later, u in bucket j samples
+    ``base[j] + (cut[j] <= u)``, with ``base[j] = k_lo + g`` and
+    ``cut[j] = cdf[g]``; wider buckets get a NaN base (searched instead),
+    and the cut is inf where the clamp alone decides.
+
+    ``index[j]``, the histogram path's count offset, is g where
+    ``cut[j] >= (j+1)/m`` and the sentinel ``len(cdf)`` elsewhere.  Where
+    g is the last entry the clamp gives g; otherwise every u in the
+    bucket lies at or above the entries before g (they are at most j/m)
+    and below ``cdf[g]``, so the search gives g.  Either way the offset
+    is exact for every float64 in the bucket, not only for the uniforms'
+    grid, and only the sentinel's buckets need the search.
     """
-    m = 1 << (min(cdf.shape[0], trials) - 1).bit_length()
-    last = cdf.shape[0] - 1
-    start = np.minimum(np.searchsorted(cdf, np.arange(m + 1) / m, side="right"), last)
-    base = (k_lo + start[:-1]).astype(np.float64)
+    size = cdf.shape[0]
+    fine = min(16 * size, trials // 2) if 16 * size <= 2**15 else 0
+    m = 1 << (max(fine, min(size, trials)) - 1).bit_length()
+    edges = np.arange(m + 1) / m
+    start = np.minimum(np.searchsorted(cdf, edges, side="right"), size - 1)
+    g = start[:-1]
+    base = (k_lo + g).astype(np.float64)
     base[np.diff(start) > 1] = np.nan
-    cut = np.where(start[:-1] < last, cdf[start[:-1]], np.inf)
-    return np.stack([base, cut])
+    cut = np.where(g < size - 1, cdf[g], np.inf)
+    return base, cut, np.where(cut >= edges[1:], g, size)
 
 
 def block_kernels():

@@ -500,6 +500,15 @@ def test_sweep_takes_its_format_from_format_not_json(capsys):
     assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
+def test_unknown_flag_is_reported_by_its_subcommand(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["wire", "--foo"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: chargelimit wire ")
+    assert "chargelimit wire: error: unrecognized arguments: --foo" in stderr
+
+
 def test_sweep_json_format(capsys):
     record = run_json(
         capsys,

@@ -280,12 +280,13 @@ def test_poisson_cdf_table_rejects_bad_mean(bad):
 
 
 def _guide_edge_uniforms(cdf, m):
-    """0, 2**-54, 1 - 2**-53, and every CDF value and bucket edge j/m in
-    [0, 1) with its float64 neighbours."""
+    """0, 2**-54, 1 - 2**-53, every CDF value and bucket edge j/m in
+    [0, 1) with its float64 neighbours, and the last float of each bucket."""
     points = np.concatenate([cdf[cdf < 1.0], np.arange(m) / m])
     u = np.concatenate([
         [0.0, 2.0**-54, 1.0 - 2.0**-53],
         points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+        np.nextafter(np.arange(1, m + 1) / m, 0.0),
     ])
     return u[(u >= 0.0) & (u < 1.0)]
 
@@ -297,16 +298,27 @@ def test_guide_cases_cover_both_cdf_ends():
     assert poisson_cdf_table(9e6)[1][-1] < 1.0
 
 
+def _guide_size(size, trials):
+    fine = min(16 * size, trials // 2) if 16 * size <= 2**15 else 0
+    return 1 << (max(fine, min(size, trials)) - 1).bit_length()
+
+
 def _check_guide(k_lo, cdf, trials, blocks):
-    """The guide lookup equals the clamped binary search on every uniform."""
+    """The guide lookup equals the clamped binary search on every uniform,
+    and so does every count index short of the sentinel."""
     guide = poisson_guide_table(k_lo, cdf, trials)
-    m = guide.shape[1]
-    assert m == 1 << (min(cdf.size, trials) - 1).bit_length()
+    base, cut, index = guide
+    m = base.shape[0]
+    assert m == _guide_size(cdf.size, trials)
+    assert cut.shape == index.shape == (m,)
     for u in [*blocks, _guide_edge_uniforms(cdf, m)]:
         expected = k_lo + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
         counts = _poisson_counts(u, cdf, k_lo, guide, _Workspace(u.size))
         assert counts.dtype == np.float64
         assert np.array_equal(counts, expected.astype(np.float64))
+        k = index.take((u * m).astype(np.intp))
+        pure = k < cdf.size
+        assert np.array_equal(k_lo + k[pure], expected[pure])
     return guide
 
 
@@ -315,10 +327,10 @@ def _check_guide(k_lo, cdf, trials, blocks):
 def test_guide_lookup_equals_clamped_searchsorted(lam, trials):
     k_lo, cdf = poisson_cdf_table(lam)
     blocks = [uniform_block(seed, 0, 0, BLOCK) for seed in (31, 32, 33)]
-    guide = _check_guide(k_lo, cdf, trials, blocks)
+    base, _, _ = _check_guide(k_lo, cdf, trials, blocks)
     # Some of the seeded uniforms take the binary-search fallback.
-    bucket = (blocks[0] * guide.shape[1]).astype(np.intp)
-    assert np.isnan(guide[0].take(bucket)).any()
+    bucket = (blocks[0] * base.shape[0]).astype(np.intp)
+    assert np.isnan(base.take(bucket)).any()
 
 
 @pytest.mark.parametrize(
@@ -541,6 +553,58 @@ def test_noise_free_poisson_sums_are_exact(lam, n):
         expected = _exact_open_block(u, k_lo, cdf, shift, threshold)
         assert [x.hex() for x in got[:4]] == [x.hex() for x in expected[:4]]
         assert got[4] == expected[4]
+
+
+def _histogram_path_is_exact(lam, trials, guide=None):
+    """Whether the histogram path gives, on seeded blocks, a partial block
+    and the guide's edge uniforms, the exact integer sums of the clamped
+    binary search's counts."""
+    k_lo, cdf = poisson_cdf_table(lam)
+    guide = guide or poisson_guide_table(k_lo, cdf, trials)
+    shift = math.floor(lam)
+    n = min(trials, BLOCK)
+    blocks = [uniform_block(seed, 0, 3, n) for seed in (41, 42, 43)]
+    blocks.append(uniform_block(44, 0, 0, 4464))
+    blocks += np.array_split(_guide_edge_uniforms(cdf, guide[0].shape[0]), 8)
+    v = [k_lo + j - shift for j in range(cdf.size)]
+    for u in blocks:
+        counts = np.bincount(np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1),
+                             minlength=cdf.size).tolist()
+        sums = [float(sum(c * x**p for c, x in zip(counts, v))) for p in (1, 2, 3, 4)]
+        for threshold in (0.5, lam):
+            below = sum(c for j, c in enumerate(counts) if k_lo + j < threshold)
+            with kernels.block_workspace() as ws:
+                got = kernels._histogram_sums(u, cdf, k_lo, guide, float(shift), threshold, ws)
+            if got != (*sums, below) or not all(isinstance(x, float) for x in got[:4]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("trials", [1000, 70_000, 10**6])
+@pytest.mark.parametrize("lam", [0.01, 0.5, 3.7, 7.0, 10.0, 100.0, 1e3, 4e3])
+def test_histogram_path_equals_clamped_searchsorted(lam, trials):
+    assert _histogram_path_is_exact(lam, trials)
+
+
+@pytest.mark.parametrize("lam", [0.5, 10.0, 1e3])
+def test_histogram_check_catches_a_wrong_count_index(lam):
+    # A bucket that holds a CDF entry, given that bucket's first count
+    # instead of the sentinel, miscounts the uniforms at and above the entry.
+    k_lo, cdf = poisson_cdf_table(lam)
+    base, cut, index = poisson_guide_table(k_lo, cdf, 10**6)
+    j = int(np.flatnonzero(index == cdf.size)[0])
+    index = index.copy()
+    index[j] = np.searchsorted(cdf, j / index.size, side="right")
+    assert not _histogram_path_is_exact(lam, 10**6, (base, cut, index))
+
+
+@pytest.mark.parametrize("lam, trials, buckets", [
+    (10.0, 10**6, 1024), (1e3, 10**6, 16384), (1e3, 1000, 1024), (1e5, 10**6, 8192),
+    (9e6, 70_000, 65536), (9e6, 10**6, 65536),
+])
+def test_guide_table_size(lam, trials, buckets):
+    k_lo, cdf = poisson_cdf_table(lam)
+    assert all(a.shape == (buckets,) for a in poisson_guide_table(k_lo, cdf, trials))
 
 
 def _count_tree_sums(monkeypatch):

@@ -575,6 +575,7 @@ def _histogram_path_is_exact(lam, trials, guide=None):
             below = sum(c for j, c in enumerate(counts) if k_lo + j < threshold)
             with kernels.block_workspace() as ws:
                 got = kernels._histogram_sums(u, cdf, k_lo, guide, float(shift), threshold, ws)
+            assert got is not None  # the certificate holds for every case here
             if got != (*sums, below) or not all(isinstance(x, float) for x in got[:4]):
                 return False
     return True

@@ -662,6 +662,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 # Parser construction
 # --------------------------------------------------------------------------
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports the arguments it does not know
+    itself, under its own usage, where the top-level parser would name
+    only ``chargelimit``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chargelimit",
@@ -675,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--deterministic", action="store_true",
             help="omit the timestamp so outputs are byte-stable",
         )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("constants", parents=[common], help="pinned constants and derived scales")
     p.set_defaults(func=cmd_constants, parser=p)
@@ -725,9 +737,7 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args, extra = _parser().parse_known_args(argv)
-    if extra:  # reported by the subcommand, with its own usage
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed reader must surface here, not at exit

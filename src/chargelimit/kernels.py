@@ -49,18 +49,18 @@ full kernel gives, bit for bit.
 Poisson inversion uses a guide table (Chen & Asau 1974; Devroye 1986,
 §III.2) built once per simulation: one lookup per uniform, and a binary
 search only where a bucket spans several CDF entries, so every count
-equals the clamped ``searchsorted(cdf, u, "right")``.  On a long run
-the table has about 16 buckets per CDF entry, so only 1-2% of the
-uniforms fall in a bucket that holds an entry.  A noise-free block on
-the certified histogram path takes each count's offset from the
-bucket's integer count index in one gather, searches only the uniforms
-of the buckets that hold an entry, and bins the offsets: five passes
-over the block, and no float counts.  Thermal and uncertified blocks
-keep the per-trial float lookup, base plus a cut comparison.  The CDF
-is built from the mode outward by the ratios p(k)/p(k-1) = lam/k
-(Devroye 1986, §X.3; Kemp & Kemp, Appl. Statist. 40 (1991) 143), so it
-too is made of IEEE operations and sequential sums only, and needs no
-log-gamma.
+equals the clamped ``searchsorted(cdf, u, "right")``.  For a long
+noise-free run whose blocks are certified, the table has about 16
+buckets per CDF entry, so only 1-2% of the uniforms fall in a bucket
+that holds an entry.  A noise-free block on the certified histogram
+path takes each count's offset from the bucket's integer count index
+in one gather, searches only the uniforms of the buckets that hold an
+entry, and bins the offsets: five passes over the block, and no float
+counts.  Thermal and uncertified blocks keep the per-trial float
+lookup, base plus a cut comparison.  The CDF is built from the mode
+outward by the ratios p(k)/p(k-1) = lam/k (Devroye 1986, §X.3; Kemp &
+Kemp, Appl. Statist. 40 (1991) 143), so it too is made of IEEE
+operations and sequential sums only, and needs no log-gamma.
 
 No kernel allocates a block-sized array: every temporary is written,
 through ``out=`` ufuncs and ``take(out=)``, into the buffers of a
@@ -70,8 +70,9 @@ and its pages faulted in again by the next block.  Only the index sets
 of ``np.flatnonzero`` are still allocated per block; the allocator
 keeps reusing their memory.  The CDF and guide tables are built once
 per simulation, up to 2**15 buckets (three 256 KB arrays) for a long
-run at lam from about 3 000 to 12 600, so a repeated run faults in their pages again
-(about 100 to 300 pages); a block allocates no table.
+noise-free run at lam from about 3 100 to 4 400, so a repeated run
+faults in their pages again (about 100 to 300 pages); a block allocates
+no table.
 """
 
 from __future__ import annotations
@@ -283,6 +284,14 @@ def _poisson_counts(u, cdf, k_lo, guide, ws):
     return q
 
 
+def _certified(n, k_lo, size, shift):
+    """Whether n * max|k - shift|**4 < 2**53 over the counts k of a
+    ``size``-entry CDF table from ``k_lo``, with shift an integer: the
+    certificate that a noise-free block's tree sums are exact."""
+    lo = k_lo - int(shift)
+    return float(shift).is_integer() and n * max(-lo, lo + size - 1) ** 4 < 2**53
+
+
 def _histogram_sums(u, cdf, k_lo, guide, shift, threshold, ws):
     """``(s1, s2, s3, s4, below)`` of the counts that ``u`` samples, from
     their histogram, or None unless n * max|k - shift|**4 < 2**53
@@ -297,10 +306,7 @@ def _histogram_sums(u, cdf, k_lo, guide, shift, threshold, ws):
     long run (see :func:`poisson_guide_table`) that is 1-2% of them.
     ``bincount`` bins the offsets."""
     n, size = u.shape[0], cdf.shape[0]
-    if not float(shift).is_integer():
-        return None
-    lo = k_lo - int(shift)
-    if n * max(-lo, lo + size - 1) ** 4 >= 2**53:
+    if not _certified(n, k_lo, size, shift):
         return None
     index = guide[2]
     bucket = np.multiply(u, index.shape[0], out=ws.buckets[:n], casting="unsafe")
@@ -308,7 +314,7 @@ def _histogram_sums(u, cdf, k_lo, guide, shift, threshold, ws):
     mixed = np.flatnonzero(np.equal(k, size, out=ws.b[0][:n]))
     k[mixed] = np.minimum(np.searchsorted(cdf, u.take(mixed), side="right"), size - 1)
     counts = np.bincount(k, minlength=size)
-    v = np.arange(lo, lo + size)
+    v = np.arange(size) + (k_lo - int(shift))
     sums, term = [], counts
     for _ in range(4):
         term = term * v
@@ -410,21 +416,24 @@ def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
     return k_lo, np.cumsum(pmf)
 
 
-def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int) -> tuple[np.ndarray, ...]:
+def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int,
+                        shift: float | None) -> tuple[np.ndarray, ...]:
     """Guide table ``(base, cut, index)``, three arrays of m buckets.
 
     m is a power of two (so ``u*m`` and ``j/m`` are exact), the smallest
-    at least ``max(min(16 * len(cdf), trials // 2), min(len(cdf), trials))``,
-    the 16 * len(cdf) term only while it is at most 2**15.  That is about
-    16 buckets per CDF entry on a long run, never more than one bucket
-    per two trials beyond ``min(len(cdf), trials)``, so the build costs
-    at most about one binary search per trial.  Past 2 048 CDF entries
-    (lam of about 12 600) no full block takes the histogram path that
-    the finer table serves, so m stays ``min(len(cdf), trials)`` rounded
-    up.  Of 4, 8, 16 and 32 buckets per entry, 16 gave the shortest total
-    time of noise-free 1e6-trial simulations at lam 0.5, 10, 1 000 and
-    4 000: 32 was up to 1 ms a run faster at lam <= 10 but 0.5 to 1 ms
-    slower at 1 000 and 4 000, and builds twice the table.
+    at least ``min(len(cdf), trials)``.  ``shift`` is the integer a
+    noise-free run shifts its counts by, None for a run with thermal
+    noise.  Where the certificate of :func:`_histogram_sums` admits that
+    run's blocks of ``min(trials, BLOCK)`` trials to the histogram path,
+    m is also at least ``min(16 * len(cdf), trials // 2)``: about 16
+    buckets per CDF entry on a long run, never more than one bucket per two trials, so
+    the build costs at most about one binary search per trial.  A full
+    block is certified up to lam of about 4 400, so the table reaches
+    2**15 buckets from lam of about 3 100 on.  Of 4, 8, 16 and 32 buckets
+    per entry, 16 gave the shortest total time of noise-free 1e6-trial
+    simulations at lam 0.5, 10, 1 000 and 4 000: 32 was up to 1 ms a run
+    faster at lam <= 10 but 0.5 to 1 ms slower at 1 000 and 4 000, and
+    builds twice the table.
 
     Bucket j covers ``[j/m, (j+1)/m)`` and starts at
     ``g = min(searchsorted(cdf, j/m, "right"), len(cdf) - 1)``.  ``base``
@@ -443,7 +452,8 @@ def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int) -> tuple[np.nda
     grid, and only the sentinel's buckets need the search.
     """
     size = cdf.shape[0]
-    fine = min(16 * size, trials // 2) if 16 * size <= 2**15 else 0
+    exact = shift is not None and _certified(min(trials, BLOCK), k_lo, size, shift)
+    fine = min(16 * size, trials // 2) if exact else 0
     m = 1 << (max(fine, min(size, trials)) - 1).bit_length()
     edges = np.arange(m + 1) / m
     start = np.minimum(np.searchsorted(cdf, edges, side="right"), size - 1)

@@ -240,16 +240,16 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     sigma = math.sqrt(breakdown.thermal_sq) * window / CONSTANTS.e
     gaussian = lam > kernels.LAMBDA_GAUSSIAN_CUTOFF or cfg.fano != 1.0
     sqrt_shot = math.sqrt(cfg.fano * lam)
+    shift = lam if gaussian else float(math.floor(lam))  # a run of all-0 counts has m2 = 0
     if gaussian:
         k_lo, cdf, guide = 0, np.empty(0, dtype=np.float64), None
     else:
         k_lo, cdf = kernels.poisson_cdf_table(lam)
-        guide = kernels.poisson_guide_table(k_lo, cdf, cfg.trials)
+        guide = kernels.poisson_guide_table(k_lo, cdf, cfg.trials, None if sigma > 0.0 else shift)
     open_block, blocked_block = kernels.block_kernels()
 
     trials = cfg.trials
     n_blocks = (trials + rng.BLOCK - 1) // rng.BLOCK
-    shift = lam if gaussian else float(math.floor(lam))  # a run of all-0 counts has m2 = 0
 
     @float_range_checked
     def run_block(index: int):

@@ -500,13 +500,17 @@ def test_sweep_takes_its_format_from_format_not_json(capsys):
     assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
-def test_unknown_flag_is_reported_by_its_subcommand(capsys):
+@pytest.mark.parametrize("argv, prog", [
+    (["wire", "--foo"], "chargelimit wire"),
+    (["--foo", "wire"], "chargelimit"),  # given before the command, to no subcommand
+])
+def test_unknown_flag_is_reported_by_its_subcommand(capsys, argv, prog):
     with pytest.raises(SystemExit) as err:
-        main(["wire", "--foo"])
+        main(argv)
     assert err.value.code == 2
     stderr = capsys.readouterr().err
-    assert stderr.startswith("usage: chargelimit wire ")
-    assert "chargelimit wire: error: unrecognized arguments: --foo" in stderr
+    assert stderr.startswith(f"usage: {prog} ")
+    assert f"\n{prog}: error: unrecognized arguments: --foo" in stderr
 
 
 def test_sweep_json_format(capsys):

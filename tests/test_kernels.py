@@ -239,7 +239,7 @@ def test_poisson_cdf_table_is_reproduced_by_python_floats(lam):
 def test_seeded_poisson_counts_pass_chi_square(lam):
     k_lo, cdf = poisson_cdf_table(lam)
     trials = 4 * BLOCK
-    guide = poisson_guide_table(k_lo, cdf, trials)
+    guide = poisson_guide_table(k_lo, cdf, trials, None)
     counts = np.concatenate([
         _poisson_counts(uniform_block(55, 0, block, BLOCK), cdf, k_lo, guide,
                         _Workspace(BLOCK)).astype(np.int64)
@@ -298,18 +298,13 @@ def test_guide_cases_cover_both_cdf_ends():
     assert poisson_cdf_table(9e6)[1][-1] < 1.0
 
 
-def _guide_size(size, trials):
-    fine = min(16 * size, trials // 2) if 16 * size <= 2**15 else 0
-    return 1 << (max(fine, min(size, trials)) - 1).bit_length()
-
-
-def _check_guide(k_lo, cdf, trials, blocks):
+def _check_guide(k_lo, cdf, trials, shift, blocks):
     """The guide lookup equals the clamped binary search on every uniform,
     and so does every count index short of the sentinel."""
-    guide = poisson_guide_table(k_lo, cdf, trials)
+    guide = poisson_guide_table(k_lo, cdf, trials, shift)
     base, cut, index = guide
     m = base.shape[0]
-    assert m == _guide_size(cdf.size, trials)
+    assert m & (m - 1) == 0 and m >= min(cdf.size, trials)
     assert cut.shape == index.shape == (m,)
     for u in [*blocks, _guide_edge_uniforms(cdf, m)]:
         expected = k_lo + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
@@ -325,12 +320,14 @@ def _check_guide(k_lo, cdf, trials, blocks):
 @pytest.mark.parametrize("lam", [0.5, 7.0, 10.0, 1e3, 9e6])
 @pytest.mark.parametrize("trials", [3, 1000, 10**6])
 def test_guide_lookup_equals_clamped_searchsorted(lam, trials):
+    # The table of a thermal run, and of a noise-free one.
     k_lo, cdf = poisson_cdf_table(lam)
     blocks = [uniform_block(seed, 0, 0, BLOCK) for seed in (31, 32, 33)]
-    base, _, _ = _check_guide(k_lo, cdf, trials, blocks)
-    # Some of the seeded uniforms take the binary-search fallback.
-    bucket = (blocks[0] * base.shape[0]).astype(np.intp)
-    assert np.isnan(base.take(bucket)).any()
+    for shift in (None, float(math.floor(lam))):
+        base, _, _ = _check_guide(k_lo, cdf, trials, shift, blocks)
+        # Some of the seeded uniforms take the binary-search fallback.
+        bucket = (blocks[0] * base.shape[0]).astype(np.intp)
+        assert np.isnan(base.take(bucket)).any()
 
 
 @pytest.mark.parametrize(
@@ -345,7 +342,8 @@ def test_guide_lookup_equals_clamped_searchsorted(lam, trials):
 )
 @pytest.mark.parametrize("trials", [1, 2, 5, 1000])
 def test_guide_lookup_on_hand_built_tables(cdf, trials):
-    _check_guide(7, np.array(cdf), trials, [uniform_block(34, 0, 0, 4096)])
+    for shift in (None, 7.0):
+        _check_guide(7, np.array(cdf), trials, shift, [uniform_block(34, 0, 0, 4096)])
 
 
 # ----------------------------------------------------------- RNG streams
@@ -417,7 +415,7 @@ def _case(gaussian, with_thermal, n=4096, lam=100.0, seed=9):
         k_lo, cdf, guide = 0, np.empty(0, dtype=np.float64), None
     else:
         k_lo, cdf = poisson_cdf_table(lam)
-        guide = poisson_guide_table(k_lo, cdf, n)
+        guide = poisson_guide_table(k_lo, cdf, n, None if with_thermal else lam)
     u_count = uniform_block(seed, 0, 0, n)
     u_thermal = uniform_block(seed, 1, 0, n) if with_thermal else np.empty(0)
     return (
@@ -543,7 +541,7 @@ def test_noise_free_poisson_sums_are_exact(lam, n):
     shift = float(math.floor(lam))  # as simulate_detection shifts a Poisson run
     width = max(abs(k_lo - shift), abs(k_lo + cdf.size - 1 - shift))
     assert n * width**4 < 2**53
-    guide = poisson_guide_table(k_lo, cdf, n)
+    guide = poisson_guide_table(k_lo, cdf, n, shift)
     u = uniform_block(31, 0, int(lam), n)
     open_block, _ = block_kernels()
     for threshold in (0.0, 0.5, 3.5, 1e4):
@@ -560,8 +558,8 @@ def _histogram_path_is_exact(lam, trials, guide=None):
     and the guide's edge uniforms, the exact integer sums of the clamped
     binary search's counts."""
     k_lo, cdf = poisson_cdf_table(lam)
-    guide = guide or poisson_guide_table(k_lo, cdf, trials)
     shift = math.floor(lam)
+    guide = guide or poisson_guide_table(k_lo, cdf, trials, float(shift))
     n = min(trials, BLOCK)
     blocks = [uniform_block(seed, 0, 3, n) for seed in (41, 42, 43)]
     blocks.append(uniform_block(44, 0, 0, 4464))
@@ -592,20 +590,24 @@ def test_histogram_check_catches_a_wrong_count_index(lam):
     # A bucket that holds a CDF entry, given that bucket's first count
     # instead of the sentinel, miscounts the uniforms at and above the entry.
     k_lo, cdf = poisson_cdf_table(lam)
-    base, cut, index = poisson_guide_table(k_lo, cdf, 10**6)
+    base, cut, index = poisson_guide_table(k_lo, cdf, 10**6, float(math.floor(lam)))
     j = int(np.flatnonzero(index == cdf.size)[0])
     index = index.copy()
     index[j] = np.searchsorted(cdf, j / index.size, side="right")
     assert not _histogram_path_is_exact(lam, 10**6, (base, cut, index))
 
 
-@pytest.mark.parametrize("lam, trials, buckets", [
-    (10.0, 10**6, 1024), (1e3, 10**6, 16384), (1e3, 1000, 1024), (1e5, 10**6, 8192),
-    (9e6, 70_000, 65536), (9e6, 10**6, 65536),
+@pytest.mark.parametrize("lam, trials, noise_free, buckets", [
+    (10.0, 10**6, True, 1024), (10.0, 10**6, False, 64), (1e3, 10**6, True, 16384),
+    (1e3, 10**6, False, 1024), (1e3, 1000, True, 1024), (4e3, 10**6, True, 32768),
+    # A full block at lam = 5e3 is past the certificate; a 30 000-trial run is not.
+    (5e3, 10**6, True, 2048), (5e3, 30_000, True, 16384), (1e4, 10**6, True, 2048),
+    (1e5, 10**6, True, 8192), (9e6, 70_000, True, 65536), (9e6, 10**6, True, 65536),
 ])
-def test_guide_table_size(lam, trials, buckets):
+def test_guide_table_size(lam, trials, noise_free, buckets):
     k_lo, cdf = poisson_cdf_table(lam)
-    assert all(a.shape == (buckets,) for a in poisson_guide_table(k_lo, cdf, trials))
+    shift = float(math.floor(lam)) if noise_free else None
+    assert all(a.shape == (buckets,) for a in poisson_guide_table(k_lo, cdf, trials, shift))
 
 
 def _count_tree_sums(monkeypatch):
@@ -622,7 +624,7 @@ def test_which_blocks_take_the_histogram(monkeypatch, lam, sigma, tree_sums):
     # lam = 9e6 is past the certificate and thermal charges are not whole,
     # so both keep the four tree sums.
     k_lo, cdf = poisson_cdf_table(lam)
-    guide = poisson_guide_table(k_lo, cdf, BLOCK)
+    guide = poisson_guide_table(k_lo, cdf, BLOCK, None if sigma else float(math.floor(lam)))
     u_thermal = uniform_block(32, 1, 0, BLOCK) if sigma else np.empty(0)
     open_block, _ = block_kernels()
     calls = _count_tree_sums(monkeypatch)

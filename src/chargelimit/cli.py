@@ -50,12 +50,9 @@ import sys
 from .constants import CONSTANTS
 from .devices import (
     QpcDevice,
-    QpcGeometry,
     SetDevice,
-    SetGeometry,
     SnrResult,
     WireDevice,
-    WireGeometry,
     device_snr,
     qpc_pipeline_snr,
     set_pipeline_snr,
@@ -478,23 +475,21 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
         material = Material("custom", pick("mass_ratio", material.mass_ratio),
                             pick("epsr", material.epsilon_r))
     # the pipelines are looked up here, where perfbench's wrappers find them
-    geometry_class, device_class, pipeline, host = {
-        "wire": (WireGeometry, WireDevice, wire_pipeline_snr, material),
-        "qpc": (QpcGeometry, QpcDevice, qpc_pipeline_snr, material),
-        "set": (SetGeometry, SetDevice, set_pipeline_snr,
-                pick("epsr", args.epsr)),
+    device_class, pipeline, host = {
+        "wire": (WireDevice, wire_pipeline_snr, material),
+        "qpc": (QpcDevice, qpc_pipeline_snr, material),
+        "set": (SetDevice, set_pipeline_snr, pick("epsr", args.epsr)),
     }[args.device]
     size = _DEVICE_COMMANDS[args.device][1]
     extent = pick(size, getattr(args, size))
     if extent is None:  # the wire's default radius
         extent = effective_scales(material).bohr_radius
-    geometry = geometry_class(extent)
-    device = device_class(geometry, host)  # on both routes: the SET's checks its epsilon_r first
+    device = device_class(extent, host)
     bandwidth = pick("df", args.df)
     if (values is None and args.bias is None and args.temperature == 0.0
             and (args.device != "wire" or args.radius is None)):
         return device_snr(device, bandwidth, modulation=args.modulation)
-    return pipeline(geometry, host, bandwidth, bias=args.bias,
+    return pipeline(device, bandwidth, bias=args.bias,
                     temperature=pick("temperature", args.temperature), modulation=args.modulation)
 
 
@@ -618,7 +613,7 @@ def _report_tables() -> list[tuple]:
 
     vacuum_wire = wire_snr(VACUUM, 1.0)
     gaas_wire = wire_snr(GAAS_LIKE, 1.0)
-    set_result = device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1.0)
+    set_result = device_snr(SetDevice(50e-9, 12.9), 1.0)
     ratio = vacuum_wire.sensitivity / 2.0e-8
     gaas = {"material": "gaas", "bandwidth_hz": 1.0}
     checks = [  # label, device, inputs, result, target, within target

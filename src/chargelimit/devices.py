@@ -28,7 +28,8 @@ form is snr = sqrt(f_unity/df).
 Every device also has a step-by-step pipeline (bias -> conductance ->
 current -> generic noise SNR) that shares only the default bias with the
 on-state; the two routes agree to relative 1e-12 and the tests enforce
-it.
+it.  Both routes, and every helper under them, take the same device
+record, which has checked its inputs when it was made.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ from .materials import Material, effective_scales
 from .noise import NoiseBreakdown, OperatingPoint, noise_breakdown, signal_to_noise
 
 __all__ = [
-    "WireGeometry",
-    "QpcGeometry",
-    "SetGeometry",
     "WireDevice",
     "QpcDevice",
     "SetDevice",
@@ -87,59 +85,42 @@ SET_SPIN_DEGENERACY = 2.0
 
 
 @record
-class WireGeometry:
-    """Cylindrical FET channel of radius ``radius`` (m, > 0)."""
+class WireDevice:
+    """Cylindrical FET channel of radius ``radius`` (m, > 0) in ``material``."""
 
     radius: float
+    material: Material
 
     def __post_init__(self) -> None:
         require_positive(self.radius, "radius")
 
 
 @record
-class QpcGeometry:
-    """Point-contact constriction of width ``width`` (m, > 0).
+class QpcDevice:
+    """Point-contact constriction of width ``width`` (m, > 0) in ``material``.
 
     The single-mode picture assumes the width is about half the carrier
     de Broglie wavelength, so only the lowest sub-band conducts.
     """
 
     width: float
+    material: Material
 
     def __post_init__(self) -> None:
         require_positive(self.width, "width")
 
 
 @record
-class SetGeometry:
-    """Thin conducting disk island of radius ``island_radius`` (m, > 0)."""
+class SetDevice:
+    """A metallic-island SET: a thin conducting disk island of radius
+    ``island_radius`` (m, > 0) in a dielectric of ``epsilon_r`` (>= 1).
+    Only the dielectric environment matters.  The size is checked first."""
 
     island_radius: float
-
-    def __post_init__(self) -> None:
-        require_positive(self.island_radius, "island_radius")
-
-
-@record
-class WireDevice:
-    geometry: WireGeometry
-    material: Material
-
-
-@record
-class QpcDevice:
-    geometry: QpcGeometry
-    material: Material
-
-
-@record
-class SetDevice:
-    """A metallic-island SET; only the dielectric environment matters."""
-
-    geometry: SetGeometry
     epsilon_r: float
 
     def __post_init__(self) -> None:
+        require_positive(self.island_radius, "island_radius")
         require_dielectric(self.epsilon_r)
 
 
@@ -271,7 +252,7 @@ def _pipeline_result(
 # Case 1: cylindrical-wire FET
 # --------------------------------------------------------------------------
 
-def wire_optimal_bias(geometry: WireGeometry, material: Material) -> float:
+def wire_optimal_bias(device: WireDevice) -> float:
     """Largest useful source-drain bias for a wire channel, in volts.
 
     One sensed electron at the surface can pinch the channel off only
@@ -279,16 +260,16 @@ def wire_optimal_bias(geometry: WireGeometry, material: Material) -> float:
     which caps the bias at e/(epsilon_r * R) (Gaussian form); in SI that
     is e/(4*pi*eps0*epsilon_r*R).
     """
-    charge_length = CONSTANTS.e * material.epsilon_r * geometry.radius
+    charge_length = CONSTANTS.e * device.material.epsilon_r * device.radius
     require((charge_length > 0.0) & isfinite(charge_length),
-            "radius * epsilon_r is outside the float range", geometry.radius)
+            "radius * epsilon_r is outside the float range", device.radius)
     bias = CONSTANTS.e_sq_gauss / charge_length
     require(bias > 0.0, "radius * epsilon_r is too large: the optimal bias underflows",
-            geometry.radius)
+            device.radius)
     return bias
 
 
-def wire_mode_count(geometry: WireGeometry, material: Material, bias: float) -> float:
+def wire_mode_count(device: WireDevice, bias: float) -> float:
     """Number of conducting modes of a wire channel at a given bias.
 
     The carrier kinetic-energy window is e*bias, and the 2D density of
@@ -310,11 +291,11 @@ def wire_mode_count(geometry: WireGeometry, material: Material, bias: float) -> 
         ``bias-above-optimal`` flag.
     """
     require_nonnegative(bias, "bias")
-    mass = material.mass_ratio * CONSTANTS.m_e
-    count = (mass * square(geometry.radius, "radius") * CONSTANTS.e * bias
+    mass = device.material.mass_ratio * CONSTANTS.m_e
+    count = (mass * square(device.radius, "radius") * CONSTANTS.e * bias
              / (CONSTANTS.hbar * CONSTANTS.hbar))
     require(isfinite(count) & ((count > 0.0) | (bias == 0.0)),
-            "radius and m* put the wire mode count outside the float range", geometry.radius)
+            "radius and m* put the wire mode count outside the float range", device.radius)
     return count
 
 
@@ -331,7 +312,7 @@ def wire_sense_current(material: Material) -> float:
 def _wire_on_state(device: WireDevice) -> tuple:
     """Optimal bias at the device's radius, carrying the radius-free current."""
     rydberg_frequency = effective_scales(device.material).rydberg_frequency
-    bias = wire_optimal_bias(device.geometry, device.material)
+    bias = wire_optimal_bias(device)
     current = wire_sense_current(device.material)
     conductance = current / bias
     transport = TransportState(
@@ -352,14 +333,12 @@ def wire_snr(material: Material, bandwidth: float) -> SnrResult:
     independent of channel radius.  The transport state reported uses
     the reference radius R = a_star where exactly one mode conducts.
     """
-    reference = WireGeometry(radius=effective_scales(material).bohr_radius)
-    return device_snr(WireDevice(reference, material), bandwidth)
+    return device_snr(WireDevice(effective_scales(material).bohr_radius, material), bandwidth)
 
 
 @float_range_checked
 def wire_pipeline_snr(
-    geometry: WireGeometry,
-    material: Material,
+    device: WireDevice,
     bandwidth: float,
     *,
     bias: float | None = None,
@@ -369,19 +348,19 @@ def wire_pipeline_snr(
     """Step-by-step wire-FET SNR: bias -> modes -> conductance -> current.
 
     With the default optimal bias and T = 0 this reproduces
-    :func:`wire_snr` to relative 1e-12 for any radius — the geometry
+    :func:`wire_snr` to relative 1e-12 for any radius — the radius
     dependence cancels.  An explicit ``bias`` or finite temperature
     moves the result off the closed form, which is the point of having
     the pipeline.
     """
     _check_modulation(modulation)
-    optimal = wire_optimal_bias(geometry, material)
+    optimal = wire_optimal_bias(device)
     flags: tuple[str, ...] = ()
     if bias is None:
         bias = optimal
     elif anywhere(bias > optimal):
         flags = ("bias-above-optimal",)
-    modes = wire_mode_count(geometry, material, bias)
+    modes = wire_mode_count(device, bias)
     return _pipeline_result(
         n_modes=modes, bias=bias, temperature=temperature, bandwidth=bandwidth,
         modulation=modulation, flags=flags,
@@ -392,7 +371,7 @@ def wire_pipeline_snr(
 # Case 2: quantum point contact
 # --------------------------------------------------------------------------
 
-def qpc_subband_spacing(geometry: QpcGeometry, material: Material) -> float:
+def qpc_subband_spacing(device: QpcDevice) -> float:
     """Energy spacing between the two lowest sub-bands of the constriction, J.
 
     For hard-wall confinement of width W the levels go as n^2, so the
@@ -400,12 +379,12 @@ def qpc_subband_spacing(geometry: QpcGeometry, material: Material) -> float:
 
         spacing = 3*pi^2*hbar^2 / (2*m* *W^2)
     """
-    mass = material.mass_ratio * CONSTANTS.m_e
-    denominator = 2.0 * mass * square(geometry.width, "width")
+    mass = device.material.mass_ratio * CONSTANTS.m_e
+    denominator = 2.0 * mass * square(device.width, "width")
     message = "width and m* put the sub-band spacing outside the float range"
-    require((denominator > 0.0) & isfinite(denominator), message, geometry.width)
+    require((denominator > 0.0) & isfinite(denominator), message, device.width)
     spacing = 3.0 * (math.pi * math.pi) * (CONSTANTS.hbar * CONSTANTS.hbar) / denominator
-    require(spacing > 0.0, message, geometry.width)
+    require(spacing > 0.0, message, device.width)
     return spacing
 
 
@@ -420,7 +399,7 @@ def _qpc_on_state(device: QpcDevice) -> tuple:
 
     and the tests hold the two forms together to relative 1e-12.
     """
-    spacing = qpc_subband_spacing(device.geometry, device.material)
+    spacing = qpc_subband_spacing(device)
     bias = spacing / CONSTANTS.e
     conductance = QPC_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
     transport = TransportState(
@@ -435,8 +414,7 @@ def _qpc_on_state(device: QpcDevice) -> tuple:
 
 @float_range_checked
 def qpc_pipeline_snr(
-    geometry: QpcGeometry,
-    material: Material,
+    device: QpcDevice,
     bandwidth: float,
     *,
     bias: float | None = None,
@@ -447,11 +425,11 @@ def qpc_pipeline_snr(
 
     The default bias drops the full sub-band spacing across the
     constriction; T = 0 with that default matches :func:`device_snr` of
-    the :class:`QpcDevice` to relative 1e-12.
+    the same device to relative 1e-12.
     """
     _check_modulation(modulation)
     if bias is None:
-        bias = qpc_subband_spacing(geometry, material) / CONSTANTS.e
+        bias = qpc_subband_spacing(device) / CONSTANTS.e
     require_nonnegative(bias, "bias")
     return _pipeline_result(
         n_modes=QPC_SPIN_DEGENERACY, bias=bias, temperature=temperature, bandwidth=bandwidth,
@@ -463,31 +441,30 @@ def qpc_pipeline_snr(
 # Case 3: single-electron transistor
 # --------------------------------------------------------------------------
 
-def set_island_capacitance(geometry: SetGeometry, epsilon_r: float) -> float:
+def set_island_capacitance(device: SetDevice) -> float:
     """Self-capacitance of a thin conducting disk island, in farads.
 
     The Gaussian-units disk capacitance 2*epsilon_r*R/pi (a length)
     becomes C = 8*eps0*epsilon_r*R in SI.
     """
-    require_dielectric(epsilon_r)
-    capacitance = 8.0 * CONSTANTS.eps0 * epsilon_r * geometry.island_radius
+    capacitance = 8.0 * CONSTANTS.eps0 * device.epsilon_r * device.island_radius
     require((capacitance > 0.0) & isfinite(capacitance),
             "island_radius and epsilon_r put the capacitance outside the float range",
-            geometry.island_radius)
+            device.island_radius)
     return capacitance
 
 
-def set_blockade(geometry: SetGeometry, epsilon_r: float) -> SetElectrostatics:
+def set_blockade(device: SetDevice) -> SetElectrostatics:
     """Charging energy and blockade voltage of the disk island.
 
     V_blockade = e/(2C) is the drain bias that just lifts the Coulomb
     blockade; the charging energy is e*V_blockade = e^2/(2C).
     """
-    capacitance = set_island_capacitance(geometry, epsilon_r)
+    capacitance = set_island_capacitance(device)
     blockade_voltage = CONSTANTS.e / (2.0 * capacitance)
     require(blockade_voltage > 0.0,
             "island_radius and epsilon_r are too large: the blockade voltage underflows",
-            geometry.island_radius)
+            device.island_radius)
     return SetElectrostatics(
         capacitance=capacitance,
         charging_energy=CONSTANTS.e * blockade_voltage,
@@ -506,7 +483,7 @@ def _set_on_state(device: SetDevice) -> tuple:
 
     which the tests hold to relative 1e-12.
     """
-    electrostatics = set_blockade(device.geometry, device.epsilon_r)
+    electrostatics = set_blockade(device)
     conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
     return (conductance, electrostatics.blockade_voltage, electrostatics,
             electrostatics.charging_energy / CONSTANTS.h)
@@ -514,8 +491,7 @@ def _set_on_state(device: SetDevice) -> tuple:
 
 @float_range_checked
 def set_pipeline_snr(
-    geometry: SetGeometry,
-    epsilon_r: float,
+    device: SetDevice,
     bandwidth: float,
     *,
     bias: float | None = None,
@@ -525,10 +501,10 @@ def set_pipeline_snr(
     """Step-by-step SET SNR through the generic noise machinery.
 
     Defaults to the blockade-voltage bias; with T = 0 that matches
-    :func:`device_snr` of the :class:`SetDevice` to relative 1e-12.
+    :func:`device_snr` of the same device to relative 1e-12.
     """
     _check_modulation(modulation)
-    electrostatics = set_blockade(geometry, epsilon_r)
+    electrostatics = set_blockade(device)
     if bias is None:
         bias = electrostatics.blockade_voltage
     require_nonnegative(bias, "bias")

@@ -11,13 +11,14 @@ every CPU and numpy build, and that drives three choices:
   sqrt(-log(p)) tail argument it feeds).
 * Per-block sums are reduced through an explicit balanced binary tree
   with zero padding, so numpy's pairwise-summation blocking cannot make
-  the partial sums drift.  A noise-free Poisson block skips the tree
-  when its extent certifies the sums exact: its counts k are whole, and
-  with W = max|k - shift| over the CDF table and n * W**4 < 2**53 every
-  term and every partial sum of (k - shift)**p, p <= 4, is an integer
-  below 2**53, so the tree adds them without rounding and its result
-  is the integer sum, which the block then takes from a histogram of
-  its counts instead.  Full blocks qualify up to lam of about 4 400.
+  the partial sums drift.  A noise-free Poisson run skips the tree on
+  every block when its extent certifies the sums exact: its counts k
+  are whole, and with W = max|k - shift| over the CDF table and
+  n * W**4 < 2**53 for its longest block every term and every partial
+  sum of (k - shift)**p, p <= 4, is an integer below 2**53, so the tree
+  adds them without rounding and its result is the integer sum, which
+  each block then takes from a histogram of its counts instead.  Runs
+  of full blocks qualify up to lam of about 4 400.
 * Everything else is elementwise IEEE arithmetic (+, -, *, /, sqrt,
   frexp, ldexp, minimum, copysign), which rounds each element the same
   way whatever the array length or alignment.  That is what lets each
@@ -69,10 +70,12 @@ freed block-sized array would be handed back to the operating system
 and its pages faulted in again by the next block.  Only the index sets
 of ``np.flatnonzero`` are still allocated per block; the allocator
 keeps reusing their memory.  The CDF and guide tables are built once
-per simulation, up to 2**15 buckets (three 256 KB arrays) for a long
-noise-free run at lam from about 3 100 to 4 400, so a repeated run
-faults in their pages again (about 100 to 300 pages); a block allocates
-no table.
+per simulation, and a run builds only the table its one lookup reads:
+a certified noise-free run the integer count index, 8 bytes a bucket,
+and every other Poisson run ``base`` and ``cut``, 16 bytes a bucket.
+At most that is 2**15 buckets (256 KiB) for a long noise-free run at
+lam from about 3 100 to 4 400, so a repeated run faults in its pages
+again (about 100 pages); a block allocates no table.
 """
 
 from __future__ import annotations
@@ -271,10 +274,10 @@ def _tree_sum_vector(values, scratch):
 
 def _poisson_counts(u, cdf, k_lo, guide, ws):
     """``k_lo + min(searchsorted(cdf, u, "right"), len(cdf) - 1)`` as float64
-    in ``ws.f[0]``, through the guide table of :func:`poisson_guide_table`,
-    using ``ws.buckets``, ``f[2]`` and ``b[0]``."""
+    in ``ws.f[0]``, through the ``(2, m)`` guide table of
+    :func:`poisson_guide_table`, using ``ws.buckets``, ``f[2]`` and ``b[0]``."""
     n = u.shape[0]
-    base, cut, _ = guide
+    base, cut = guide
     bucket = np.multiply(u, base.shape[0], out=ws.buckets[:n], casting="unsafe")
     q = np.take(base, bucket, out=ws.f[0][:n], mode="clip")
     q += np.less_equal(np.take(cut, bucket, out=ws.f[2][:n], mode="clip"), u, out=ws.b[0][:n])
@@ -292,23 +295,21 @@ def _certified(n, k_lo, size, shift):
     return float(shift).is_integer() and n * max(-lo, lo + size - 1) ** 4 < 2**53
 
 
-def _histogram_sums(u, cdf, k_lo, guide, shift, threshold, ws):
+def _histogram_sums(u, cdf, k_lo, index, shift, threshold, ws):
     """``(s1, s2, s3, s4, below)`` of the counts that ``u`` samples, from
-    their histogram, or None unless n * max|k - shift|**4 < 2**53
-    certifies the tree's sums exact: then they are the integer sums
-    computed here.
+    their histogram.  The count ``index`` is built only for a run whose
+    blocks n * max|k - shift|**4 < 2**53 certifies (a block is never
+    longer than the one certified), so these integer sums are the
+    tree's.
 
-    Each uniform takes its count's offset from ``k_lo`` straight from the
-    guide table's ``index`` (an intp gather into ``ws.f[0]``), which is
-    exact in every bucket that holds no CDF entry; only the uniforms of
-    the other buckets, marked by the sentinel ``len(cdf)``, go through
-    the clamped binary search.  With about 16 buckets per CDF entry on a
-    long run (see :func:`poisson_guide_table`) that is 1-2% of them.
+    Each uniform takes its count's offset from ``k_lo`` straight from
+    ``index`` (an intp gather into ``ws.f[0]``), which is exact in every
+    bucket that holds no CDF entry; only the uniforms of the other
+    buckets, marked by the sentinel ``len(cdf)``, go through the clamped
+    binary search.  With about 16 buckets per CDF entry on a long run
+    (see :func:`poisson_guide_table`) that is 1-2% of them.
     ``bincount`` bins the offsets."""
     n, size = u.shape[0], cdf.shape[0]
-    if not _certified(n, k_lo, size, shift):
-        return None
-    index = guide[2]
     bucket = np.multiply(u, index.shape[0], out=ws.buckets[:n], casting="unsafe")
     k = np.take(index, bucket, out=ws.f[0][:n].view(np.intp), mode="clip")
     mixed = np.flatnonzero(np.equal(k, size, out=ws.b[0][:n]))
@@ -329,11 +330,9 @@ def _open_block(
     if gaussian:
         z = _inverse_normal_vector(u_count, ws.f[0][:n], ws)
         q = np.add(lam, np.multiply(sqrt_shot, z, out=z), out=z)
+    elif guide.ndim == 1:  # the count index of a certified noise-free run
+        return _histogram_sums(u_count, cdf, k_lo, guide, shift, threshold, ws)
     else:
-        if sigma == 0.0:
-            exact = _histogram_sums(u_count, cdf, k_lo, guide, shift, threshold, ws)
-            if exact is not None:
-                return exact
         q = _poisson_counts(u_count, cdf, k_lo, guide, ws)
     d2 = ws.f[1][:n]
     if sigma > 0.0:
@@ -417,15 +416,18 @@ def poisson_cdf_table(lam: float) -> tuple[int, np.ndarray]:
 
 
 def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int,
-                        shift: float | None) -> tuple[np.ndarray, ...]:
-    """Guide table ``(base, cut, index)``, three arrays of m buckets.
+                        shift: float | None) -> np.ndarray:
+    """Guide table of m buckets: the count ``index`` of a certified
+    noise-free run, else ``base`` and ``cut`` as the rows of a ``(2, m)``
+    float64 array.  Each run's blocks read only the table built for it.
 
     m is a power of two (so ``u*m`` and ``j/m`` are exact), the smallest
     at least ``min(len(cdf), trials)``.  ``shift`` is the integer a
     noise-free run shifts its counts by, None for a run with thermal
-    noise.  Where the certificate of :func:`_histogram_sums` admits that
-    run's blocks of ``min(trials, BLOCK)`` trials to the histogram path,
-    m is also at least ``min(16 * len(cdf), trials // 2)``: about 16
+    noise.  A noise-free run whose blocks of ``min(trials, BLOCK)``
+    trials pass the certificate n * max|k - shift|**4 < 2**53 of the
+    histogram path is certified; every shorter block passes it too.  For
+    it m is also at least ``min(16 * len(cdf), trials // 2)``: about 16
     buckets per CDF entry on a long run, never more than one bucket per two trials, so
     the build costs at most about one binary search per trial.  A full
     block is certified up to lam of about 4 400, so the table reaches
@@ -436,16 +438,16 @@ def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int,
     builds twice the table.
 
     Bucket j covers ``[j/m, (j+1)/m)`` and starts at
-    ``g = min(searchsorted(cdf, j/m, "right"), len(cdf) - 1)``.  ``base``
-    and ``cut`` serve the per-trial lookup: where the next bucket starts
-    at most one entry later, u in bucket j samples
-    ``base[j] + (cut[j] <= u)``, with ``base[j] = k_lo + g`` and
-    ``cut[j] = cdf[g]``; wider buckets get a NaN base (searched instead),
-    and the cut is inf where the clamp alone decides.
+    ``g = min(searchsorted(cdf, j/m, "right"), len(cdf) - 1)``, and its
+    cut is ``cdf[g]``, or inf where g is the last entry and the clamp
+    alone decides.  ``base`` and ``cut`` serve the per-trial lookup:
+    where the next bucket starts at most one entry later, u in bucket j
+    samples ``base[j] + (cut[j] <= u)``, with ``base[j] = k_lo + g``;
+    wider buckets get a NaN base (searched instead).
 
-    ``index[j]``, the histogram path's count offset, is g where
-    ``cut[j] >= (j+1)/m`` and the sentinel ``len(cdf)`` elsewhere.  Where
-    g is the last entry the clamp gives g; otherwise every u in the
+    ``index[j]``, the histogram path's count offset, is g where the cut
+    is at least ``(j+1)/m`` and the sentinel ``len(cdf)`` elsewhere.
+    Where g is the last entry the clamp gives g; otherwise every u in the
     bucket lies at or above the entries before g (they are at most j/m)
     and below ``cdf[g]``, so the search gives g.  Either way the offset
     is exact for every float64 in the bucket, not only for the uniforms'
@@ -458,10 +460,15 @@ def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int,
     edges = np.arange(m + 1) / m
     start = np.minimum(np.searchsorted(cdf, edges, side="right"), size - 1)
     g = start[:-1]
-    base = (k_lo + g).astype(np.float64)
+    cuts = np.append(cdf[:-1], np.inf)
+    if exact:
+        return np.where(cuts.take(g) >= edges[1:], g, size)
+    table = np.empty((2, m))
+    base, cut = table
+    np.add(k_lo, g, out=base)
     base[np.diff(start) > 1] = np.nan
-    cut = np.where(g < size - 1, cdf[g], np.inf)
-    return base, cut, np.where(cut >= edges[1:], g, size)
+    np.take(cuts, g, out=cut)
+    return table
 
 
 def block_kernels():
@@ -470,12 +477,14 @@ def block_kernels():
     ``open_block(u_count, u_thermal, cdf, k_lo, guide, gaussian, lam,
     sqrt_shot, sigma, shift, threshold, ws)`` samples the open-state charge
     of one block and returns its shifted power sums ``s1..s4`` and the
-    count below threshold; ``blocked_block(u_thermal, sigma, threshold,
-    ws)`` counts the blocked-state trials whose thermal charge reaches the
-    threshold, by the uniform cut of the module docstring: the same count
-    as ``sigma * inverse_normal(u_thermal) >= threshold``, with the
-    inverse normal run only on the uniforms next to the cut.  ``ws`` is
-    a workspace from :func:`block_workspace`; the uniforms may live in
-    its ``uniforms`` buffer.
+    count below threshold, from the histogram exactly when ``guide`` is
+    a count index (see :func:`poisson_guide_table`);
+    ``blocked_block(u_thermal, sigma, threshold, ws)`` counts the
+    blocked-state trials whose thermal charge reaches the threshold, by
+    the uniform cut of the module docstring: the same count as
+    ``sigma * inverse_normal(u_thermal) >= threshold``, with the inverse
+    normal run only on the uniforms next to the cut.  ``ws`` is a
+    workspace from :func:`block_workspace`; the uniforms may live in its
+    ``uniforms`` buffer.
     """
     return _open_block, _blocked_block

@@ -20,11 +20,9 @@ from chargelimit import (
     VACUUM,
     Material,
     QpcDevice,
-    QpcGeometry,
     SetDevice,
-    SetGeometry,
     SimConfig,
-    WireGeometry,
+    WireDevice,
     device_snr,
     qpc_pipeline_snr,
     set_pipeline_snr,
@@ -78,7 +76,7 @@ def test_criterion_2_gaas_wire_band():
 def test_criterion_3_wire_radius_cancellation():
     radii = np.geomspace(1e-9, 1e-6, 31)
     snrs = np.array(
-        [wire_pipeline_snr(WireGeometry(float(r)), GAAS_LIKE, 1e6).snr for r in radii]
+        [wire_pipeline_snr(WireDevice(float(r), GAAS_LIKE), 1e6).snr for r in radii]
     )
     spread = float((snrs.max() - snrs.min()) / snrs.min())
     ok = spread < 1e-12
@@ -100,7 +98,7 @@ def test_criterion_4_hydrogenic_identities():
         epsilon_r = 10.0 ** draws.uniform(0.0, 2.0)
         material = Material("draw", mass_ratio, epsilon_r)
 
-        qpc = device_snr(QpcDevice(QpcGeometry(length), material), bandwidth)
+        qpc = device_snr(QpcDevice(length, material), bandwidth)
         bohr_form = (
             3.0
             * math.pi**2
@@ -110,7 +108,7 @@ def test_criterion_4_hydrogenic_identities():
         )
         worst_qpc = max(worst_qpc, rel(qpc.snr**2 * bandwidth, bohr_form))
 
-        sett = device_snr(SetDevice(SetGeometry(length), epsilon_r), bandwidth)
+        sett = device_snr(SetDevice(length, epsilon_r), bandwidth)
         rydberg_form = (
             C.rydberg_frequency * math.pi * C.bohr_radius / (2.0 * epsilon_r * length)
         )
@@ -137,15 +135,15 @@ def test_criterion_5_closed_form_vs_pipeline():
         pairs = (
             (
                 wire_snr(material, bandwidth).snr,
-                wire_pipeline_snr(WireGeometry(length), material, bandwidth).snr,
+                wire_pipeline_snr(WireDevice(length, material), bandwidth).snr,
             ),
             (
-                device_snr(QpcDevice(QpcGeometry(length), material), bandwidth).snr,
-                qpc_pipeline_snr(QpcGeometry(length), material, bandwidth).snr,
+                device_snr(QpcDevice(length, material), bandwidth).snr,
+                qpc_pipeline_snr(QpcDevice(length, material), bandwidth).snr,
             ),
             (
-                device_snr(SetDevice(SetGeometry(length), epsilon_r), bandwidth).snr,
-                set_pipeline_snr(SetGeometry(length), epsilon_r, bandwidth).snr,
+                device_snr(SetDevice(length, epsilon_r), bandwidth).snr,
+                set_pipeline_snr(SetDevice(length, epsilon_r), bandwidth).snr,
             ),
         )
         for closed, piped in pairs:

@@ -15,11 +15,8 @@ from chargelimit import (
     Material,
     ParameterError,
     QpcDevice,
-    QpcGeometry,
     SetDevice,
-    SetGeometry,
     WireDevice,
-    WireGeometry,
     device_snr,
     effective_scales,
     qpc_pipeline_snr,
@@ -46,22 +43,22 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
-# ------------------------------------------------------------- geometries
+# --------------------------------------------------------- device records
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan, math.inf])
 def test_geometries_reject_nonpositive(bad):
-    with pytest.raises(ParameterError):
-        WireGeometry(bad)
-    with pytest.raises(ParameterError):
-        QpcGeometry(bad)
-    with pytest.raises(ParameterError):
-        SetGeometry(bad)
+    # Each record checks its size; the SET checks it before its epsilon_r.
+    for make, name in ((lambda: WireDevice(bad, GAAS_LIKE), "radius"),
+                       (lambda: QpcDevice(bad, GAAS_LIKE), "width"),
+                       (lambda: SetDevice(bad, 0.5), "island_radius")):
+        with pytest.raises(ParameterError, match=f"^{name} must be > 0 and finite, got {bad!r}$"):
+            make()
 
 
 def test_set_device_rejects_sub_vacuum_dielectric():
     with pytest.raises(ParameterError):
-        SetDevice(SetGeometry(50e-9), 0.9)
+        SetDevice(50e-9, 0.9)
 
 
 def test_conductance_quantum():
@@ -76,22 +73,22 @@ def test_conductance_quantum():
 def test_wire_optimal_bias_at_bohr_radius():
     # R = a0 in vacuum puts the full atomic voltage scale 2*Ry/e across
     # the channel; CODATA 2018 value of that scale in volts:
-    bias = wire_optimal_bias(WireGeometry(C.bohr_radius), VACUUM)
+    bias = wire_optimal_bias(WireDevice(C.bohr_radius, VACUUM))
     assert rel(bias, 27.211386245988) < 1e-9
     assert rel(bias, 2.0 * C.rydberg_energy / C.e) < 1e-12
 
 
 def test_wire_optimal_bias_scaling():
-    base = wire_optimal_bias(WireGeometry(10e-9), VACUUM)
-    assert rel(wire_optimal_bias(WireGeometry(20e-9), VACUUM), base / 2.0) < 1e-15
+    base = wire_optimal_bias(WireDevice(10e-9, VACUUM))
+    assert rel(wire_optimal_bias(WireDevice(20e-9, VACUUM)), base / 2.0) < 1e-15
     screened = Material("m", 1.0, 4.0)
-    assert rel(wire_optimal_bias(WireGeometry(10e-9), screened), base / 4.0) < 1e-15
+    assert rel(wire_optimal_bias(WireDevice(10e-9, screened)), base / 4.0) < 1e-15
 
 
 def test_wire_optimal_bias_gaas_magnitude():
     # At the effective orbit radius the bias collapses to 2*Ry*/e ~ 11 mV.
     a_star = effective_scales(GAAS_LIKE).bohr_radius
-    bias = wire_optimal_bias(WireGeometry(a_star), GAAS_LIKE)
+    bias = wire_optimal_bias(WireDevice(a_star, GAAS_LIKE))
     assert rel(bias, 2.0 * effective_scales(GAAS_LIKE).rydberg_energy / C.e) < 1e-12
     assert rel(bias, 1.0956e-2) < 1e-3
 
@@ -101,31 +98,31 @@ def test_wire_mode_count_reference_radius():
     # the radius-free SNR.
     for material in (VACUUM, GAAS_LIKE):
         radius = effective_scales(material).bohr_radius
-        geometry = WireGeometry(radius)
-        bias = wire_optimal_bias(geometry, material)
-        assert rel(wire_mode_count(geometry, material, bias), 1.0) < 1e-12
+        device = WireDevice(radius, material)
+        bias = wire_optimal_bias(device)
+        assert rel(wire_mode_count(device, bias), 1.0) < 1e-12
 
 
 def test_wire_mode_count_scales_with_radius():
     material = GAAS_LIKE
     a_star = effective_scales(material).bohr_radius
-    geometry = WireGeometry(10.0 * a_star)
-    bias = wire_optimal_bias(geometry, material)
-    assert rel(wire_mode_count(geometry, material, bias), 10.0) < 1e-12
+    device = WireDevice(10.0 * a_star, material)
+    bias = wire_optimal_bias(device)
+    assert rel(wire_mode_count(device, bias), 10.0) < 1e-12
 
 
 def test_wire_mode_count_linear_in_bias():
-    geometry = WireGeometry(5e-9)
-    bias = 0.5 * wire_optimal_bias(geometry, GAAS_LIKE)
-    n1 = wire_mode_count(geometry, GAAS_LIKE, bias)
-    n2 = wire_mode_count(geometry, GAAS_LIKE, 2.0 * bias)
+    device = WireDevice(5e-9, GAAS_LIKE)
+    bias = 0.5 * wire_optimal_bias(device)
+    n1 = wire_mode_count(device, bias)
+    n2 = wire_mode_count(device, 2.0 * bias)
     assert rel(n2, 2.0 * n1) < 1e-15
-    assert wire_mode_count(geometry, GAAS_LIKE, 0.0) == 0.0
+    assert wire_mode_count(device, 0.0) == 0.0
 
 
 def test_wire_mode_count_rejects_negative_bias():
     with pytest.raises(ParameterError):
-        wire_mode_count(WireGeometry(5e-9), VACUUM, -1.0)
+        wire_mode_count(WireDevice(5e-9, VACUUM), -1.0)
 
 
 def test_wire_sense_current_values():
@@ -179,7 +176,7 @@ def test_wire_pipeline_matches_closed_form():
     for radius in (1e-9, 17e-9, 1e-6):
         for material in (VACUUM, GAAS_LIKE):
             closed = wire_snr(material, 1e6)
-            piped = wire_pipeline_snr(WireGeometry(radius), material, 1e6)
+            piped = wire_pipeline_snr(WireDevice(radius, material), 1e6)
             assert rel(piped.snr, closed.snr) < 1e-12
             assert rel(piped.f_unity, closed.f_unity) < 1e-12
 
@@ -187,7 +184,7 @@ def test_wire_pipeline_matches_closed_form():
 def test_wire_pipeline_radius_independence():
     radii = np.geomspace(1e-9, 1e-6, 31)
     snrs = [
-        wire_pipeline_snr(WireGeometry(float(r)), GAAS_LIKE, 1e6).snr
+        wire_pipeline_snr(WireDevice(float(r), GAAS_LIKE), 1e6).snr
         for r in radii
     ]
     spread = (max(snrs) - min(snrs)) / min(snrs)
@@ -196,27 +193,27 @@ def test_wire_pipeline_radius_independence():
 
 def test_wire_pipeline_underbias_quadratic():
     # I = G(V) * V with G linear in V, so SNR drops linearly with bias.
-    geometry = WireGeometry(20e-9)
-    full = wire_pipeline_snr(geometry, GAAS_LIKE, 1e6)
-    optimal = wire_optimal_bias(geometry, GAAS_LIKE)
-    half = wire_pipeline_snr(geometry, GAAS_LIKE, 1e6, bias=0.5 * optimal)
+    device = WireDevice(20e-9, GAAS_LIKE)
+    full = wire_pipeline_snr(device, 1e6)
+    optimal = wire_optimal_bias(device)
+    half = wire_pipeline_snr(device, 1e6, bias=0.5 * optimal)
     assert rel(half.snr, 0.5 * full.snr) < 1e-12
     assert half.flags == ()
 
 
 def test_wire_pipeline_overbias_flags():
-    geometry = WireGeometry(20e-9)
-    optimal = wire_optimal_bias(geometry, GAAS_LIKE)
+    device = WireDevice(20e-9, GAAS_LIKE)
+    optimal = wire_optimal_bias(device)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = wire_pipeline_snr(geometry, GAAS_LIKE, 1e6, bias=2.0 * optimal)
+        result = wire_pipeline_snr(device, 1e6, bias=2.0 * optimal)
     assert "bias-above-optimal" in result.flags
 
 
 def test_wire_pipeline_temperature_degrades_snr():
-    geometry = WireGeometry(20e-9)
-    cold = wire_pipeline_snr(geometry, GAAS_LIKE, 1e6)
-    warm = wire_pipeline_snr(geometry, GAAS_LIKE, 1e6, temperature=300.0)
+    device = WireDevice(20e-9, GAAS_LIKE)
+    cold = wire_pipeline_snr(device, 1e6)
+    warm = wire_pipeline_snr(device, 1e6, temperature=300.0)
     assert warm.snr < cold.snr
     assert warm.breakdown.thermal_sq > 0.0
 
@@ -226,12 +223,12 @@ def test_wire_pipeline_temperature_degrades_snr():
 
 def test_qpc_spacing_vacuum_bohr_width():
     # Hard-wall well of width a0: spacing is 3*pi^2 Rydbergs.
-    spacing = qpc_subband_spacing(QpcGeometry(C.bohr_radius), VACUUM)
+    spacing = qpc_subband_spacing(QpcDevice(C.bohr_radius, VACUUM))
     assert rel(spacing, 3.0 * math.pi**2 * C.rydberg_energy) < 1e-12
 
 
 def test_qpc_spacing_oracle_20nm_gaas():
-    spacing = qpc_subband_spacing(QpcGeometry(20e-9), GAAS_LIKE)
+    spacing = qpc_subband_spacing(QpcDevice(20e-9, GAAS_LIKE))
     expected = (
         3.0 * math.pi**2 * C.hbar**2 / (2.0 * 0.067 * C.m_e * (20e-9) ** 2)
     )
@@ -240,8 +237,8 @@ def test_qpc_spacing_oracle_20nm_gaas():
 
 
 def test_qpc_spacing_width_scaling():
-    narrow = qpc_subband_spacing(QpcGeometry(10e-9), GAAS_LIKE)
-    wide = qpc_subband_spacing(QpcGeometry(20e-9), GAAS_LIKE)
+    narrow = qpc_subband_spacing(QpcDevice(10e-9, GAAS_LIKE))
+    wide = qpc_subband_spacing(QpcDevice(20e-9, GAAS_LIKE))
     assert rel(narrow, 4.0 * wide) < 1e-15
 
 
@@ -261,20 +258,20 @@ def test_qpc_spacing_against_numerical_well_levels():
         select_range=(0, 1),
     )[0]
     gap = levels[1] - levels[0]
-    spacing = qpc_subband_spacing(QpcGeometry(width), GAAS_LIKE)
+    spacing = qpc_subband_spacing(QpcDevice(width, GAAS_LIKE))
     assert rel(gap, spacing) < 1e-5
 
 
 def test_qpc_snr_form():
-    result = device_snr(QpcDevice(QpcGeometry(20e-9), GAAS_LIKE), 1e6)
-    spacing = qpc_subband_spacing(QpcGeometry(20e-9), GAAS_LIKE)
+    result = device_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
+    spacing = qpc_subband_spacing(QpcDevice(20e-9, GAAS_LIKE))
     assert rel(result.f_unity, spacing / C.h) < 1e-15
     assert rel(result.snr, math.sqrt(result.f_unity / 1e6)) < 1e-15
     assert rel(result.f_unity, 1.017802486462739e13) < 1e-12
 
 
 def test_qpc_transport_state():
-    result = device_snr(QpcDevice(QpcGeometry(20e-9), GAAS_LIKE), 1e6)
+    result = device_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
     t = result.transport
     assert t.n_modes == 2.0
     assert rel(t.conductance, 2.0 * C.e**2 / C.h) < 1e-15
@@ -286,7 +283,7 @@ def test_qpc_hydrogenic_identity():
     # The spacing form and the atomic-units form are the same algebra:
     # snr^2 * df = 3*pi^2 * f_Ry * (m_e/m*) * (a0/W)^2.
     for width in (2e-9, 20e-9, 200e-9):
-        result = device_snr(QpcDevice(QpcGeometry(width), GAAS_LIKE), 1e4)
+        result = device_snr(QpcDevice(width, GAAS_LIKE), 1e4)
         lhs = result.snr**2 * 1e4
         rhs = (
             3.0
@@ -299,15 +296,15 @@ def test_qpc_hydrogenic_identity():
 
 
 def test_qpc_pipeline_matches_closed_form():
-    closed = device_snr(QpcDevice(QpcGeometry(20e-9), GAAS_LIKE), 1e6)
-    piped = qpc_pipeline_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6)
+    closed = device_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
+    piped = qpc_pipeline_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
     assert rel(piped.snr, closed.snr) < 1e-12
     assert rel(piped.f_unity, closed.f_unity) < 1e-12
 
 
 def test_qpc_pipeline_temperature_degrades_snr():
-    cold = qpc_pipeline_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6)
-    warm = qpc_pipeline_snr(QpcGeometry(20e-9), GAAS_LIKE, 1e6, temperature=77.0)
+    cold = qpc_pipeline_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
+    warm = qpc_pipeline_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6, temperature=77.0)
     assert warm.snr < cold.snr
 
 
@@ -315,17 +312,18 @@ def test_qpc_pipeline_temperature_degrades_snr():
 
 
 def test_set_capacitance_oracle():
-    assert rel(set_island_capacitance(SetGeometry(1.0), 1.0), 7.08335025024e-11) < 1e-11
-    assert rel(set_island_capacitance(SetGeometry(50e-9), 12.9), 4.568761e-17) < 1e-6
+    assert rel(set_island_capacitance(SetDevice(1.0, 1.0)), 7.08335025024e-11) < 1e-11
+    assert rel(set_island_capacitance(SetDevice(50e-9, 12.9)), 4.568761e-17) < 1e-6
 
 
 def test_set_capacitance_rejects_sub_vacuum_dielectric():
-    with pytest.raises(ParameterError):
-        set_island_capacitance(SetGeometry(50e-9), 0.5)
+    # The record refuses it before set_island_capacitance is reached.
+    with pytest.raises(ParameterError, match=r"^epsilon_r must be >= 1 \(vacuum\), got 0\.5$"):
+        set_island_capacitance(SetDevice(50e-9, 0.5))
 
 
 def test_set_blockade_oracle():
-    e = set_blockade(SetGeometry(50e-9), 12.9)
+    e = set_blockade(SetDevice(50e-9, 12.9))
     assert rel(e.blockade_voltage, 1.7534e-3) < 1e-3
     # The charging energy is defined as exactly e * V_blockade.
     assert e.charging_energy == C.e * e.blockade_voltage
@@ -336,14 +334,14 @@ def test_set_charging_energy_reduces_to_rydberg():
     # A disk of radius pi*a0/2 in vacuum has C = 4*pi*eps0*a0, so the
     # charging energy is exactly one Rydberg.
     radius = math.pi * C.bohr_radius / 2.0
-    e = set_blockade(SetGeometry(radius), 1.0)
+    e = set_blockade(SetDevice(radius, 1.0))
     assert rel(e.charging_energy, C.rydberg_energy) < 1e-12
-    result = device_snr(SetDevice(SetGeometry(radius), 1.0), 1.0)
+    result = device_snr(SetDevice(radius, 1.0), 1.0)
     assert rel(result.f_unity, C.rydberg_frequency) < 1e-12
 
 
 def test_set_snr_form():
-    result = device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1.0)
+    result = device_snr(SetDevice(50e-9, 12.9), 1.0)
     assert rel(result.f_unity, 423971175123.34814) < 1e-12
     assert rel(result.sensitivity, 1.5357899969311475e-6) < 1e-12
     assert rel(result.snr, math.sqrt(result.f_unity)) < 1e-15
@@ -353,30 +351,30 @@ def test_set_snr_form():
 def test_set_hydrogenic_identity():
     # snr^2 * df = f_Ry * pi * a0 / (2 * eps_r * R) for any island.
     for radius, epsr in ((5e-9, 1.0), (50e-9, 12.9), (5e-7, 3.9)):
-        result = device_snr(SetDevice(SetGeometry(radius), epsr), 1e3)
+        result = device_snr(SetDevice(radius, epsr), 1e3)
         lhs = result.snr**2 * 1e3
         rhs = C.rydberg_frequency * math.pi * C.bohr_radius / (2.0 * epsr * radius)
         assert rel(lhs, rhs) < 1e-12
 
 
 def test_set_sensitivity_scaling():
-    base = device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1.0).sensitivity
-    bigger = device_snr(SetDevice(SetGeometry(200e-9), 12.9), 1.0).sensitivity
+    base = device_snr(SetDevice(50e-9, 12.9), 1.0).sensitivity
+    bigger = device_snr(SetDevice(200e-9, 12.9), 1.0).sensitivity
     assert rel(bigger, 2.0 * base) < 1e-12  # sqrt(4x radius)
-    screened = device_snr(SetDevice(SetGeometry(50e-9), 4.0 * 12.9), 1.0).sensitivity
+    screened = device_snr(SetDevice(50e-9, 4.0 * 12.9), 1.0).sensitivity
     assert rel(screened, 2.0 * base) < 1e-12
 
 
 def test_set_pipeline_matches_closed_form():
-    closed = device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1e6)
-    piped = set_pipeline_snr(SetGeometry(50e-9), 12.9, 1e6)
+    closed = device_snr(SetDevice(50e-9, 12.9), 1e6)
+    piped = set_pipeline_snr(SetDevice(50e-9, 12.9), 1e6)
     assert rel(piped.snr, closed.snr) < 1e-12
     assert rel(piped.f_unity, closed.f_unity) < 1e-12
 
 
 def test_set_pipeline_temperature_degrades_snr():
-    cold = set_pipeline_snr(SetGeometry(50e-9), 12.9, 1e6)
-    warm = set_pipeline_snr(SetGeometry(50e-9), 12.9, 1e6, temperature=1.0)
+    cold = set_pipeline_snr(SetDevice(50e-9, 12.9), 1e6)
+    warm = set_pipeline_snr(SetDevice(50e-9, 12.9), 1e6, temperature=1.0)
     assert warm.snr < cold.snr
 
 
@@ -386,10 +384,10 @@ def test_set_pipeline_temperature_degrades_snr():
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda m: device_snr(WireDevice(WireGeometry(20e-9), GAAS_LIKE), 1e6, modulation=m),
-        lambda m: device_snr(QpcDevice(QpcGeometry(20e-9), GAAS_LIKE), 1e6, modulation=m),
-        lambda m: device_snr(SetDevice(SetGeometry(50e-9), 12.9), 1e6, modulation=m),
-        lambda m: wire_pipeline_snr(WireGeometry(20e-9), GAAS_LIKE, 1e6, modulation=m),
+        lambda m: device_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, modulation=m),
+        lambda m: device_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6, modulation=m),
+        lambda m: device_snr(SetDevice(50e-9, 12.9), 1e6, modulation=m),
+        lambda m: wire_pipeline_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, modulation=m),
     ],
 )
 def test_modulation_scaling(factory):
@@ -404,7 +402,7 @@ def test_modulation_scaling(factory):
 def test_modulation_is_squared_by_one_ieee_multiply(modulation):
     # Python's ** goes through the C library's pow, which misses the
     # correctly rounded square of the first two depths on some builds.
-    device = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
+    device = WireDevice(20e-9, GAAS_LIKE)
     result = device_snr(device, 1e6, modulation=modulation)
     assert result.f_unity == modulation * modulation * device_snr(device, 1e6).f_unity
 
@@ -412,37 +410,37 @@ def test_modulation_is_squared_by_one_ieee_multiply(modulation):
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
 def test_modulation_range(bad):
     with pytest.raises(ParameterError):
-        device_snr(WireDevice(WireGeometry(20e-9), GAAS_LIKE), 1e6, modulation=bad)
+        device_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, modulation=bad)
     with pytest.raises(ParameterError):
-        set_pipeline_snr(SetGeometry(50e-9), 12.9, 1e6, modulation=bad)
+        set_pipeline_snr(SetDevice(50e-9, 12.9), 1e6, modulation=bad)
 
 
 # --------------------------------------------------------------- dispatch
 
 
 def test_device_snr_dispatch():
-    wire = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
-    qpc = QpcDevice(QpcGeometry(20e-9), GAAS_LIKE)
-    sett = SetDevice(SetGeometry(50e-9), 12.9)
+    wire = WireDevice(20e-9, GAAS_LIKE)
+    qpc = QpcDevice(20e-9, GAAS_LIKE)
+    sett = SetDevice(50e-9, 12.9)
     assert device_snr(wire, 1e6).snr == wire_snr(GAAS_LIKE, 1e6).snr
-    spacing = qpc_subband_spacing(QpcGeometry(20e-9), GAAS_LIKE)
+    spacing = qpc_subband_spacing(QpcDevice(20e-9, GAAS_LIKE))
     assert device_snr(qpc, 1e6).f_unity == spacing / C.h
-    charging = set_blockade(SetGeometry(50e-9), 12.9).charging_energy
+    charging = set_blockade(SetDevice(50e-9, 12.9)).charging_energy
     assert device_snr(sett, 1e6).f_unity == charging / C.h
 
 
 def test_device_operating_point_dispatch():
-    wire = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
+    wire = WireDevice(20e-9, GAAS_LIKE)
     op = device_snr(wire, 1e6).operating_point
     assert rel(op.sense_current(), wire_sense_current(GAAS_LIKE)) < 1e-12
-    qpc = QpcDevice(QpcGeometry(20e-9), GAAS_LIKE)
+    qpc = QpcDevice(20e-9, GAAS_LIKE)
     op = device_snr(qpc, 1e6).operating_point
-    spacing = qpc_subband_spacing(QpcGeometry(20e-9), GAAS_LIKE)
+    spacing = qpc_subband_spacing(QpcDevice(20e-9, GAAS_LIKE))
     assert rel(op.bias, spacing / C.e) < 1e-15
     assert rel(op.channel_conductance(), 2.0 * C.e**2 / C.h) < 1e-15
-    sett = SetDevice(SetGeometry(50e-9), 12.9)
+    sett = SetDevice(50e-9, 12.9)
     op = device_snr(sett, 1e6).operating_point
-    assert rel(op.bias, set_blockade(SetGeometry(50e-9), 12.9).blockade_voltage) < 1e-15
+    assert rel(op.bias, set_blockade(SetDevice(50e-9, 12.9)).blockade_voltage) < 1e-15
 
 
 def test_dispatch_rejects_unknown_kind():
@@ -460,7 +458,7 @@ def test_dispatch_rejects_unknown_kind():
     st.floats(min_value=1.0, max_value=1e12),
 )
 def test_snr_result_internal_consistency_qpc(width, bandwidth):
-    result = device_snr(QpcDevice(QpcGeometry(width), GAAS_LIKE), bandwidth)
+    result = device_snr(QpcDevice(width, GAAS_LIKE), bandwidth)
     assert rel(result.snr, math.sqrt(result.f_unity / bandwidth)) < 1e-12
     assert rel(result.sensitivity, 1.0 / math.sqrt(result.f_unity)) < 1e-12
 
@@ -471,7 +469,7 @@ def test_snr_result_internal_consistency_qpc(width, bandwidth):
     st.floats(min_value=1.0, max_value=1e12),
 )
 def test_snr_result_internal_consistency_set(radius, epsr, bandwidth):
-    result = device_snr(SetDevice(SetGeometry(radius), epsr), bandwidth)
+    result = device_snr(SetDevice(radius, epsr), bandwidth)
     assert rel(result.snr, math.sqrt(result.f_unity / bandwidth)) < 1e-12
     assert rel(result.sensitivity, 1.0 / math.sqrt(result.f_unity)) < 1e-12
 
@@ -495,7 +493,7 @@ def test_wire_snr_material_scaling(mass_ratio, epsilon_r):
 )
 def test_wire_pipeline_radius_free_property(radius, mass_ratio):
     material = Material("m", mass_ratio, 5.0)
-    piped = wire_pipeline_snr(WireGeometry(radius), material, 1e6)
+    piped = wire_pipeline_snr(WireDevice(radius, material), 1e6)
     closed = wire_snr(material, 1e6)
     assert rel(piped.snr, closed.snr) < 1e-12
 
@@ -539,29 +537,28 @@ def _fields(result) -> dict:
 
 
 _ARRAY_CASES = {
-    "wire R": (lambda v: wire_pipeline_snr(WireGeometry(v), GAAS_LIKE, 1e6), _RADII),
+    "wire R": (lambda v: wire_pipeline_snr(WireDevice(v, GAAS_LIKE), 1e6), _RADII),
     "wire R thermal": (
-        lambda v: wire_pipeline_snr(WireGeometry(v), GAAS_LIKE, 1e3, temperature=4.2), _RADII),
+        lambda v: wire_pipeline_snr(WireDevice(v, GAAS_LIKE), 1e3, temperature=4.2), _RADII),
     "wire df": (lambda v: wire_pipeline_snr(
-        WireGeometry(20e-9), GAAS_LIKE, v, temperature=1.0), _BANDWIDTHS),
+        WireDevice(20e-9, GAAS_LIKE), v, temperature=1.0), _BANDWIDTHS),
     "wire T": (lambda v: wire_pipeline_snr(
-        WireGeometry(20e-9), GAAS_LIKE, 1e3, temperature=v), _TEMPERATURES),
+        WireDevice(20e-9, GAAS_LIKE), 1e3, temperature=v), _TEMPERATURES),
     "wire m*": (lambda v: wire_pipeline_snr(
-        WireGeometry(20e-9), Material("custom", v, 1.0), 1e6), _RATIOS),
+        WireDevice(20e-9, Material("custom", v, 1.0)), 1e6), _RATIOS),
     "wire m* bohr radius": (lambda v: wire_pipeline_snr(
-        WireGeometry(effective_scales(Material("custom", v, 1.0)).bohr_radius),
-        Material("custom", v, 1.0), 1e6), _RATIOS),
+        WireDevice(effective_scales(Material("custom", v, 1.0)).bohr_radius, Material("custom", v, 1.0)), 1e6), _RATIOS),
     "wire eps": (lambda v: wire_pipeline_snr(
-        WireGeometry(20e-9), Material("custom", 1.0, v), 1e6), _RATIOS + 0.5),
-    "qpc W": (lambda v: qpc_pipeline_snr(QpcGeometry(v), GAAS_LIKE, 1e9), _RADII),
+        WireDevice(20e-9, Material("custom", 1.0, v)), 1e6), _RATIOS + 0.5),
+    "qpc W": (lambda v: qpc_pipeline_snr(QpcDevice(v, GAAS_LIKE), 1e9), _RADII),
     "qpc T": (lambda v: qpc_pipeline_snr(
-        QpcGeometry(20e-9), GAAS_LIKE, 1e9, temperature=v), _TEMPERATURES),
+        QpcDevice(20e-9, GAAS_LIKE), 1e9, temperature=v), _TEMPERATURES),
     "qpc m*": (lambda v: qpc_pipeline_snr(
-        QpcGeometry(20e-9), Material("custom", v, 1.0), 1e9), _RATIOS),
-    "set R": (lambda v: set_pipeline_snr(SetGeometry(v), 12.9, 1e6), _RADII),
+        QpcDevice(20e-9, Material("custom", v, 1.0)), 1e9), _RATIOS),
+    "set R": (lambda v: set_pipeline_snr(SetDevice(v, 12.9), 1e6), _RADII),
     "set df": (lambda v: set_pipeline_snr(
-        SetGeometry(50e-9), 12.9, v, temperature=0.1), _BANDWIDTHS),
-    "set eps": (lambda v: set_pipeline_snr(SetGeometry(50e-9), v, 1e6), _RATIOS + 0.5),
+        SetDevice(50e-9, 12.9), v, temperature=0.1), _BANDWIDTHS),
+    "set eps": (lambda v: set_pipeline_snr(SetDevice(50e-9, v), 1e6), _RATIOS + 0.5),
 }
 
 
@@ -585,10 +582,10 @@ _MASS = GAAS_LIKE.mass_ratio * C.m_e
 #: in the order the package multiplies, and the values to square.
 _SQUARES = {
     "wire_mode_count": (
-        lambda r: wire_mode_count(WireGeometry(r), GAAS_LIKE, 1e-6),
+        lambda r: wire_mode_count(WireDevice(r, GAAS_LIKE), 1e-6),
         lambda r: _MASS * (r * r) * C.e * 1e-6 / C.hbar**2, _RADII),
     "qpc_subband_spacing": (
-        lambda w: qpc_subband_spacing(QpcGeometry(w), GAAS_LIKE),
+        lambda w: qpc_subband_spacing(QpcDevice(w, GAAS_LIKE)),
         lambda w: 3.0 * math.pi**2 * C.hbar**2 / (2.0 * _MASS * (w * w)), _RADII),
     "scale_factor": (
         lambda eps: effective_scales(Material("custom", 0.067, eps)).scale_factor,
@@ -605,8 +602,8 @@ def test_each_square_is_one_ieee_multiply(name):
 
 
 @pytest.mark.parametrize("name, call, first", [
-    ("radius", lambda v: wire_mode_count(WireGeometry(v), GAAS_LIKE, 0.0), 20e-9),
-    ("width", lambda v: qpc_subband_spacing(QpcGeometry(v), GAAS_LIKE), 20e-9),
+    ("radius", lambda v: wire_mode_count(WireDevice(v, GAAS_LIKE), 0.0), 20e-9),
+    ("width", lambda v: qpc_subband_spacing(QpcDevice(v, GAAS_LIKE)), 20e-9),
     ("epsilon_r", lambda v: effective_scales(Material("custom", 0.067, v)), 12.9),
 ], ids=["radius", "width", "epsilon_r"])
 def test_an_overflowing_square_names_its_element(name, call, first):
@@ -619,7 +616,7 @@ def test_an_overflowing_square_names_its_element(name, call, first):
 
 
 def test_scalar_call_returns_python_floats():
-    result = wire_pipeline_snr(WireGeometry(20e-9), GAAS_LIKE, 1e6, temperature=4.2)
+    result = wire_pipeline_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, temperature=4.2)
     for name, value in _fields(result).items():
         assert type(value) is float, name
 
@@ -627,13 +624,13 @@ def test_scalar_call_returns_python_floats():
 @pytest.mark.parametrize(
     "call, parameter",
     [
-        (lambda: wire_pipeline_snr(WireGeometry(np.array([1e-9, 1e200])), VACUUM, 1.0),
+        (lambda: wire_pipeline_snr(WireDevice(np.array([1e-9, 1e200]), VACUUM), 1.0),
          "radius"),
-        (lambda: wire_pipeline_snr(WireGeometry(np.array([1e-9, 1e-200])), VACUUM, 1.0),
+        (lambda: wire_pipeline_snr(WireDevice(np.array([1e-9, 1e-200]), VACUUM), 1.0),
          "radius"),
-        (lambda: qpc_pipeline_snr(QpcGeometry(np.array([1e-8, 1e-300])), GAAS_LIKE, 1.0),
+        (lambda: qpc_pipeline_snr(QpcDevice(np.array([1e-8, 1e-300]), GAAS_LIKE), 1.0),
          "width"),
-        (lambda: set_pipeline_snr(SetGeometry(np.array([5e-8, 1e-320])), 1.0, 1.0),
+        (lambda: set_pipeline_snr(SetDevice(np.array([5e-8, 1e-320]), 1.0), 1.0),
          "island_radius"),
     ],
 )

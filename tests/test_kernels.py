@@ -23,7 +23,7 @@ from chargelimit.kernels import (
     poisson_guide_table,
     portable_log,
 )
-from chargelimit.montecarlo import SimConfig, simulate_detection
+from chargelimit.montecarlo import Ci95, SimConfig, SimOutcome, simulate_detection
 from chargelimit.rng import BLOCK, GENERATOR_ID, uniform_block
 
 
@@ -299,22 +299,27 @@ def test_guide_cases_cover_both_cdf_ends():
 
 
 def _check_guide(k_lo, cdf, trials, shift, blocks):
-    """The guide lookup equals the clamped binary search on every uniform,
-    and so does every count index short of the sentinel."""
+    """The lookup of the table the run gets equals the clamped binary
+    search on every uniform: the ``(2, m)`` table's per-trial lookup, or
+    every count index short of the sentinel; returns the table and
+    whether the seeded ``blocks[0]`` reach the search."""
     guide = poisson_guide_table(k_lo, cdf, trials, shift)
-    base, cut, index = guide
-    m = base.shape[0]
+    m = guide.shape[-1]
     assert m & (m - 1) == 0 and m >= min(cdf.size, trials)
-    assert cut.shape == index.shape == (m,)
+    assert guide.shape == (m,) if guide.dtype == np.intp else guide.shape == (2, m)
     for u in [*blocks, _guide_edge_uniforms(cdf, m)]:
         expected = k_lo + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
-        counts = _poisson_counts(u, cdf, k_lo, guide, _Workspace(u.size))
-        assert counts.dtype == np.float64
-        assert np.array_equal(counts, expected.astype(np.float64))
-        k = index.take((u * m).astype(np.intp))
-        pure = k < cdf.size
-        assert np.array_equal(k_lo + k[pure], expected[pure])
-    return guide
+        if guide.ndim == 1:
+            k = guide.take((u * m).astype(np.intp))
+            pure = k < cdf.size
+            assert np.array_equal(k_lo + k[pure], expected[pure])
+        else:
+            counts = _poisson_counts(u, cdf, k_lo, guide, _Workspace(u.size))
+            assert counts.dtype == np.float64
+            assert np.array_equal(counts, expected.astype(np.float64))
+    bucket = (blocks[0] * m).astype(np.intp)
+    searched = guide.take(bucket) == cdf.size if guide.ndim == 1 else np.isnan(guide[0][bucket])
+    return guide, searched.any()
 
 
 @pytest.mark.parametrize("lam", [0.5, 7.0, 10.0, 1e3, 9e6])
@@ -324,10 +329,8 @@ def test_guide_lookup_equals_clamped_searchsorted(lam, trials):
     k_lo, cdf = poisson_cdf_table(lam)
     blocks = [uniform_block(seed, 0, 0, BLOCK) for seed in (31, 32, 33)]
     for shift in (None, float(math.floor(lam))):
-        base, _, _ = _check_guide(k_lo, cdf, trials, shift, blocks)
-        # Some of the seeded uniforms take the binary-search fallback.
-        bucket = (blocks[0] * base.shape[0]).astype(np.intp)
-        assert np.isnan(base.take(bucket)).any()
+        _, searched = _check_guide(k_lo, cdf, trials, shift, blocks)
+        assert searched  # some of the seeded uniforms take the binary-search fallback
 
 
 @pytest.mark.parametrize(
@@ -553,17 +556,19 @@ def test_noise_free_poisson_sums_are_exact(lam, n):
         assert got[4] == expected[4]
 
 
-def _histogram_path_is_exact(lam, trials, guide=None):
+def _histogram_path_is_exact(lam, trials, index=None):
     """Whether the histogram path gives, on seeded blocks, a partial block
-    and the guide's edge uniforms, the exact integer sums of the clamped
-    binary search's counts."""
+    and the count index's edge uniforms, the exact integer sums of the
+    clamped binary search's counts."""
     k_lo, cdf = poisson_cdf_table(lam)
     shift = math.floor(lam)
-    guide = guide or poisson_guide_table(k_lo, cdf, trials, float(shift))
+    if index is None:
+        index = poisson_guide_table(k_lo, cdf, trials, float(shift))
+    assert index.shape == (index.size,)  # the certificate holds for every case here
     n = min(trials, BLOCK)
     blocks = [uniform_block(seed, 0, 3, n) for seed in (41, 42, 43)]
     blocks.append(uniform_block(44, 0, 0, 4464))
-    blocks += np.array_split(_guide_edge_uniforms(cdf, guide[0].shape[0]), 8)
+    blocks += np.array_split(_guide_edge_uniforms(cdf, index.size), 8)
     v = [k_lo + j - shift for j in range(cdf.size)]
     for u in blocks:
         counts = np.bincount(np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1),
@@ -572,8 +577,7 @@ def _histogram_path_is_exact(lam, trials, guide=None):
         for threshold in (0.5, lam):
             below = sum(c for j, c in enumerate(counts) if k_lo + j < threshold)
             with kernels.block_workspace() as ws:
-                got = kernels._histogram_sums(u, cdf, k_lo, guide, float(shift), threshold, ws)
-            assert got is not None  # the certificate holds for every case here
+                got = kernels._histogram_sums(u, cdf, k_lo, index, float(shift), threshold, ws)
             if got != (*sums, below) or not all(isinstance(x, float) for x in got[:4]):
                 return False
     return True
@@ -590,11 +594,15 @@ def test_histogram_check_catches_a_wrong_count_index(lam):
     # A bucket that holds a CDF entry, given that bucket's first count
     # instead of the sentinel, miscounts the uniforms at and above the entry.
     k_lo, cdf = poisson_cdf_table(lam)
-    base, cut, index = poisson_guide_table(k_lo, cdf, 10**6, float(math.floor(lam)))
+    index = poisson_guide_table(k_lo, cdf, 10**6, float(math.floor(lam)))
     j = int(np.flatnonzero(index == cdf.size)[0])
-    index = index.copy()
     index[j] = np.searchsorted(cdf, j / index.size, side="right")
-    assert not _histogram_path_is_exact(lam, 10**6, (base, cut, index))
+    assert not _histogram_path_is_exact(lam, 10**6, index)
+
+
+#: The noise-free runs of the size table whose full blocks are past the
+#: certificate.
+_UNCERTIFIED = {(5e3, 10**6), (1e4, 10**6), (1e5, 10**6), (9e6, 70_000), (9e6, 10**6)}
 
 
 @pytest.mark.parametrize("lam, trials, noise_free, buckets", [
@@ -605,9 +613,15 @@ def test_histogram_check_catches_a_wrong_count_index(lam):
     (1e5, 10**6, True, 8192), (9e6, 70_000, True, 65536), (9e6, 10**6, True, 65536),
 ])
 def test_guide_table_size(lam, trials, noise_free, buckets):
+    # A certified noise-free run gets the count index, 8 bytes a bucket;
+    # a thermal or uncertified run gets base and cut, 16 bytes a bucket.
     k_lo, cdf = poisson_cdf_table(lam)
     shift = float(math.floor(lam)) if noise_free else None
-    assert all(a.shape == (buckets,) for a in poisson_guide_table(k_lo, cdf, trials, shift))
+    table = poisson_guide_table(k_lo, cdf, trials, shift)
+    if noise_free and (lam, trials) not in _UNCERTIFIED:
+        assert table.shape == (buckets,) and table.dtype == np.intp
+    else:
+        assert table.shape == (2, buckets) and table.dtype == np.float64
 
 
 def _count_tree_sums(monkeypatch):
@@ -634,11 +648,22 @@ def test_which_blocks_take_the_histogram(monkeypatch, lam, sigma, tree_sums):
     assert len(calls) == tree_sums
 
 
-def test_one_run_takes_both_paths(monkeypatch):
-    # At lam = 5e3, n * max|k - shift|**4 passes 2**53 on a full block but
-    # not on the 3 392-trial last block of 200 000 trials.
+def test_an_uncertified_run_takes_the_tree_sums_on_every_block(monkeypatch):
+    # At lam = 5e3, n * max|k - shift|**4 passes 2**53 on a full block, so
+    # the run gets base and cut, and each of its four blocks takes four
+    # tree sums: also the 3 392-trial last block of 200 000 trials, which
+    # alone would pass the certificate.  Its tree sums are then exact, so
+    # the outcome is the one a histogram of that block gave.
     calls = _count_tree_sums(monkeypatch)
-    simulate_detection(SimConfig(on_current=5e3 * 1.602176634e-19 * 1e5, bandwidth=5e4,
-                                 trials=200_000, seed=33))
+    cfg = SimConfig(on_current=5e3 * 1.602176634e-19 * 1e5, bandwidth=5e4, trials=200_000,
+                    seed=33)
+    outcome = simulate_detection(cfg)
     cdf_size = calls[0]  # poisson_cdf_table normalises its pmf by a tree sum
-    assert calls == [cdf_size] + [BLOCK] * 12
+    assert calls == [cdf_size] + [BLOCK] * 12 + [200_000 - 3 * BLOCK] * 4
+    assert simulate_detection(cfg, workers=2) == outcome == SimOutcome(
+        empirical_snr=70.71659105560003, analytic_snr=70.71067811865476, err_open=0.0,
+        err_blocked=0.0, balanced_err=0.0, snr_stderr=0.11185718313089263,
+        ci95=Ci95(snr=0.21923605034865085, err_open=0.0, err_blocked=0.0),
+        mean_charge=4999.91115, std_charge=70.70350925243105, expected_count=5000.0,
+        trials=200000, threshold=0.5, gaussian_fallback=False, seed_used=33,
+        generator="philox4x64-seedseq-v1")

@@ -14,7 +14,6 @@ from chargelimit import (
     SimConfig,
     SimOutcome,
     WireDevice,
-    WireGeometry,
     simulate_detection,
     validate_device,
 )
@@ -317,7 +316,7 @@ def test_workers_validation():
 
 
 def test_validate_device_wire():
-    device = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
+    device = WireDevice(20e-9, GAAS_LIKE)
     check = validate_device(device, 1e9, trials=20000, seed=2024)
     assert isinstance(check, SimOutcome)
     assert check.within_3_sigma() is True
@@ -328,7 +327,7 @@ def test_validate_device_wire():
 def test_validate_device_without_spread_is_flagged_not_scored():
     # 1.3e-8 electrons per window: all 2 000 counts are 0, so the charge
     # has no spread and the run carries a flag instead of a verdict.
-    device = WireDevice(WireGeometry(20e-9), GAAS_LIKE)
+    device = WireDevice(20e-9, GAAS_LIKE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check = validate_device(device, 1e20, trials=2000, seed=5)

@@ -21,14 +21,11 @@ from chargelimit import (
     ParameterError,
     PhysicalConstants,
     QpcDevice,
-    QpcGeometry,
     SetDevice,
     SetElectrostatics,
-    SetGeometry,
     SnrResult,
     TransportState,
     WireDevice,
-    WireGeometry,
 )
 from chargelimit.montecarlo import Ci95, SimConfig, SimOutcome
 
@@ -57,12 +54,9 @@ CASES = {
         dict(bandwidth=1e6, current=1e-9, conductance=1e-6, bias=None, temperature=4.2),
         dict(conductance=None, bias=None, temperature=0.0),
         dict(bandwidth=0.0), ()),
-    WireGeometry: (dict(radius=20e-9), {}, dict(radius=-1.0), ()),
-    QpcGeometry: (dict(width=20e-9), {}, dict(width=math.nan), ()),
-    SetGeometry: (dict(island_radius=50e-9), {}, dict(island_radius=0.0), ()),
-    WireDevice: (dict(geometry=WireGeometry(20e-9), material=GAAS_LIKE), {}, None, ()),
-    QpcDevice: (dict(geometry=QpcGeometry(20e-9), material=GAAS_LIKE), {}, None, ()),
-    SetDevice: (dict(geometry=SetGeometry(50e-9), epsilon_r=12.9), {}, dict(epsilon_r=0.5), ()),
+    WireDevice: (dict(radius=20e-9, material=GAAS_LIKE), {}, dict(radius=-1.0), ()),
+    QpcDevice: (dict(width=20e-9, material=GAAS_LIKE), {}, dict(width=math.nan), ()),
+    SetDevice: (dict(island_radius=50e-9, epsilon_r=12.9), {}, dict(epsilon_r=0.5), ()),
     TransportState: (
         dict(n_modes=2.0, kinetic_energy=1e-22, bias=1e-3, conductance=7.7e-5, current=7.7e-8),
         {}, None, ()),

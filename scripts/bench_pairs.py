@@ -17,8 +17,11 @@ An existing ``--out`` file keeps the summaries of other workloads, so
 several invocations fill one file (the ROADMAP's north star asks for
 one ``BENCH_<n>.json`` per change).  Each run's metrics are kept in it with
 the commit and source digest that the run itself reported, and each
-side's env holds the versions, the machine and ``PYTHONDONTWRITEBYTECODE``
-(when set, every process compiles the package from source).  The script
+side's env holds the versions, the machine, ``PYTHONDONTWRITEBYTECODE``
+(when set, no process writes bytecode) and, under ``fresh_bytecode``,
+the ``chargelimit`` modules of that side that had fresh bytecode before
+and after its runs (a process reads fresh bytecode whatever that
+variable says, and compiles every other module from source).  The script
 says why, exits 1 and writes nothing when a ``perfbench/run.py`` run
 exits non-zero, when the runs of one side report different source
 digests (the side was not one program), or when a run's source digest
@@ -50,7 +53,8 @@ import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
+from oneshot_ms import fresh_bytecode  # noqa: E402
 from tracing import parse_importtime  # noqa: E402
 
 SIDES = ("base", "change")
@@ -252,6 +256,8 @@ def main(argv=None) -> int:
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     runs, records, digests = [], {side: [] for side in SIDES}, {}
+    packages = {side: checkout / "src" / "chargelimit" for side, checkout in checkouts.items()}
+    fresh = {side: {"before": fresh_bytecode(package)} for side, package in packages.items()}
     try:
         for index, seed in enumerate(args.seeds):
             for side in SIDES if index % 2 == 0 else SIDES[::-1]:
@@ -265,6 +271,8 @@ def main(argv=None) -> int:
                     f"{name}={value:.4g}" for name, value in metrics.items()
                     if isinstance(value, float)), file=sys.stderr)
         envs = side_envs(records, os.environ)
+        for side, package in packages.items():
+            envs[side]["fresh_bytecode"] = {**fresh[side], "after": fresh_bytecode(package)}
         for side, imports in import_probe(checkouts).items():
             envs[side]["imports"] = imports
     except ValueError as error:

@@ -12,8 +12,10 @@ standard-library modules the CLI needs; the last two columns are each
 command's best and median beyond the reference's, which is what
 chargelimit itself costs and compares across machines and sessions
 better than a raw time.  The first line says whether the processes
-write bytecode: with ``PYTHONDONTWRITEBYTECODE`` set, every one
-compiles the package from source.  Like the benchmark, it measures the
+write bytecode, and which ``chargelimit`` modules had fresh bytecode
+before and after the runs: a process reads fresh bytecode even when it
+writes none, and compiles from source every module that has none.
+Like the benchmark, it measures the
 sources under ``--src`` (default: this checkout's ``src``) with one
 BLAS thread.  Run from anywhere:
 
@@ -21,6 +23,7 @@ BLAS thread.  Run from anywhere:
 """
 
 import argparse
+import importlib.util
 import os
 import statistics
 import subprocess
@@ -50,6 +53,31 @@ COMMANDS = {
 }
 
 
+def fresh_bytecode(package: Path) -> list[str]:
+    """The modules of ``package`` whose cached bytecode for this
+    interpreter is fresh, so that an import loads it instead of compiling
+    the source: the ``.pyc`` header records the source's mtime and size,
+    or, for hash-based bytecode, its hash or that it is not checked."""
+    fresh = []
+    for source in sorted(package.glob("*.py")):
+        try:
+            header = Path(importlib.util.cache_from_source(str(source))).read_bytes()[:16]
+        except OSError:  # no bytecode
+            continue
+        if header[:4] != importlib.util.MAGIC_NUMBER:
+            continue
+        flags = int.from_bytes(header[4:8], "little")
+        if flags & 1:  # hash-based
+            stamp = importlib.util.source_hash(source.read_bytes())
+        else:
+            stat = source.stat()
+            stamp = b"".join((value & 0xFFFFFFFF).to_bytes(4, "little")
+                             for value in (int(stat.st_mtime), stat.st_size))
+        if flags == 1 or header[8:16] == stamp:  # an unchecked hash is never compared
+            fresh.append(source.stem)
+    return fresh
+
+
 def table(times: dict[str, list[float]]) -> list[str]:
     """One line per command: best and median ms, then both beyond the
     reference's best and median."""
@@ -71,6 +99,8 @@ def main() -> int:
     commands = {REFERENCE: ["-c", _STDLIB],
                 **{name: ["-m", "chargelimit", *argv] for name, argv in COMMANDS.items()}}
     times: dict[str, list[float]] = {name: [] for name in commands}
+    package = args.src.resolve() / "chargelimit"
+    before = ", ".join(fresh_bytecode(package)) or "none"
     for _ in range(REPEATS):
         for name, argv in commands.items():
             start = time.perf_counter()
@@ -82,8 +112,10 @@ def main() -> int:
     no_bytecode = subprocess.run(
         [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
         env=env, capture_output=True, text=True).stdout.strip() == "True"
-    written = "not written (each process compiles from source)" if no_bytecode else "written"
-    print(f"bytecode: {written}; {REPEATS} processes each; {REFERENCE}: python -c {_STDLIB!r}")
+    after = ", ".join(fresh_bytecode(package)) or "none"
+    print(f"bytecode: {'not written' if no_bytecode else 'written'}; modules with fresh "
+          f"bytecode before the runs: {before}; after them: {after}")
+    print(f"{REPEATS} processes each; {REFERENCE}: python -c {_STDLIB!r}")
     print("\n".join(table(times)))
     return 0
 

@@ -47,6 +47,16 @@ million, plus those within 1e-9 of 1 when t is far out) go through the
 inverse normal and the exact comparison, and the count is the one the
 full kernel gives, bit for bit.
 
+The kernels take a block's raw Philox words x from
+:func:`chargelimit.rng.uniform_block`, whose uniforms are
+u = (x >> 11) * 2**-53, and read from the words what they can.  Since
+u >= p exactly when x >= ceil(p * 2**53) << 11 (p * 2**53 is exact),
+every cut in uniform space is an integer compare of words, and a
+guide-table bucket floor(u * m), m = 2**b, is the word's top b bits.
+Only the words that meet the inverse normal or a binary search are
+turned into uniforms, in their own memory: a noise-free Poisson block
+forms no float uniform outside the 1-2% of words it searches.
+
 Poisson inversion uses a guide table (Chen & Asau 1974; Devroye 1986,
 §III.2) built once per simulation: one lookup per uniform, and a binary
 search only where a bucket spans several CDF entries, so every count
@@ -54,22 +64,28 @@ equals the clamped ``searchsorted(cdf, u, "right")``.  For a long
 noise-free run whose blocks are certified, the table has about 16
 buckets per CDF entry, so only 1-2% of the uniforms fall in a bucket
 that holds an entry.  A noise-free block on the certified histogram
-path takes each count's offset from the bucket's integer count index
-in one gather, searches only the uniforms of the buckets that hold an
-entry, and bins the offsets: five passes over the block, and no float
-counts.  Thermal and uncertified blocks keep the per-trial float
-lookup, base plus a cut comparison.  The CDF is built from the mode
+path shifts each word to its bucket, takes each count's offset from the
+bucket's integer count index in one gather, searches only the words of
+the buckets that hold an entry, and bins the offsets: four passes over
+the block, and no float counts or uniforms.  Thermal and uncertified
+blocks keep the per-trial lookup, a float base plus one when the word
+exceeds the bucket's cut word.  The CDF is built from the mode
 outward by the ratios p(k)/p(k-1) = lam/k (Devroye 1986, §X.3; Kemp &
 Kemp, Appl. Statist. 40 (1991) 143), so it too is made of IEEE
 operations and sequential sums only, and needs no log-gamma.
 
 No kernel allocates a block-sized array: every temporary is written,
 through ``out=`` ufuncs and ``take(out=)``, into the buffers of a
-workspace that a running block holds (:func:`block_workspace`).  A
-freed block-sized array would be handed back to the operating system
-and its pages faulted in again by the next block.  Only the index sets
-of ``np.flatnonzero`` are still allocated per block; the allocator
-keeps reusing their memory.  The CDF and guide tables are built once
+workspace that a running block holds (:func:`block_workspace`), and
+uniforms are written over the words they come from.  A block's words
+are its one block-sized allocation, since ``random_raw`` takes no
+output buffer.  They still fault no pages once a run has drawn its
+first block: glibc's malloc raises its mmap threshold past the size of
+the first such array it frees, so the later draws come from the heap
+that the freed words went back to, provided a block drops its words
+before it draws the next ones.  Only the index sets of
+``np.flatnonzero`` are still allocated per block; the allocator keeps
+reusing their memory.  The CDF and guide tables are built once
 per simulation, and a run builds only the table its one lookup reads:
 a certified noise-free run the integer count index, 8 bytes a bucket,
 and every other Poisson run ``base`` and ``cut``, 16 bytes a bucket.
@@ -155,18 +171,17 @@ class _Workspace:
     charge and five inverse-normal temporaries, reused in turn by the
     Poisson lookup and the tree sums; the histogram path keeps its
     counts' offsets from ``k_lo`` in ``f[0]`` viewed as intp, and the
-    blocked kernel gathers the uniforms between its cut points into
-    ``f[0]`` and their thermal charges into ``f[1]``.  ``buckets`` holds
-    the guide-table indices, ``b`` two bool masks (the blocked kernel's
-    two cut comparisons) and ``uniforms`` the 2n uniforms of a block
-    with thermal noise.  The
-    public :func:`portable_log` and :func:`inverse_normal` borrow a block
+    blocked kernel gathers the words between its cut points into
+    ``f[0]``, as uniforms, and their thermal charges into ``f[1]``.
+    ``f[2]`` viewed as uint64 takes the cut words of the Poisson lookup.
+    ``buckets`` holds the guide-table indices and ``b`` two bool masks
+    (the blocked kernel's two cut comparisons).  The public
+    :func:`portable_log` and :func:`inverse_normal` borrow a block
     workspace too, so they allocate only their output up to ``BLOCK``
     elements.
     """
 
     def __init__(self, n: int):
-        self.uniforms = np.empty(2 * n)
         self.f = [np.empty(n) for _ in range(7)]
         self.buckets = np.empty(n, dtype=np.intp)
         self.b = [np.empty(n, dtype=bool) for _ in range(2)]
@@ -272,17 +287,46 @@ def _tree_sum_vector(values, scratch):
     return float(src[0])
 
 
-def _poisson_counts(u, cdf, k_lo, guide, ws):
-    """``k_lo + min(searchsorted(cdf, u, "right"), len(cdf) - 1)`` as float64
-    in ``ws.f[0]``, through the ``(2, m)`` guide table of
-    :func:`poisson_guide_table`, using ``ws.buckets``, ``f[2]`` and ``b[0]``."""
-    n = u.shape[0]
-    base, cut = guide
-    bucket = np.multiply(u, base.shape[0], out=ws.buckets[:n], casting="unsafe")
+def _as_uniforms(x):
+    """The uniforms ``(x >> 11) * 2**-53`` of raw words ``x``, written over
+    them; returns them as ``x``'s memory viewed as float64.  (An
+    assignment converts in place; a ufunc with ``out=`` the view would
+    copy the overlapping input first.)"""
+    u = x.view(np.float64)
+    u[...] = np.right_shift(x, 11, out=x)
+    u *= 2.0**-53
+    return u
+
+
+def _uniform_index(p):
+    """``ceil(p * 2**53)`` over p clipped to [0, 1], as float64: the index
+    j of the first uniform ``j * 2**-53`` at or above p, 2**53 where no
+    uniform reaches p.  p * 2**53 is exact, so the words whose uniform
+    is at least p are exactly those from ``j << 11`` on."""
+    return np.ceil(np.multiply(np.clip(p, 0.0, 1.0), 2.0**53))
+
+
+def _buckets(x, m, ws):
+    """Bucket ``floor(u * m)`` of each word's uniform, m = 2**b: the top
+    b bits ``x >> (64 - b)``, into ``ws.buckets``."""
+    n = x.shape[0]
+    np.right_shift(x, 65 - m.bit_length(), out=ws.buckets[:n].view(np.uint64))
+    return ws.buckets[:n]
+
+
+def _poisson_counts(x, cdf, k_lo, guide, ws):
+    """``k_lo + min(searchsorted(cdf, u, "right"), len(cdf) - 1)`` of the
+    words' uniforms u, as float64 in ``ws.f[0]``, through the ``(2, m)``
+    guide table of :func:`poisson_guide_table`, using ``ws.buckets``,
+    ``f[2]`` and ``b[0]``."""
+    n = x.shape[0]
+    base, cut = guide[0], guide[1].view(np.uint64)
+    bucket = _buckets(x, base.shape[0], ws)
     q = np.take(base, bucket, out=ws.f[0][:n], mode="clip")
-    q += np.less_equal(np.take(cut, bucket, out=ws.f[2][:n], mode="clip"), u, out=ws.b[0][:n])
+    q += np.greater(x, np.take(cut, bucket, out=ws.f[2][:n].view(np.uint64), mode="clip"),
+                    out=ws.b[0][:n])
     wide = np.flatnonzero(np.isnan(q, out=ws.b[0][:n]))
-    idx = np.searchsorted(cdf, u.take(wide), side="right")
+    idx = np.searchsorted(cdf, _as_uniforms(x.take(wide)), side="right")
     q[wide] = k_lo + np.minimum(idx, cdf.shape[0] - 1)
     return q
 
@@ -295,25 +339,26 @@ def _certified(n, k_lo, size, shift):
     return float(shift).is_integer() and n * max(-lo, lo + size - 1) ** 4 < 2**53
 
 
-def _histogram_sums(u, cdf, k_lo, index, shift, threshold, ws):
-    """``(s1, s2, s3, s4, below)`` of the counts that ``u`` samples, from
-    their histogram.  The count ``index`` is built only for a run whose
-    blocks n * max|k - shift|**4 < 2**53 certifies (a block is never
-    longer than the one certified), so these integer sums are the
-    tree's.
+def _histogram_sums(x, cdf, k_lo, index, shift, threshold, ws):
+    """``(s1, s2, s3, s4, below)`` of the counts that the words ``x``
+    sample, from their histogram.  The count ``index`` is built only for
+    a run whose blocks n * max|k - shift|**4 < 2**53 certifies (a block
+    is never longer than the one certified), so these integer sums are
+    the tree's.
 
-    Each uniform takes its count's offset from ``k_lo`` straight from
+    Each word takes its count's offset from ``k_lo`` straight from
     ``index`` (an intp gather into ``ws.f[0]``), which is exact in every
-    bucket that holds no CDF entry; only the uniforms of the other
-    buckets, marked by the sentinel ``len(cdf)``, go through the clamped
-    binary search.  With about 16 buckets per CDF entry on a long run
-    (see :func:`poisson_guide_table`) that is 1-2% of them.
+    bucket that holds no CDF entry; only the words of the other buckets,
+    marked by the sentinel ``len(cdf)``, are turned into uniforms for the
+    clamped binary search.  With about 16 buckets per CDF entry on a long
+    run (see :func:`poisson_guide_table`) that is 1-2% of them.
     ``bincount`` bins the offsets."""
-    n, size = u.shape[0], cdf.shape[0]
-    bucket = np.multiply(u, index.shape[0], out=ws.buckets[:n], casting="unsafe")
-    k = np.take(index, bucket, out=ws.f[0][:n].view(np.intp), mode="clip")
+    n, size = x.shape[0], cdf.shape[0]
+    k = np.take(index, _buckets(x, index.shape[0], ws), out=ws.f[0][:n].view(np.intp),
+                mode="clip")
     mixed = np.flatnonzero(np.equal(k, size, out=ws.b[0][:n]))
-    k[mixed] = np.minimum(np.searchsorted(cdf, u.take(mixed), side="right"), size - 1)
+    k[mixed] = np.minimum(np.searchsorted(cdf, _as_uniforms(x.take(mixed)), side="right"),
+                          size - 1)
     counts = np.bincount(k, minlength=size)
     v = np.arange(size) + (k_lo - int(shift))
     sums, term = [], counts
@@ -324,19 +369,19 @@ def _histogram_sums(u, cdf, k_lo, index, shift, threshold, ws):
 
 
 def _open_block(
-    u_count, u_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot, sigma, shift, threshold, ws
+    x_count, x_thermal, cdf, k_lo, guide, gaussian, lam, sqrt_shot, sigma, shift, threshold, ws
 ):
-    n = u_count.shape[0]
+    n = x_count.shape[0]
     if gaussian:
-        z = _inverse_normal_vector(u_count, ws.f[0][:n], ws)
+        z = _inverse_normal_vector(_as_uniforms(x_count), ws.f[0][:n], ws)
         q = np.add(lam, np.multiply(sqrt_shot, z, out=z), out=z)
     elif guide.ndim == 1:  # the count index of a certified noise-free run
-        return _histogram_sums(u_count, cdf, k_lo, guide, shift, threshold, ws)
+        return _histogram_sums(x_count, cdf, k_lo, guide, shift, threshold, ws)
     else:
-        q = _poisson_counts(u_count, cdf, k_lo, guide, ws)
+        q = _poisson_counts(x_count, cdf, k_lo, guide, ws)
     d2 = ws.f[1][:n]
     if sigma > 0.0:
-        q += np.multiply(sigma, _inverse_normal_vector(u_thermal, d2, ws), out=d2)
+        q += np.multiply(sigma, _inverse_normal_vector(_as_uniforms(x_thermal), d2, ws), out=d2)
     below = int(np.count_nonzero(np.less(q, threshold, out=ws.b[0][:n])))
     scratch = ws.f[2]
     dq = np.subtract(q, shift, out=q)
@@ -348,18 +393,21 @@ def _open_block(
     return s1, s2, s3, s4, below
 
 
-def _blocked_block(u_thermal, sigma, threshold, ws):
-    n = u_thermal.shape[0]
+def _blocked_block(x_thermal, sigma, threshold, ws):
+    n = x_thermal.shape[0]
     t = min(max(threshold / sigma, -40.0), 40.0)
     delta = 1e-6 * (1.0 + abs(t))
     lo = 0.5 * math.erfc((delta - t) * _SQRT_HALF) * (1.0 - 1e-9) - 2.0**-50
     hi = 0.5 * math.erfc((-delta - t) * _SQRT_HALF) * (1.0 + 1e-9) + 2.0**-50
-    below_hi = np.less(u_thermal, hi, out=ws.b[1][:n])
-    near = np.flatnonzero(np.logical_and(np.greater_equal(u_thermal, lo, out=ws.b[0][:n]),
+    # the first words whose uniform reaches each cut point; hi's is 2**64
+    # where no uniform reaches it, and lo < 1 < 2**64 - 2048
+    lo, hi = (int(j) << 11 for j in _uniform_index([lo, hi]))
+    below_hi = np.less_equal(x_thermal, hi - 1, out=ws.b[1][:n])
+    near = np.flatnonzero(np.logical_and(np.greater_equal(x_thermal, lo, out=ws.b[0][:n]),
                                          below_hi, out=ws.b[0][:n]))
     above = n - int(np.count_nonzero(below_hi))
     k = near.shape[0]
-    u = np.take(u_thermal, near, out=ws.f[0][:k], mode="clip")
+    u = _as_uniforms(np.take(x_thermal, near, out=ws.f[0][:k].view(np.uint64), mode="clip"))
     z = np.multiply(sigma, _inverse_normal_vector(u, ws.f[1][:k], ws), out=ws.f[1][:k])
     return above + int(np.count_nonzero(np.greater_equal(z, threshold, out=ws.b[0][:k])))
 
@@ -419,9 +467,11 @@ def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int,
                         shift: float | None) -> np.ndarray:
     """Guide table of m buckets: the count ``index`` of a certified
     noise-free run, else ``base`` and ``cut`` as the rows of a ``(2, m)``
-    float64 array.  Each run's blocks read only the table built for it.
+    float64 array, whose ``cut`` row holds uint64 words.  Each run's
+    blocks read only the table built for it.
 
-    m is a power of two (so ``u*m`` and ``j/m`` are exact), the smallest
+    m is a power of two (so ``u*m`` and ``j/m`` are exact, and the bucket
+    of a word is its top bits), the smallest
     at least ``min(len(cdf), trials)``.  ``shift`` is the integer a
     noise-free run shifts its counts by, None for a run with thermal
     noise.  A noise-free run whose blocks of ``min(trials, BLOCK)``
@@ -441,9 +491,12 @@ def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int,
     ``g = min(searchsorted(cdf, j/m, "right"), len(cdf) - 1)``, and its
     cut is ``cdf[g]``, or inf where g is the last entry and the clamp
     alone decides.  ``base`` and ``cut`` serve the per-trial lookup:
-    where the next bucket starts at most one entry later, u in bucket j
-    samples ``base[j] + (cut[j] <= u)``, with ``base[j] = k_lo + g``;
-    wider buckets get a NaN base (searched instead).
+    where the next bucket starts at most one entry later, the word x of
+    u in bucket j samples ``base[j] + (x > cut[j])``, with
+    ``base[j] = k_lo + g`` and ``cut[j]`` the last word whose uniform
+    lies below ``cdf[g]``, so that ``x > cut[j]`` exactly when
+    ``u >= cdf[g]``.  An infinite cut gives 2**64 - 1, which no word
+    exceeds.  Wider buckets get a NaN base (searched instead).
 
     ``index[j]``, the histogram path's count offset, is g where the cut
     is at least ``(j+1)/m`` and the sentinel ``len(cdf)`` elsewhere.
@@ -464,27 +517,28 @@ def poisson_guide_table(k_lo: int, cdf: np.ndarray, trials: int,
     if exact:
         return np.where(cuts.take(g) >= edges[1:], g, size)
     table = np.empty((2, m))
-    base, cut = table
-    np.add(k_lo, g, out=base)
-    base[np.diff(start) > 1] = np.nan
-    np.take(cuts, g, out=cut)
+    np.add(k_lo, g, out=table[0])
+    table[0][np.diff(start) > 1] = np.nan
+    first = _uniform_index(cuts.take(g)).astype(np.uint64)  # >= 1: every cut is above 0
+    np.bitwise_or((first - 1) << 11, 2047, out=table[1].view(np.uint64))
     return table
 
 
 def block_kernels():
     """Return ``(open_block, blocked_block)``, the per-block simulator kernels.
 
-    ``open_block(u_count, u_thermal, cdf, k_lo, guide, gaussian, lam,
+    ``open_block(x_count, x_thermal, cdf, k_lo, guide, gaussian, lam,
     sqrt_shot, sigma, shift, threshold, ws)`` samples the open-state charge
     of one block and returns its shifted power sums ``s1..s4`` and the
     count below threshold, from the histogram exactly when ``guide`` is
     a count index (see :func:`poisson_guide_table`);
-    ``blocked_block(u_thermal, sigma, threshold, ws)`` counts the
+    ``blocked_block(x_thermal, sigma, threshold, ws)`` counts the
     blocked-state trials whose thermal charge reaches the threshold, by
-    the uniform cut of the module docstring: the same count as
-    ``sigma * inverse_normal(u_thermal) >= threshold``, with the inverse
-    normal run only on the uniforms next to the cut.  ``ws`` is a
-    workspace from :func:`block_workspace`; the uniforms may live in its
-    ``uniforms`` buffer.
+    the uniform cut of the module docstring taken on the words: the same
+    count as ``sigma * inverse_normal(u_thermal) >= threshold``, with the
+    inverse normal run only on the uniforms next to the cut.  The x are
+    raw uint64 words from :func:`chargelimit.rng.uniform_block` (the
+    thermal ones may be empty without noise), which the kernels may
+    overwrite; ``ws`` is a workspace from :func:`block_workspace`.
     """
     return _open_block, _blocked_block

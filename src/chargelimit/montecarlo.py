@@ -30,7 +30,7 @@ no error criterion of their own, so nothing is asserted against them.
 
 Reproducibility contract: outcomes are a pure function of the config.
 Randomness is keyed by (seed, role, block-of-trials) with a fixed block
-size (a block's open-state uniforms are its n counts and then, with
+size (a block's open-state Philox words are its n counts and then, with
 thermal noise, its n thermal draws), partial results are reduced in
 block order, and the per-trial arithmetic uses only operations that
 round the same on every CPU and numpy build (see
@@ -255,15 +255,15 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     def run_block(index: int):
         n_b = min(rng.BLOCK, trials - index * rng.BLOCK)
         with kernels.block_workspace() as ws:
-            # the thermal uniforms, if any, follow the count uniforms
-            u_open = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, (1 + (sigma > 0.0)) * n_b,
-                                       ws.uniforms)
+            # the thermal words, if any, follow the count words
+            x_open = rng.uniform_block(cfg.seed, _OPEN_STREAM, index, (1 + (sigma > 0.0)) * n_b)
             stats = open_block(
-                u_open[:n_b], u_open[n_b:], cdf, k_lo, guide, gaussian, lam, sqrt_shot,
+                x_open[:n_b], x_open[n_b:], cdf, k_lo, guide, gaussian, lam, sqrt_shot,
                 sigma, shift, cfg.threshold, ws,
             )
+            del x_open  # before the next draw, so that it reuses these pages
             false_open = blocked_block(
-                rng.uniform_block(cfg.seed, _BLOCKED_STREAM, index, n_b, ws.uniforms),
+                rng.uniform_block(cfg.seed, _BLOCKED_STREAM, index, n_b),
                 sigma, cfg.threshold, ws,
             ) if sigma > 0.0 else 0
         return stats + (false_open,)

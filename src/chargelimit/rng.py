@@ -1,9 +1,19 @@
 """Counter-based random streams for reproducible, parallel simulation.
 
-Every batch of uniforms is derived from ``(seed, stream, block)`` through
-a fresh Philox generator, so a given block of trials receives exactly the
-same numbers no matter how many workers run or in what order blocks
-execute.  Nothing here is ever advanced statefully across calls.
+Every block of random words is derived from ``(seed, stream, block)``
+through a fresh Philox generator (Salmon et al., SC'11), so a given
+block of trials receives exactly the same numbers no matter how many
+workers run or in what order blocks execute.  Nothing here is ever
+advanced statefully across calls.
+
+A block is the generator's raw 64-bit words, not float uniforms.  The
+uniform of word x is ``(x >> 11) * 2**-53``, the bits ``Generator.random``
+gives today, but NumPy's RNG policy (NEP 19) fixes only a seeded bit
+generator's raw stream and ``SeedSequence``, not the ``Generator``
+methods, so the seeded outputs rest on those two alone.  The kernels
+read what they can from the words themselves: a bucket of 2**b is the
+top b bits, and a cut in uniform space is an integer compare (see
+:mod:`chargelimit.kernels`).
 """
 
 from __future__ import annotations
@@ -24,8 +34,10 @@ BLOCK = 65536
 _SEED_LIMIT = 2**64
 
 
-def uniform_block(seed: int, stream: int, block: int, count: int, out=None) -> np.ndarray:
-    """Return ``count`` float64 uniforms in [0, 1) for one keyed block.
+def uniform_block(seed: int, stream: int, block: int, count: int) -> np.ndarray:
+    """Return ``count`` raw uint64 Philox words for one keyed block; word
+    x stands for the uniform ``(x >> 11) * 2**-53`` in [0, 1).  The array
+    is new and the caller's to overwrite.
 
     Parameters
     ----------
@@ -37,15 +49,10 @@ def uniform_block(seed: int, stream: int, block: int, count: int, out=None) -> n
     block : int
         Block index within the stream, >= 0.
     count : int
-        Number of uniforms, >= 0.
-    out : ndarray, optional
-        float64 buffer of at least ``count`` elements; its first
-        ``count`` are filled and returned instead of a new array.
+        Number of words, >= 0.
     """
     if not (isinstance(seed, int) and 0 <= seed < _SEED_LIMIT):
         raise ParameterError(f"seed must be an int in [0, 2**64), got {seed!r}")
     if stream < 0 or block < 0 or count < 0:
         raise ParameterError("stream, block and count must all be >= 0")
-    sequence = np.random.SeedSequence((seed, stream, block))
-    generator = np.random.Generator(np.random.Philox(sequence))
-    return generator.random(count) if out is None else generator.random(out=out[:count])
+    return np.random.Philox(np.random.SeedSequence((seed, stream, block))).random_raw(count)

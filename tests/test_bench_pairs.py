@@ -1,5 +1,6 @@
 """``scripts/bench_pairs.py``, the paired summary behind each BENCH file."""
 
+import compileall
 import importlib.util
 import json
 import subprocess
@@ -87,16 +88,19 @@ def test_seed_list():
     assert load_script().seed_list("31-35,40") == [31, 32, 33, 34, 35, 40]
 
 
-def run_main(monkeypatch, tmp_path, sources, commits):
+def run_main(monkeypatch, tmp_path, sources, commits, during=None):
     """``main`` over seeds 1-2 of canned runs: ``sources[side][seed]`` and
-    ``commits[side][seed]`` are what each run reports."""
+    ``commits[side][seed]`` are what each run reports; ``during``, if
+    given, is called with each run's checkout."""
     module = load_script()
     base, change = tmp_path / "base", tmp_path / "change"
-    change.mkdir()
+    change.mkdir(exist_ok=True)
     (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
 
     def canned_run(checkout, workload, seed, seconds, trace):
         side = "base" if checkout == base.resolve() else "change"
+        if during is not None:
+            during(checkout)
         return canned_stdout(70.0 if side == "base" else 50.0, 1.4e7,
                              commit=commits[side][seed], source=sources[side][seed])
 
@@ -138,6 +142,26 @@ def test_bytecode_setting_is_recorded_when_unset(monkeypatch, tmp_path):
     env = json.loads(out.read_text())["workloads"]["sim-noisy"]["env"]
     assert "PYTHONDONTWRITEBYTECODE" in env["change"]
     assert env["change"]["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_fresh_bytecode_is_recorded_before_and_after_the_runs(monkeypatch, tmp_path):
+    # The change's package gets fresh bytecode during its runs; the base
+    # has no package at all.
+    package = tmp_path / "change" / "src" / "chargelimit"
+    package.mkdir(parents=True)
+    for name in ("cli", "kernels"):
+        (package / f"{name}.py").write_text("X = 1\n")
+
+    def compile_change(checkout):
+        if checkout.name == "change":
+            compileall.compile_file(package / "kernels.py", quiet=1)
+
+    same = {side: {1: "a" * 64, 2: "a" * 64} for side in ("base", "change")}
+    code, out = run_main(monkeypatch, tmp_path, same, same, during=compile_change)
+    assert code == 0
+    env = json.loads(out.read_text())["workloads"]["sim-noisy"]["env"]
+    assert env["base"]["fresh_bytecode"] == {"before": [], "after": []}
+    assert env["change"]["fresh_bytecode"] == {"before": [], "after": ["kernels"]}
 
 
 def test_a_side_with_mixed_sources_is_refused(monkeypatch, tmp_path, capsys):

@@ -27,6 +27,21 @@ from chargelimit.montecarlo import Ci95, SimConfig, SimOutcome, simulate_detecti
 from chargelimit.rng import BLOCK, GENERATOR_ID, uniform_block
 
 
+def _uniforms(x):
+    """The uniforms ``(x >> 11) * 2**-53`` of raw words, as ``Generator.random``
+    forms them from the same words."""
+    return (x >> 11) * 2.0**-53
+
+
+def _edge_words(points):
+    """For each point p in [0, 1], the first and the last word of the
+    first uniform at or above p and of the uniform just below it: the
+    words on both sides of a cut at p."""
+    j = np.ceil(np.asarray(points, dtype=np.float64) * 2.0**53).astype(np.uint64)
+    grid = np.concatenate([j[j < 2**53], j[j > 0] - 1])
+    return np.concatenate([grid << 11, (grid << 11) | 2047])
+
+
 # ----------------------------------------------------------- basic pieces
 
 
@@ -112,7 +127,7 @@ FROZEN_INVERSE_NORMAL = {
 
 @pytest.mark.parametrize("name", sorted(FROZEN_INVERSE_NORMAL))
 def test_inverse_normal_bits_frozen(name):
-    u = uniform_block(2024, 0, 0, BLOCK) if name == "block" else _edge_uniforms()
+    u = _uniforms(uniform_block(2024, 0, 0, BLOCK)) if name == "block" else _edge_uniforms()
     digest = hashlib.sha256(inverse_normal(u).view(np.int64).tobytes()).hexdigest()
     assert digest == FROZEN_INVERSE_NORMAL[name]
 
@@ -138,7 +153,7 @@ def test_repeated_portable_log_reuses_its_buffers():
     # Up to BLOCK values the public kernels borrow a block workspace from
     # the free list instead of building their own, so once one call has
     # run, the same one again touches no new pages.
-    x = uniform_block(8, 0, 0, BLOCK)
+    x = _uniforms(uniform_block(8, 0, 0, BLOCK))
     portable_log(x)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     portable_log(x)
@@ -150,7 +165,7 @@ def test_repeated_portable_log_reuses_its_buffers():
 def test_public_kernels_give_back_the_workspace_they_borrow(kernel, n):
     kernel(np.full(n, 0.25))
     idle = list(kernels._FREE)
-    x = uniform_block(9, 0, 0, n)
+    x = _uniforms(uniform_block(9, 0, 0, n))
     assert np.array_equal(kernel(x), kernel(x.copy()))
     assert [id(ws) for ws in kernels._FREE] == [id(ws) for ws in idle]
 
@@ -279,16 +294,12 @@ def test_poisson_cdf_table_rejects_bad_mean(bad):
         poisson_cdf_table(bad)
 
 
-def _guide_edge_uniforms(cdf, m):
-    """0, 2**-54, 1 - 2**-53, every CDF value and bucket edge j/m in
-    [0, 1) with its float64 neighbours, and the last float of each bucket."""
-    points = np.concatenate([cdf[cdf < 1.0], np.arange(m) / m])
-    u = np.concatenate([
-        [0.0, 2.0**-54, 1.0 - 2.0**-53],
-        points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
-        np.nextafter(np.arange(1, m + 1) / m, 0.0),
-    ])
-    return u[(u >= 0.0) & (u < 1.0)]
+def _guide_edge_words(cdf, m):
+    """The words on both sides of every CDF value below 1 and of every
+    bucket edge j/m, 0 < j <= m: the first and last word of each bucket
+    and of the uniforms next to each CDF entry."""
+    points = np.concatenate([cdf[cdf < 1.0], np.arange(m + 1) / m])
+    return _edge_words(points)
 
 
 def test_guide_cases_cover_both_cdf_ends():
@@ -307,17 +318,18 @@ def _check_guide(k_lo, cdf, trials, shift, blocks):
     m = guide.shape[-1]
     assert m & (m - 1) == 0 and m >= min(cdf.size, trials)
     assert guide.shape == (m,) if guide.dtype == np.intp else guide.shape == (2, m)
-    for u in [*blocks, _guide_edge_uniforms(cdf, m)]:
+    for x in [*blocks, _guide_edge_words(cdf, m)]:
+        u = _uniforms(x)
         expected = k_lo + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
         if guide.ndim == 1:
             k = guide.take((u * m).astype(np.intp))
             pure = k < cdf.size
             assert np.array_equal(k_lo + k[pure], expected[pure])
         else:
-            counts = _poisson_counts(u, cdf, k_lo, guide, _Workspace(u.size))
+            counts = _poisson_counts(x, cdf, k_lo, guide, _Workspace(x.size))
             assert counts.dtype == np.float64
             assert np.array_equal(counts, expected.astype(np.float64))
-    bucket = (blocks[0] * m).astype(np.intp)
+    bucket = (_uniforms(blocks[0]) * m).astype(np.intp)
     searched = guide.take(bucket) == cdf.size if guide.ndim == 1 else np.isnan(guide[0][bucket])
     return guide, searched.any()
 
@@ -356,8 +368,7 @@ def test_uniform_block_deterministic():
     a = uniform_block(42, 0, 0, 1000)
     b = uniform_block(42, 0, 0, 1000)
     assert np.array_equal(a, b)
-    assert a.dtype == np.float64
-    assert np.all((a >= 0.0) & (a < 1.0))
+    assert a.dtype == np.uint64
 
 
 def test_uniform_block_streams_are_distinct():
@@ -365,14 +376,6 @@ def test_uniform_block_streams_are_distinct():
     assert not np.array_equal(base, uniform_block(42, 1, 0, 1000))
     assert not np.array_equal(base, uniform_block(42, 0, 1, 1000))
     assert not np.array_equal(base, uniform_block(43, 0, 0, 1000))
-
-
-def test_uniform_block_fills_a_longer_buffer_with_the_same_bits():
-    buffer = np.full(1500, -1.0)
-    out = uniform_block(42, 0, 0, 1000, buffer)
-    assert out.base is buffer and out.size == 1000
-    assert np.array_equal(out, uniform_block(42, 0, 0, 1000))
-    assert np.all(buffer[1000:] == -1.0)
 
 
 def test_uniform_block_empty():
@@ -388,15 +391,15 @@ _RAW_KEYS = [(seed, stream, block) for seed in (0, 1, 101, 2**32 + 5, 2**63, 2**
 @pytest.mark.parametrize("count", [BLOCK, 2 * BLOCK, 70_000 - BLOCK],
                          ids=["block", "thermal-block", "partial"])
 def test_uniforms_are_the_philox_raw_stream(count):
-    # A seed fixes a bit generator's raw stream; NumPy's policy leaves
-    # ``Generator.random`` free to change between releases.  Should one
-    # change it, this fails before any seeded output moves unnoticed.
-    out = np.empty(2 * BLOCK)
+    # A seed fixes a bit generator's raw stream and SeedSequence, and the
+    # simulator reads only those words.  NumPy's policy leaves
+    # ``Generator.random`` free to change between releases; the canary
+    # below fails if it does, while no seeded output moves.
     for key in _RAW_KEYS:
         raw = np.random.Philox(np.random.SeedSequence(key)).random_raw(count)
-        want = ((raw >> 11) * 2**-53).view(np.uint64)
-        assert np.array_equal(uniform_block(*key, count).view(np.uint64), want), key
-        assert np.array_equal(uniform_block(*key, count, out).view(np.uint64), want), key
+        assert np.array_equal(uniform_block(*key, count), raw), key
+        canary = np.random.Generator(np.random.Philox(np.random.SeedSequence(key))).random(count)
+        assert np.array_equal(_uniforms(raw).view(np.uint64), canary.view(np.uint64)), key
 
 
 @pytest.mark.parametrize(
@@ -419,11 +422,11 @@ def _case(gaussian, with_thermal, n=4096, lam=100.0, seed=9):
     else:
         k_lo, cdf = poisson_cdf_table(lam)
         guide = poisson_guide_table(k_lo, cdf, n, None if with_thermal else lam)
-    u_count = uniform_block(seed, 0, 0, n)
-    u_thermal = uniform_block(seed, 1, 0, n) if with_thermal else np.empty(0)
+    x_count = uniform_block(seed, 0, 0, n)
+    x_thermal = uniform_block(seed, 1, 0, n) if with_thermal else np.empty(0, dtype=np.uint64)
     return (
-        u_count,
-        u_thermal,
+        x_count,
+        x_thermal,
         cdf,
         k_lo,
         guide,
@@ -438,7 +441,8 @@ def _case(gaussian, with_thermal, n=4096, lam=100.0, seed=9):
 
 def _reference_charges(args):
     """Recompute the per-trial charges with plain numpy + public helpers."""
-    u_count, u_thermal, cdf, k_lo, _, gaussian, lam, sqrt_shot, sigma, _, _ = args
+    x_count, x_thermal, cdf, k_lo, _, gaussian, lam, sqrt_shot, sigma, _, _ = args
+    u_count, u_thermal = _uniforms(x_count), _uniforms(x_thermal)
     if gaussian:
         q = lam + sqrt_shot * inverse_normal(u_count)
     else:
@@ -454,7 +458,9 @@ def _reference_charges(args):
 def test_open_block_against_reference(gaussian, with_thermal):
     args = _case(gaussian, with_thermal)
     open_block, _ = block_kernels()
-    s1, s2, s3, s4, below = open_block(*args, _Workspace(args[0].size))
+    # the kernel may write uniforms over its words, so it gets copies
+    s1, s2, s3, s4, below = open_block(args[0].copy(), args[1].copy(), *args[2:],
+                                       _Workspace(args[0].size))
     q = _reference_charges(args)
     d = q - args[9]  # shifted by lam
     assert abs(s1 - math.fsum(d)) <= 1e-9 * max(1.0, abs(math.fsum(d)))
@@ -469,16 +475,17 @@ def test_blocked_block_against_reference():
     sigma, threshold = 0.4, 0.5
     _, blocked_block = block_kernels()
     count = blocked_block(u, sigma, threshold, _Workspace(u.size))
-    expected = int(np.count_nonzero(sigma * inverse_normal(u) >= threshold))
+    expected = int(np.count_nonzero(sigma * inverse_normal(_uniforms(u)) >= threshold))
     assert count == expected
     assert 0 < count < u.size  # threshold at 1.25 sigma: both outcomes occur
 
 
 def _check_blocked(u, sigma, threshold):
-    """The cut count equals the full-kernel count; returns it."""
+    """The cut count of the words ``u`` equals the full-kernel count;
+    returns it."""
     _, blocked_block = block_kernels()
     count = blocked_block(u, sigma, threshold, _Workspace(BLOCK))
-    assert count == int(np.count_nonzero(sigma * inverse_normal(u) >= threshold))
+    assert count == int(np.count_nonzero(sigma * inverse_normal(_uniforms(u)) >= threshold))
     return count
 
 
@@ -486,7 +493,7 @@ def test_blocked_block_at_sampled_thresholds_and_their_neighbours():
     # A threshold of exactly sigma * z[j] puts u[j] on the cut; without
     # the cut's margins about one such count in ten comes out wrong.
     u = uniform_block(22, 1, 0, BLOCK)
-    z = inverse_normal(u)
+    z = inverse_normal(_uniforms(u))
     _, blocked_block = block_kernels()
     ws = _Workspace(BLOCK)
     for sigma in (0.4, 3.0):
@@ -500,12 +507,15 @@ def test_blocked_block_at_sampled_thresholds_and_their_neighbours():
                 assert blocked_block(u, sigma, threshold, ws) == expected
 
 
-@pytest.mark.parametrize("threshold", [0.0, 3.4, 1e308])
+@pytest.mark.parametrize("threshold", [-1e308, -3.4, 0.0, 3.4, 1e308])
 def test_blocked_block_at_zero_and_beyond_every_uniform(threshold):
-    # t = threshold / sigma is 0, 8.5 (above the 8.3 that 2**-54 maps to)
-    # and inf, which the cut clamps.
-    u = np.concatenate([uniform_block(23, 1, 0, BLOCK - 4),
-                        [0.0, 2.0**-54, 0.5, 1.0 - 2.0**-53]])
+    # t = threshold / sigma is -inf and inf, which the cut clamps to
+    # -40 and 40, +-8.5 (past the +-8.3 that the uniform 0, clamped to
+    # 2**-54, and 1 - 2**-53 map to) and 0.  The words are the first
+    # and last of the uniforms 0, 2**-53, 0.5 and 1 - 2**-53.
+    ends = [0, 2047, 2048, 2**63, 2**63 + 2047, 2**64 - 2048, 2**64 - 1]
+    u = np.concatenate([uniform_block(23, 1, 0, BLOCK - len(ends)),
+                        np.array(ends, dtype=np.uint64)])
     assert (_check_blocked(u, 0.4, threshold) == 0) == (threshold > 0.0)
 
 
@@ -519,6 +529,78 @@ def test_blocked_block_over_sigma(sigma):
     u = uniform_block(25, 1, 0, BLOCK)
     for ratio in (0.0, 0.25, 1.0, 2.5, 4.0, 6.0):
         _check_blocked(u, sigma, ratio * sigma)
+
+
+# ------------------------------------------------------- word-domain cuts
+
+
+_K = 5 * 2.0**-53
+
+
+@pytest.mark.parametrize("p, first", [
+    (-1.0, 0), (-0.0, 0), (0.0, 0), (2.0**-54, 2048),
+    (np.nextafter(_K, 0.0), 5 << 11), (_K, 5 << 11), (np.nextafter(_K, 1.0), 6 << 11),
+    (np.nextafter(0.5, 0.0), 2**63), (0.5, 2**63), (np.nextafter(0.5, 1.0), 2**63 + 2048),
+    (1.0 - 2.0**-53, 2**64 - 2048), (1.0, 2**64), (1.5, 2**64), (math.inf, 2**64),
+])
+def test_word_thresholds_at_their_edges(p, first):
+    # The first word whose uniform reaches p, 2**64 where none does: the
+    # cut of the blocked kernel, and one past the guide table's cut word.
+    assert int(kernels._uniform_index(p)) << 11 == first
+    if first < 2**64:
+        assert _uniforms(np.array([first], dtype=np.uint64))[0] >= p
+    if first > 0:
+        assert _uniforms(np.array([first - 1], dtype=np.uint64))[0] < p
+
+
+def test_guide_cut_words_at_their_edges():
+    # The cut of bucket 0 of [0, 1/4) is 2**-54, which only the uniforms
+    # from 2**-53 on reach; bucket 1's lies one float below 3/8, between
+    # two uniforms, so 3/8 is the first to reach it; bucket 2's is 3/4,
+    # itself a uniform; and the last bucket's is the clamp's inf.
+    cdf = np.array([2.0**-54, np.nextafter(0.375, 0.0), 0.75, 1.0])
+    cut = poisson_guide_table(0, cdf, 4, None)[1].view(np.uint64)
+    assert cut.tolist() == [2047, (3 << 61) - 1, (3 << 62) - 1, 2**64 - 1]
+
+
+def _low_bits_cases():
+    """(kernel, its arguments less ``ws`` with the words first) for every
+    path of the open kernel and for the blocked kernel."""
+    open_block, blocked_block = block_kernels()
+    cases = {}
+    for name, lam, shift in (("histogram", 10.0, 10.0), ("base-cut", 10.0, None),
+                             ("base-cut-wide", 9e6, None)):
+        k_lo, cdf = poisson_cdf_table(lam)
+        guide = poisson_guide_table(k_lo, cdf, BLOCK, shift)
+        cases[name] = (open_block, k_lo, cdf, guide, False, lam, 0.0)
+    k_lo, cdf = poisson_cdf_table(10.0)
+    cases["thermal"] = (open_block, k_lo, cdf, poisson_guide_table(k_lo, cdf, BLOCK, None),
+                        False, 10.0, 3.7)
+    cases["gaussian"] = (open_block, 0, np.empty(0), None, True, 1e8, 0.0)
+    return cases
+
+
+@pytest.mark.parametrize("path", ["histogram", "base-cut", "base-cut-wide", "thermal",
+                                  "gaussian", "blocked"])
+def test_the_low_11_bits_of_a_word_change_no_result(path):
+    # A word's uniform is its top 53 bits, so the kernels must give the
+    # same result whether its low 11 bits are all clear or random.
+    top = uniform_block(71, 0, 0, 2 * BLOCK) & ~np.uint64(2047)
+    words = {"clear": top, "random": top | (uniform_block(72, 0, 0, 2 * BLOCK) & 2047)}
+    if path == "blocked":
+        # thresholds at sampled charges, so that words lie on the cut
+        _, blocked_block = block_kernels()
+        z = inverse_normal(_uniforms(top[:BLOCK]))
+        results = {key: [blocked_block(x[:BLOCK], 0.4, max(0.4 * float(z[j]), 0.0),
+                                       _Workspace(BLOCK)) for j in range(0, BLOCK, 4096)]
+                   for key, x in words.items()}
+    else:
+        kernel, k_lo, cdf, guide, gaussian, lam, sigma = _low_bits_cases()[path]
+        results = {key: kernel(x[:BLOCK].copy(), x[BLOCK:].copy() if sigma else x[:0], cdf, k_lo,
+                               guide, gaussian, lam, math.sqrt(lam), sigma, math.floor(lam), 0.5,
+                               _Workspace(BLOCK))
+                   for key, x in words.items()}
+    assert results["clear"] == results["random"]
 
 
 # ------------------------------------------- exact moment sums at T = 0
@@ -549,9 +631,9 @@ def test_noise_free_poisson_sums_are_exact(lam, n):
     open_block, _ = block_kernels()
     for threshold in (0.0, 0.5, 3.5, 1e4):
         with kernels.block_workspace() as ws:
-            got = open_block(u, np.empty(0), cdf, k_lo, guide, False, lam, math.sqrt(lam),
-                             0.0, shift, threshold, ws)
-        expected = _exact_open_block(u, k_lo, cdf, shift, threshold)
+            got = open_block(u, np.empty(0, dtype=np.uint64), cdf, k_lo, guide, False, lam,
+                             math.sqrt(lam), 0.0, shift, threshold, ws)
+        expected = _exact_open_block(_uniforms(u), k_lo, cdf, shift, threshold)
         assert [x.hex() for x in got[:4]] == [x.hex() for x in expected[:4]]
         assert got[4] == expected[4]
 
@@ -568,11 +650,11 @@ def _histogram_path_is_exact(lam, trials, index=None):
     n = min(trials, BLOCK)
     blocks = [uniform_block(seed, 0, 3, n) for seed in (41, 42, 43)]
     blocks.append(uniform_block(44, 0, 0, 4464))
-    blocks += np.array_split(_guide_edge_uniforms(cdf, index.size), 8)
+    blocks += np.array_split(_guide_edge_words(cdf, index.size), 8)
     v = [k_lo + j - shift for j in range(cdf.size)]
     for u in blocks:
-        counts = np.bincount(np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1),
-                             minlength=cdf.size).tolist()
+        counts = np.bincount(np.minimum(np.searchsorted(cdf, _uniforms(u), side="right"),
+                                        cdf.size - 1), minlength=cdf.size).tolist()
         sums = [float(sum(c * x**p for c, x in zip(counts, v))) for p in (1, 2, 3, 4)]
         for threshold in (0.5, lam):
             below = sum(c for j, c in enumerate(counts) if k_lo + j < threshold)

@@ -66,7 +66,7 @@ buckets per CDF entry, so only 1-2% of the uniforms fall in a bucket
 that holds an entry.  A noise-free block on the certified histogram
 path shifts each word to its bucket, takes each count's offset from the
 bucket's integer count index in one gather, searches only the words of
-the buckets that hold an entry, and bins the offsets: four passes over
+the buckets that hold an entry, and bins the offsets: five passes over
 the block, and no float counts or uniforms.  Thermal and uncertified
 blocks keep the per-trial lookup, a float base plus one when the word
 exceeds the bucket's cut word.  The CDF is built from the mode
@@ -399,8 +399,8 @@ def _blocked_block(x_thermal, sigma, threshold, ws):
     delta = 1e-6 * (1.0 + abs(t))
     lo = 0.5 * math.erfc((delta - t) * _SQRT_HALF) * (1.0 - 1e-9) - 2.0**-50
     hi = 0.5 * math.erfc((-delta - t) * _SQRT_HALF) * (1.0 + 1e-9) + 2.0**-50
-    # the first words whose uniform reaches each cut point; hi's is 2**64
-    # where no uniform reaches it, and lo < 1 < 2**64 - 2048
+    # the first words whose uniform reaches each cut point: hi's is 2**64
+    # where no uniform reaches it, lo (below 1 - 1e-9) always has one
     lo, hi = (int(j) << 11 for j in _uniform_index([lo, hi]))
     below_hi = np.less_equal(x_thermal, hi - 1, out=ws.b[1][:n])
     near = np.flatnonzero(np.logical_and(np.greater_equal(x_thermal, lo, out=ws.b[0][:n]),

@@ -33,15 +33,6 @@ def _uniforms(x):
     return (x >> 11) * 2.0**-53
 
 
-def _edge_words(points):
-    """For each point p in [0, 1], the first and the last word of the
-    first uniform at or above p and of the uniform just below it: the
-    words on both sides of a cut at p."""
-    j = np.ceil(np.asarray(points, dtype=np.float64) * 2.0**53).astype(np.uint64)
-    grid = np.concatenate([j[j < 2**53], j[j > 0] - 1])
-    return np.concatenate([grid << 11, (grid << 11) | 2047])
-
-
 # ----------------------------------------------------------- basic pieces
 
 
@@ -296,10 +287,13 @@ def test_poisson_cdf_table_rejects_bad_mean(bad):
 
 def _guide_edge_words(cdf, m):
     """The words on both sides of every CDF value below 1 and of every
-    bucket edge j/m, 0 < j <= m: the first and last word of each bucket
-    and of the uniforms next to each CDF entry."""
+    bucket edge j/m, 0 < j <= m: for each such point p, the first and the
+    last word of the first uniform at or above p and of the uniform just
+    below it."""
     points = np.concatenate([cdf[cdf < 1.0], np.arange(m + 1) / m])
-    return _edge_words(points)
+    j = np.ceil(points * 2.0**53).astype(np.uint64)
+    grid = np.concatenate([j[j < 2**53], j[j > 0] - 1])
+    return np.concatenate([grid << 11, (grid << 11) | 2047])
 
 
 def test_guide_cases_cover_both_cdf_ends():
@@ -563,42 +557,35 @@ def test_guide_cut_words_at_their_edges():
     assert cut.tolist() == [2047, (3 << 61) - 1, (3 << 62) - 1, 2**64 - 1]
 
 
-def _low_bits_cases():
-    """(kernel, its arguments less ``ws`` with the words first) for every
-    path of the open kernel and for the blocked kernel."""
-    open_block, blocked_block = block_kernels()
-    cases = {}
-    for name, lam, shift in (("histogram", 10.0, 10.0), ("base-cut", 10.0, None),
-                             ("base-cut-wide", 9e6, None)):
-        k_lo, cdf = poisson_cdf_table(lam)
-        guide = poisson_guide_table(k_lo, cdf, BLOCK, shift)
-        cases[name] = (open_block, k_lo, cdf, guide, False, lam, 0.0)
-    k_lo, cdf = poisson_cdf_table(10.0)
-    cases["thermal"] = (open_block, k_lo, cdf, poisson_guide_table(k_lo, cdf, BLOCK, None),
-                        False, 10.0, 3.7)
-    cases["gaussian"] = (open_block, 0, np.empty(0), None, True, 1e8, 0.0)
-    return cases
+#: (lam, shift, sigma) of each path of the open kernel: a noise-free
+#: run's histogram, the base/cut lookup without and with wide buckets,
+#: thermal noise and the Gaussian counts.
+_OPEN_PATHS = {"histogram": (10.0, 10.0, 0.0), "base-cut": (10.0, None, 0.0),
+               "base-cut-wide": (9e6, None, 0.0), "thermal": (10.0, None, 3.7),
+               "gaussian": (1e8, None, 0.0)}
 
 
-@pytest.mark.parametrize("path", ["histogram", "base-cut", "base-cut-wide", "thermal",
-                                  "gaussian", "blocked"])
+@pytest.mark.parametrize("path", [*_OPEN_PATHS, "blocked"])
 def test_the_low_11_bits_of_a_word_change_no_result(path):
     # A word's uniform is its top 53 bits, so the kernels must give the
     # same result whether its low 11 bits are all clear or random.
     top = uniform_block(71, 0, 0, 2 * BLOCK) & ~np.uint64(2047)
     words = {"clear": top, "random": top | (uniform_block(72, 0, 0, 2 * BLOCK) & 2047)}
+    open_block, blocked_block = block_kernels()
     if path == "blocked":
         # thresholds at sampled charges, so that words lie on the cut
-        _, blocked_block = block_kernels()
         z = inverse_normal(_uniforms(top[:BLOCK]))
         results = {key: [blocked_block(x[:BLOCK], 0.4, max(0.4 * float(z[j]), 0.0),
                                        _Workspace(BLOCK)) for j in range(0, BLOCK, 4096)]
                    for key, x in words.items()}
     else:
-        kernel, k_lo, cdf, guide, gaussian, lam, sigma = _low_bits_cases()[path]
-        results = {key: kernel(x[:BLOCK].copy(), x[BLOCK:].copy() if sigma else x[:0], cdf, k_lo,
-                               guide, gaussian, lam, math.sqrt(lam), sigma, math.floor(lam), 0.5,
-                               _Workspace(BLOCK))
+        lam, shift, sigma = _OPEN_PATHS[path]
+        gaussian = lam > LAMBDA_GAUSSIAN_CUTOFF
+        k_lo, cdf = (0, np.empty(0)) if gaussian else poisson_cdf_table(lam)
+        guide = None if gaussian else poisson_guide_table(k_lo, cdf, BLOCK, shift)
+        results = {key: open_block(x[:BLOCK].copy(), x[BLOCK:].copy() if sigma else x[:0], cdf,
+                                   k_lo, guide, gaussian, lam, math.sqrt(lam), sigma,
+                                   math.floor(lam), 0.5, _Workspace(BLOCK))
                    for key, x in words.items()}
     assert results["clear"] == results["random"]
 

@@ -90,12 +90,9 @@ RESULT_FIELDS = (
     ("total_rms_a", "A", lambda result: result.breakdown.total_rms),
     ("n_modes", "", _transport("n_modes")),
     ("kinetic_energy_j", "J", _transport("kinetic_energy")),
-    ("bias_v", "V", lambda result: result.operating_point.bias),
-    ("conductance_s", "S", lambda result: result.operating_point.conductance),
-    # A channel's transport carries its own current (the wire's closed form
-    # differs from conductance * bias in the last bit); the SET's has none.
-    ("current_a", "A",
-     lambda result: getattr(result.transport, "current", result.operating_point.sense_current())),
+    ("bias_v", "V", lambda result: result.bias),
+    ("conductance_s", "S", lambda result: result.conductance),
+    ("current_a", "A", lambda result: result.current),
     ("capacitance_f", "F", _transport("capacitance")),
     ("charging_energy_j", "J", _transport("charging_energy")),
     ("blockade_voltage_v", "V", _transport("blockade_voltage")),

@@ -28,12 +28,14 @@ __all__ = ["PhysicalConstants", "CONSTANTS"]
 class PhysicalConstants:
     """CODATA 2018 constants plus derived vacuum atomic-scale quantities.
 
-    The seven fields are pinned literals.  ``__post_init__`` derives five
+    The seven fields are pinned literals.  ``__post_init__`` derives six
     more from them and sets them after the seven, in this order: ``hbar``
     (reduced Planck constant, J s), ``e_sq_gauss`` (e^2/(4 pi eps0), J m),
     ``bohr_radius`` (vacuum Bohr radius a0, m), ``rydberg_energy``
-    (vacuum Rydberg, J) and ``rydberg_frequency`` (vacuum Rydberg / h,
-    Hz).  All values are SI.
+    (vacuum Rydberg, J), ``rydberg_frequency`` (vacuum Rydberg / h, Hz)
+    and ``conductance_quantum`` (e^2/h, S: the conductance of one
+    spin-resolved mode, which every device model counts in).  All values
+    are SI.
     """
 
     # SI defining constants (exact since the 2019 redefinition)
@@ -56,6 +58,7 @@ class PhysicalConstants:
         object.__setattr__(self, "bohr_radius", a0)
         object.__setattr__(self, "rydberg_energy", ry)
         object.__setattr__(self, "rydberg_frequency", ry / self.h)
+        object.__setattr__(self, "conductance_quantum", self.e * self.e / self.h)
 
 
 #: The constants instance used throughout the package.

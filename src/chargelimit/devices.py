@@ -19,11 +19,12 @@ Three archetypes are modeled:
   conducting disk; the energy window is the charging energy e^2/2C.
 
 Each device kind supplies one on-state: its conductance G and bias V,
-the transport state behind them, and its unity-SNR bandwidth at full
-modulation (the effective Rydberg frequency for the wire, the sub-band
-spacing or the charging energy over h for the QPC and the SET).
-:func:`device_snr` reads every kind through that one lookup; the closed
-form is snr = sqrt(f_unity/df).
+the current it publishes, the transport state behind them, and its
+unity-SNR bandwidth at full modulation (the effective Rydberg frequency
+for the wire, the sub-band spacing or the charging energy over h for the
+QPC and the SET).  :func:`device_snr` reads every kind through that one
+lookup and evaluates the noise at G*V; the closed form is
+snr = sqrt(f_unity/df).
 
 Every device also has a step-by-step pipeline (bias -> conductance ->
 current -> generic noise SNR) that shares only the default bias with the
@@ -79,7 +80,6 @@ __all__ = [
 #     that the identity tests check.  Flipping SET_SPIN_DEGENERACY to 1.0
 #     costs sqrt(2) in SNR and breaks that reduction.
 # --------------------------------------------------------------------------
-WIRE_CONDUCTANCE_PER_MODE = CONSTANTS.e * CONSTANTS.e / CONSTANTS.h  # [S]
 QPC_SPIN_DEGENERACY = 2.0
 SET_SPIN_DEGENERACY = 2.0
 
@@ -131,15 +131,12 @@ DeviceSpec = WireDevice | QpcDevice | SetDevice
 class TransportState:
     """Channel transport quantities behind an SNR figure (SI units).
 
-    ``conductance`` always equals ``n_modes * e^2/h`` under the
+    The result's conductance always equals ``n_modes * e^2/h`` under the
     spin-counting conventions at the top of this module.
     """
 
     n_modes: float        # spin-resolved conducting modes, >= 0
     kinetic_energy: float  # carrier kinetic-energy window e*bias [J]
-    bias: float           # source-drain bias [V]
-    conductance: float    # [S]
-    current: float        # sense current [A]
 
 
 @record
@@ -170,8 +167,15 @@ class SnrResult:
         Shot/thermal noise split at the operating point used.
     transport : TransportState or SetElectrostatics
         The physical state behind the numbers.
-    operating_point : OperatingPoint
-        The (G, V) the noise was evaluated at, for every device kind.
+    bias : float
+        Source-drain bias V in volts.
+    conductance : float
+        Channel conductance G in siemens.
+    current : float
+        Published sense current in amperes.  The noise is evaluated at
+        G*V; this is the same product except in the wire's closed form,
+        which publishes its radius-free 2*e*f_Ry_star and takes G as that
+        current over V, so G*V may differ from it in the last bit.
     flags : tuple of str
         Model-validity annotations (e.g. ``"bias-above-optimal"``);
         empty when the result is inside the model's comfort zone.
@@ -182,7 +186,9 @@ class SnrResult:
     sensitivity: float
     breakdown: NoiseBreakdown
     transport: TransportState | SetElectrostatics
-    operating_point: OperatingPoint
+    bias: float
+    conductance: float
+    current: float
     flags: tuple[str, ...] = ()
 
 
@@ -222,18 +228,13 @@ def _pipeline_result(
     an explicit zero bias may give f_unity = 0; any other zero or
     non-finite f_unity left the float range and is a ParameterError.
     """
-    conductance = n_modes * WIRE_CONDUCTANCE_PER_MODE
+    conductance = n_modes * CONSTANTS.conductance_quantum
+    current = conductance * bias
     transport = electrostatics if electrostatics is not None else TransportState(
-        n_modes=n_modes,
-        kinetic_energy=CONSTANTS.e * bias,
-        bias=bias,
-        conductance=conductance,
-        current=conductance * bias,
-    )
-    op = OperatingPoint(conductance=conductance, bias=bias, temperature=temperature,
-                        bandwidth=bandwidth)
-    breakdown = noise_breakdown(op)
-    value = modulation * signal_to_noise(op.sense_current(), breakdown)
+        n_modes=n_modes, kinetic_energy=CONSTANTS.e * bias)
+    breakdown = noise_breakdown(OperatingPoint(current=current, conductance=conductance,
+                                               temperature=temperature, bandwidth=bandwidth))
+    value = modulation * signal_to_noise(current, breakdown)
     f_unity = value * value * bandwidth
     require(isfinite(f_unity) & ((f_unity > 0.0) | (bias == 0.0)),
             "the inputs put f_unity outside the float range", f_unity)
@@ -243,7 +244,9 @@ def _pipeline_result(
         sensitivity=_sensitivity_from_unity(f_unity),
         breakdown=breakdown,
         transport=transport,
-        operating_point=op,
+        bias=bias,
+        conductance=conductance,
+        current=current,
         flags=flags,
     )
 
@@ -315,14 +318,9 @@ def _wire_on_state(device: WireDevice) -> tuple:
     bias = wire_optimal_bias(device)
     current = wire_sense_current(device.material)
     conductance = current / bias
-    transport = TransportState(
-        n_modes=conductance / WIRE_CONDUCTANCE_PER_MODE,
-        kinetic_energy=CONSTANTS.e * bias,
-        bias=bias,
-        conductance=conductance,
-        current=current,
-    )
-    return conductance, bias, transport, rydberg_frequency
+    transport = TransportState(n_modes=conductance / CONSTANTS.conductance_quantum,
+                               kinetic_energy=CONSTANTS.e * bias)
+    return conductance, bias, current, transport, rydberg_frequency
 
 
 def wire_snr(material: Material, bandwidth: float) -> SnrResult:
@@ -401,15 +399,9 @@ def _qpc_on_state(device: QpcDevice) -> tuple:
     """
     spacing = qpc_subband_spacing(device)
     bias = spacing / CONSTANTS.e
-    conductance = QPC_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
-    transport = TransportState(
-        n_modes=QPC_SPIN_DEGENERACY,
-        kinetic_energy=spacing,
-        bias=bias,
-        conductance=conductance,
-        current=conductance * bias,
-    )
-    return conductance, bias, transport, spacing / CONSTANTS.h
+    conductance = QPC_SPIN_DEGENERACY * CONSTANTS.conductance_quantum
+    transport = TransportState(n_modes=QPC_SPIN_DEGENERACY, kinetic_energy=spacing)
+    return conductance, bias, conductance * bias, transport, spacing / CONSTANTS.h
 
 
 @float_range_checked
@@ -484,8 +476,9 @@ def _set_on_state(device: SetDevice) -> tuple:
     which the tests hold to relative 1e-12.
     """
     electrostatics = set_blockade(device)
-    conductance = SET_SPIN_DEGENERACY * WIRE_CONDUCTANCE_PER_MODE
-    return (conductance, electrostatics.blockade_voltage, electrostatics,
+    conductance = SET_SPIN_DEGENERACY * CONSTANTS.conductance_quantum
+    bias = electrostatics.blockade_voltage
+    return (conductance, bias, conductance * bias, electrostatics,
             electrostatics.charging_energy / CONSTANTS.h)
 
 
@@ -518,8 +511,8 @@ def set_pipeline_snr(
 # Every device kind through its on-state
 # --------------------------------------------------------------------------
 
-#: device kind -> its on-state: (G, V, transport state, unity-SNR
-#: bandwidth at full modulation).
+#: device kind -> its on-state: (G, V, published current, transport state,
+#: unity-SNR bandwidth at full modulation).
 _ON_STATES = {WireDevice: _wire_on_state, QpcDevice: _qpc_on_state, SetDevice: _set_on_state}
 
 
@@ -536,8 +529,8 @@ def device_snr(
     on_state = _ON_STATES.get(type(device))
     if on_state is None:
         raise TypeError(f"unknown device kind: {type(device).__name__}")
-    conductance, bias, transport, f_on = on_state(device)
-    op = OperatingPoint(conductance=conductance, bias=bias, temperature=0.0, bandwidth=bandwidth)
+    conductance, bias, current, transport, f_on = on_state(device)
+    op = OperatingPoint(current=conductance * bias, conductance=conductance, bandwidth=bandwidth)
     modulation_sq = modulation * modulation  # one IEEE multiply, in (0, 1] as the depth is
     f_unity = modulation_sq * f_on
     value = modulation * math.sqrt(f_on / bandwidth)
@@ -555,5 +548,7 @@ def device_snr(
         sensitivity=_sensitivity_from_unity(f_unity),
         breakdown=noise_breakdown(op),
         transport=transport,
-        operating_point=op,
+        bias=bias,
+        conductance=conductance,
+        current=current,
     )

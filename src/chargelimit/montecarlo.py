@@ -234,7 +234,8 @@ def simulate_detection(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     lam = cfg.on_current * window / CONSTANTS.e
     require(math.isfinite(lam), "on_current and bandwidth put the expected count outside "
             "the float range", lam)
-    breakdown = noise_breakdown(OperatingPoint(current=cfg.on_current, conductance=cfg.conductance,
+    breakdown = noise_breakdown(OperatingPoint(current=cfg.on_current,
+                                               conductance=cfg.conductance or 0.0,
                                                temperature=cfg.temperature,
                                                bandwidth=cfg.bandwidth), fano=cfg.fano)
     sigma = math.sqrt(breakdown.thermal_sq) * window / CONSTANTS.e
@@ -330,12 +331,13 @@ def validate_device(device: DeviceSpec, bandwidth: float, trials: int, seed: int
     """Simulate a device at its on-state current and compare SNRs.
 
     Runs the counting simulation at T = 0, with the on-state sense
-    current of :func:`chargelimit.devices.device_snr` at ``bandwidth``.
+    current G*V that :func:`chargelimit.devices.device_snr` evaluates
+    its noise at, at ``bandwidth``.
     The outcome's :meth:`SimOutcome.n_sigma` scores the empirical SNR
     against the analytic value in units of the estimator's standard
     error, and :meth:`SimOutcome.within_3_sigma` says whether they agree
     within 3 sigma; a run without spread is flagged ``zero-spread``.
     """
-    current = device_snr(device, bandwidth).operating_point.sense_current()
-    return simulate_detection(SimConfig(on_current=current, bandwidth=bandwidth, trials=trials,
-                                        seed=seed))
+    result = device_snr(device, bandwidth)
+    return simulate_detection(SimConfig(on_current=result.conductance * result.bias,
+                                        bandwidth=bandwidth, trials=trials, seed=seed))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .constants import CONSTANTS
-from .errors import ParameterError, array_module, isfinite, record, require
+from .errors import array_module, isfinite, record, require
 from .errors import require_nonnegative, require_positive
 
 __all__ = ["OperatingPoint", "NoiseBreakdown", "noise_breakdown"]
@@ -27,61 +27,35 @@ __all__ = ["OperatingPoint", "NoiseBreakdown", "noise_breakdown"]
 class OperatingPoint:
     """Bias point of a charge detector during a measurement.
 
-    It is given by one of two routes:
-
-    * a ``conductance`` and a ``bias``, as the device models give it; the
-      current is their product;
-    * a ``current``, as the simulator gives it, with a ``conductance``
-      for the Johnson term when one is known (without one the term is 0).
-
-    A current with a bias, a bias without a conductance, or neither
-    route is a ParameterError: no conductance is ever inferred from
-    current/bias.
+    The device models give the current as their conductance times their
+    bias; the simulator gives a current with the conductance for the
+    Johnson term when one is known.  No conductance is ever inferred
+    from the current: without one the Johnson term is 0.
 
     Parameters
     ----------
+    current : float
+        Mean sense current in A, >= 0.  Required.  An infinite current,
+        as a finite conductance times a finite bias can give, is left to
+        :func:`noise_breakdown`, whose range check names it.
     bandwidth : float
         Measurement bandwidth in Hz, > 0.  Required.
-    current : float, optional
-        Mean sense current in A, >= 0.
     conductance : float, optional
-        Mean channel conductance in S, >= 0.
-    bias : float, optional
-        Source-drain bias in V, >= 0.
+        Mean channel conductance in S, >= 0.  Defaults to 0.
     temperature : float, optional
         Temperature in K, >= 0.  Defaults to 0 (shot noise only).
     """
 
+    current: float
     bandwidth: float
-    current: float | None = None
-    conductance: float | None = None
-    bias: float | None = None
+    conductance: float = 0.0
     temperature: float = 0.0
 
     def __post_init__(self) -> None:
         require_positive(self.bandwidth, "bandwidth")
         require_nonnegative(self.temperature, "temperature")
-        for name in ("current", "conductance", "bias"):
-            value = getattr(self, name)
-            if value is not None:
-                require_nonnegative(value, name)
-        if self.current is None:
-            routed = self.conductance is not None and self.bias is not None
-        else:
-            routed = self.bias is None
-        if not routed:
-            raise ParameterError("operating point needs either a current (with an optional "
-                                 "conductance) or a conductance and a bias")
-
-    def sense_current(self) -> float:
-        """Mean sense current in A: the current given, or conductance*bias."""
-        if self.current is not None:
-            return self.current
-        return self.conductance * self.bias
-
-    def channel_conductance(self) -> float:
-        """Mean conductance in S for the Johnson term; 0 when none was given."""
-        return 0.0 if self.conductance is None else self.conductance
+        require(self.current >= 0.0, "current must be >= 0", self.current)
+        require_nonnegative(self.conductance, "conductance")
 
 
 @record
@@ -113,12 +87,10 @@ def noise_breakdown(op: OperatingPoint, fano: float = 1.0) -> NoiseBreakdown:
         of their sum.
     """
     require_nonnegative(fano, "fano")
-    current = op.sense_current()
-    conductance = op.channel_conductance()
-    shot_sq = fano * 2.0 * CONSTANTS.e * current * op.bandwidth
-    thermal_sq = 4.0 * CONSTANTS.k_B * op.temperature * conductance * op.bandwidth
+    shot_sq = fano * 2.0 * CONSTANTS.e * op.current * op.bandwidth
+    thermal_sq = 4.0 * CONSTANTS.k_B * op.temperature * op.conductance * op.bandwidth
     variance = shot_sq + thermal_sq
-    require(isfinite(variance) & ((variance > 0.0) | (current == 0.0)),
+    require(isfinite(variance) & ((variance > 0.0) | (op.current == 0.0)),
             "bandwidth, current, temperature and conductance put the noise variance outside "
             "the float range", variance)
     sqrt = (array_module(variance) or math).sqrt

@@ -268,6 +268,24 @@ def test_out_of_float_range_is_one_error_line(capsys, argv, names):
         assert name in lines[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["wire", "--radius", "1e-6m", "--bias", "1e300V"],
+     "bandwidth, current, temperature and conductance put the noise variance outside the "
+     "float range, got inf"),
+    (["qpc", "--width", "20nm", "--bias", "1e308V"],
+     "the inputs put f_unity outside the float range, got inf"),
+    (["set", "--radius", "50nm", "--epsr", "12.9", "--bias", "1e308V"],
+     "the inputs put f_unity outside the float range, got inf"),
+], ids=["wire", "qpc", "set"])
+def test_an_overflowing_conductance_times_bias_keeps_its_message(capsys, argv, message):
+    # G and V are each finite here but G * V, or what follows from it,
+    # overflows: the noise model's range checks name it, not the current's.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_a_sweep_too_large_for_memory_is_one_error_line():
     # The child's address space is capped, so the axis allocation fails
     # before any memory is committed.

@@ -30,11 +30,8 @@ from chargelimit import (
     wire_sense_current,
     wire_snr,
 )
-from chargelimit.devices import (
-    QPC_SPIN_DEGENERACY,
-    SET_SPIN_DEGENERACY,
-    WIRE_CONDUCTANCE_PER_MODE,
-)
+from chargelimit.devices import QPC_SPIN_DEGENERACY, SET_SPIN_DEGENERACY
+from chargelimit.montecarlo import validate_device
 
 C = CONSTANTS
 
@@ -62,7 +59,8 @@ def test_set_device_rejects_sub_vacuum_dielectric():
 
 
 def test_conductance_quantum():
-    assert rel(WIRE_CONDUCTANCE_PER_MODE, 3.874045864931824e-5) < 1e-12
+    assert rel(C.conductance_quantum, 3.874045864931824e-5) < 1e-12
+    assert C.conductance_quantum == C.e * C.e / C.h
     assert QPC_SPIN_DEGENERACY == 2.0
     assert SET_SPIN_DEGENERACY == 2.0
 
@@ -165,11 +163,23 @@ def test_wire_snr_transport_state():
     result = wire_snr(VACUUM, 1.0)
     t = result.transport
     assert rel(t.n_modes, 1.0) < 1e-12
-    assert rel(t.bias, 2.0 * C.rydberg_energy / C.e) < 1e-12
-    assert rel(t.current, wire_sense_current(VACUUM)) < 1e-15
-    assert rel(t.conductance * t.bias, t.current) < 1e-12
-    assert rel(t.kinetic_energy, C.e * t.bias) < 1e-15
+    assert rel(result.bias, 2.0 * C.rydberg_energy / C.e) < 1e-12
+    assert rel(result.current, wire_sense_current(VACUUM)) < 1e-15
+    assert rel(result.conductance * result.bias, result.current) < 1e-12
+    assert rel(t.kinetic_energy, C.e * result.bias) < 1e-15
     assert result.flags == ()
+
+
+def test_wire_closed_form_publishes_one_current_and_takes_its_noise_at_another():
+    # At 20 nm in GaAs, G * V is one ulp off the radius-free 2*e*f_Ry_star.
+    device, df = WireDevice(20e-9, GAAS_LIKE), 1e6
+    result = device_snr(device, df)
+    noise_current = result.conductance * result.bias
+    assert noise_current != result.current
+    assert result.current == wire_sense_current(GAAS_LIKE)
+    assert result.breakdown.shot_sq == 2.0 * C.e * noise_current * df
+    outcome = validate_device(device, df, trials=10, seed=1)
+    assert outcome.expected_count == noise_current * (1.0 / (2.0 * df)) / C.e
 
 
 def test_wire_pipeline_matches_closed_form():
@@ -274,9 +284,9 @@ def test_qpc_transport_state():
     result = device_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
     t = result.transport
     assert t.n_modes == 2.0
-    assert rel(t.conductance, 2.0 * C.e**2 / C.h) < 1e-15
-    assert rel(t.bias, t.kinetic_energy / C.e) < 1e-15
-    assert rel(t.current, t.conductance * t.bias) < 1e-15
+    assert rel(result.conductance, 2.0 * C.e**2 / C.h) < 1e-15
+    assert rel(result.bias, t.kinetic_energy / C.e) < 1e-15
+    assert rel(result.current, result.conductance * result.bias) < 1e-15
 
 
 def test_qpc_hydrogenic_identity():
@@ -431,16 +441,17 @@ def test_device_snr_dispatch():
 
 def test_device_operating_point_dispatch():
     wire = WireDevice(20e-9, GAAS_LIKE)
-    op = device_snr(wire, 1e6).operating_point
-    assert rel(op.sense_current(), wire_sense_current(GAAS_LIKE)) < 1e-12
+    result = device_snr(wire, 1e6)
+    assert rel(result.conductance * result.bias, wire_sense_current(GAAS_LIKE)) < 1e-12
     qpc = QpcDevice(20e-9, GAAS_LIKE)
-    op = device_snr(qpc, 1e6).operating_point
+    result = device_snr(qpc, 1e6)
     spacing = qpc_subband_spacing(QpcDevice(20e-9, GAAS_LIKE))
-    assert rel(op.bias, spacing / C.e) < 1e-15
-    assert rel(op.channel_conductance(), 2.0 * C.e**2 / C.h) < 1e-15
+    assert rel(result.bias, spacing / C.e) < 1e-15
+    assert rel(result.conductance, 2.0 * C.e**2 / C.h) < 1e-15
     sett = SetDevice(50e-9, 12.9)
-    op = device_snr(sett, 1e6).operating_point
-    assert rel(op.bias, set_blockade(SetDevice(50e-9, 12.9)).blockade_voltage) < 1e-15
+    result = device_snr(sett, 1e6)
+    assert rel(result.bias, set_blockade(SetDevice(50e-9, 12.9)).blockade_voltage) < 1e-15
+    assert result.current == result.conductance * result.bias
 
 
 def test_dispatch_rejects_unknown_kind():
@@ -525,15 +536,11 @@ _RATIOS = np.linspace(0.5, 1.5, 301)
 
 def _fields(result) -> dict:
     """Every per-point number an SnrResult carries, by name."""
-    op = result.operating_point
-    out = {
+    return {
         "snr": result.snr, "f_unity": result.f_unity, "sensitivity": result.sensitivity,
         **vars(result.breakdown), **vars(result.transport),
-        "op.conductance": op.conductance, "op.bias": op.bias,
-        "op.current": op.sense_current(), "op.temperature": op.temperature,
-        "op.bandwidth": op.bandwidth,
+        "bias": result.bias, "conductance": result.conductance, "current": result.current,
     }
-    return out
 
 
 _ARRAY_CASES = {

@@ -23,7 +23,7 @@ def op_current(current, bandwidth):
 
 def amplitude_snr(op, fano=1.0):
     """The SNR as the device pipelines and the simulator compute it."""
-    return signal_to_noise(op.sense_current(), noise_breakdown(op, fano=fano))
+    return signal_to_noise(op.current, noise_breakdown(op, fano=fano))
 
 
 # ------------------------------------------------------------ construction
@@ -37,49 +37,37 @@ def test_operating_point_requires_bandwidth_positive():
 
 
 def test_operating_point_requires_a_current_route():
-    with pytest.raises(ParameterError):
+    # The current is the one route in; a bias is no longer taken at all.
+    with pytest.raises(TypeError):
         OperatingPoint(bandwidth=1e6)
-    with pytest.raises(ParameterError):
-        OperatingPoint(bandwidth=1e6, conductance=1e-5)  # bias missing
-    with pytest.raises(ParameterError):
-        OperatingPoint(bandwidth=1e6, bias=1e-3)  # conductance missing
-
-
-def test_operating_point_conductance_bias_route():
-    op = OperatingPoint(conductance=1e-5, bias=1e-3, bandwidth=1e6)
-    assert rel(op.sense_current(), 1e-8) < 1e-15
-    assert op.channel_conductance() == 1e-5
+    with pytest.raises(TypeError):
+        OperatingPoint(bandwidth=1e6, conductance=1e-5)
+    with pytest.raises(TypeError):
+        OperatingPoint(bandwidth=1e6, conductance=1e-5, bias=1e-3)
 
 
 def test_operating_point_current_only_route():
     op = op_current(1e-9, 1e6)
-    assert op.sense_current() == 1e-9
-    assert op.channel_conductance() == 0.0
+    assert op.current == 1e-9
+    assert op.conductance == 0.0
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(current=1e-8, bias=1e-3),
-    dict(current=1e-8, conductance=1e-5, bias=1e-3),
-    dict(current=np.array([1e-8, 0.0]), bias=np.array([1e-3, 0.0])),
-], ids=["current-and-bias", "all-three", "arrays"])
-def test_operating_point_refuses_a_current_with_a_bias(kwargs):
-    # No conductance is inferred from current/bias, so accepting these
-    # would drop the Johnson term silently.
-    with pytest.raises(ParameterError, match="^operating point needs either") as info:
-        OperatingPoint(bandwidth=1e6, temperature=4.2, **kwargs)
-    assert "\n" not in str(info.value)
-
-
-@pytest.mark.parametrize("field", ["current", "conductance", "bias"])
+@pytest.mark.parametrize("field", ["current", "conductance"])
 def test_operating_point_rejects_negative_values(field):
-    kwargs = {"current": 1e-9, "bandwidth": 1e6}
+    kwargs = {"current": 1e-9, "conductance": 1e-5, "bandwidth": 1e6}
     kwargs[field] = -1e-9
-    if field != "current":
-        kwargs["current"] = None
-        kwargs.setdefault("conductance", 1e-5)
-        kwargs.setdefault("bias", 1e-3)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=f"^{field} must be >= 0"):
         OperatingPoint(**kwargs)
+
+
+def test_operating_point_leaves_an_infinite_current_to_the_noise_range_check():
+    # G * V overflows where G and V are each finite; the message that names
+    # the current comes from the noise variance, as before.
+    op = OperatingPoint(current=math.inf, conductance=1e-5, bandwidth=1e6)
+    with pytest.raises(ParameterError, match="put the noise variance outside the float range"):
+        noise_breakdown(op)
+    with pytest.raises(ParameterError, match="^current must be >= 0"):
+        OperatingPoint(current=math.nan, bandwidth=1e6)
 
 
 def test_operating_point_rejects_negative_temperature():
@@ -102,25 +90,21 @@ def test_thermal_noise_oracle():
     # Conductance 2e^2/h at 300 K, 1 Hz: rms = sqrt(4 kT G df).
     g = 2.0 * E**2 / CONSTANTS.h
     assert rel(g, 7.748091729863649e-5) < 1e-15
-    op = OperatingPoint(conductance=g, bias=0.0, bandwidth=1.0, temperature=300.0)
+    op = OperatingPoint(current=0.0, conductance=g, bandwidth=1.0, temperature=300.0)
     b = noise_breakdown(op)
     assert b.shot_sq == 0.0
     assert rel(b.total_rms, 1.1329992991389457e-12) < 1e-15
 
 
 def test_combined_budget_is_sum_of_variances():
-    op = OperatingPoint(
-        conductance=1e-5, bias=1e-3, bandwidth=1e6, temperature=4.2
-    )
+    op = OperatingPoint(current=1e-5 * 1e-3, conductance=1e-5, bandwidth=1e6, temperature=4.2)
     b = noise_breakdown(op)
     assert b.shot_sq > 0.0 and b.thermal_sq > 0.0
     assert rel(b.total_rms, math.sqrt(b.shot_sq + b.thermal_sq)) < 1e-15
 
 
 def test_fano_scales_shot_term_only():
-    op = OperatingPoint(
-        conductance=1e-5, bias=1e-3, bandwidth=1e6, temperature=4.2
-    )
+    op = OperatingPoint(current=1e-5 * 1e-3, conductance=1e-5, bandwidth=1e6, temperature=4.2)
     b1 = noise_breakdown(op, fano=1.0)
     b2 = noise_breakdown(op, fano=2.0)
     assert rel(b2.shot_sq, 2.0 * b1.shot_sq) < 1e-15
@@ -154,10 +138,8 @@ def test_snr_zero_current():
 
 
 def test_snr_thermal_degradation():
-    cold = OperatingPoint(conductance=1e-5, bias=1e-3, bandwidth=1e6)
-    warm = OperatingPoint(
-        conductance=1e-5, bias=1e-3, bandwidth=1e6, temperature=77.0
-    )
+    cold = OperatingPoint(current=1e-5 * 1e-3, conductance=1e-5, bandwidth=1e6)
+    warm = OperatingPoint(current=1e-5 * 1e-3, conductance=1e-5, bandwidth=1e6, temperature=77.0)
     assert amplitude_snr(warm) < amplitude_snr(cold)
 
 
@@ -199,8 +181,8 @@ def test_snr_monotone_in_current(current, factor):
 def test_thermal_to_shot_ratio(conductance, temperature, bias):
     # With I = G V, var_thermal / var_shot = (2 kT / e) / V.
     op = OperatingPoint(
+        current=conductance * bias,
         conductance=conductance,
-        bias=bias,
         bandwidth=1e6,
         temperature=temperature,
     )
@@ -217,9 +199,9 @@ def test_fano_snr_scaling(current):
 def test_array_operating_points_match_scalar_ones():
     conductance = np.array([1e-6, 2e-6, 0.0])
     bias = np.array([1e-3, 0.0, 0.0])
-    whole = noise_breakdown(OperatingPoint(conductance=conductance, bias=bias, bandwidth=1e3,
-                                           temperature=4.2))
+    whole = noise_breakdown(OperatingPoint(current=conductance * bias, conductance=conductance,
+                                           bandwidth=1e3, temperature=4.2))
     for i, (g, v) in enumerate(zip(conductance.tolist(), bias.tolist())):
-        point = noise_breakdown(OperatingPoint(conductance=g, bias=v, bandwidth=1e3,
+        point = noise_breakdown(OperatingPoint(current=g * v, conductance=g, bandwidth=1e3,
                                                temperature=4.2))
         assert [float(term[i]) for term in vars(whole).values()] == list(vars(point).values())

@@ -30,9 +30,7 @@ from chargelimit import (
 )
 from chargelimit.montecarlo import Ci95, SimConfig, SimOutcome
 
-_OP = OperatingPoint(bandwidth=1e6, conductance=7.7e-5, bias=1e-3)
-_TRANSPORT = TransportState(n_modes=2.0, kinetic_energy=1e-22, bias=1e-3, conductance=7.7e-5,
-                            current=7.7e-8)
+_TRANSPORT = TransportState(n_modes=2.0, kinetic_energy=1e-22)
 _CI95 = Ci95(snr=0.1, err_open=1e-3, err_blocked=2e-3)
 
 #: class -> (every init field by keyword, fields that may be omitted with
@@ -45,29 +43,30 @@ CASES = {
         dict(e=1.602176634e-19, h=6.62607015e-34, c=299792458.0, k_B=1.380649e-23,
              m_e=9.1093837015e-31, eps0=8.8541878128e-12, alpha=7.2973525693e-3),
         None,
-        ("hbar", "e_sq_gauss", "bohr_radius", "rydberg_energy", "rydberg_frequency"),
+        ("hbar", "e_sq_gauss", "bohr_radius", "rydberg_energy", "rydberg_frequency",
+         "conductance_quantum"),
     ),
     Material: (dict(name="x", mass_ratio=0.2, epsilon_r=5.0), {}, dict(mass_ratio=0.0), ()),
     EffectiveScales: (
         dict(rydberg_energy=1e-21, rydberg_frequency=1e12, bohr_radius=1e-8, scale_factor=0.5),
         {}, None, ()),
     OperatingPoint: (
-        dict(bandwidth=1e6, current=1e-9, conductance=1e-6, bias=None, temperature=4.2),
-        dict(conductance=None, bias=None, temperature=0.0),
+        dict(current=1e-9, bandwidth=1e6, conductance=1e-6, temperature=4.2),
+        dict(conductance=0.0, temperature=0.0),
         dict(bandwidth=0.0), ()),
     WireDevice: (dict(radius=20e-9, material=GAAS_LIKE), {}, dict(radius=-1.0), ()),
     QpcDevice: (dict(width=20e-9, material=GAAS_LIKE), {}, dict(width=math.nan), ()),
     SetDevice: (dict(island_radius=50e-9, epsilon_r=12.9), {}, dict(epsilon_r=0.5), ()),
     TransportState: (
-        dict(n_modes=2.0, kinetic_energy=1e-22, bias=1e-3, conductance=7.7e-5, current=7.7e-8),
-        {}, None, ()),
+        dict(n_modes=2.0, kinetic_energy=1e-22), {}, None, ()),
     NoiseBreakdown: (dict(shot_sq=1e-20, thermal_sq=4e-21, total_rms=1.2e-10), {}, None, ()),
     SetElectrostatics: (
         dict(capacitance=1e-17, charging_energy=1e-21, blockade_voltage=8e-3), {}, None, ()),
     SnrResult: (
         dict(snr=3.0, f_unity=9e6, sensitivity=3e-4,
              breakdown=NoiseBreakdown(shot_sq=1e-20, thermal_sq=0.0, total_rms=1e-10),
-             transport=_TRANSPORT, operating_point=_OP, flags=("bias-above-optimal",)),
+             transport=_TRANSPORT, bias=1e-3, conductance=7.7e-5, current=7.7e-8,
+             flags=("bias-above-optimal",)),
         dict(flags=()), None, ()),
     SimConfig: (
         dict(on_current=1.6e-13, bandwidth=5e4, temperature=4.2, conductance=1e-6,

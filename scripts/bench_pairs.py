@@ -24,10 +24,13 @@ and after its runs (a process reads fresh bytecode whatever that
 variable says, and compiles every other module from source).  The script
 says why, exits 1 and writes nothing when a ``perfbench/run.py`` run
 exits non-zero, when the runs of one side report different source
-digests (the side was not one program), or when a run's source digest
+digests (the side was not one program), when a run's source digest
 is not that of ``src/chargelimit`` at the commit it reports (the
 checkout had changes that were not committed, or it is no git clone, so
-its runs report no commit).
+its runs report no commit), or when the two sides had fresh bytecode
+for different modules before or after the runs (one side compiled
+modules from source that the other loaded, which moves a one-shot
+process by more than the gains it is used to judge).
 
 After the runs, the script also starts ``PROBE_REPEATS``
 ``python -X importtime -m chargelimit`` processes of a ``sweep`` and of
@@ -137,6 +140,15 @@ def check_source(checkout: Path, env: dict, digests: dict) -> None:
         raise ValueError(f"a run in {checkout} measured source {measured[:12]}, not "
                          f"{digests[checkout, commit][:12]} of its commit {commit[:12]}; "
                          "commit or drop the checkout's changes")
+
+
+def check_bytecode(fresh: dict, when: str) -> None:
+    """Raise ValueError unless both sides had fresh bytecode for the same
+    modules ``when`` ("before" or "after") the runs."""
+    base, change = (", ".join(fresh[side][when]) or "none" for side in SIDES)
+    if base != change:
+        raise ValueError(f"the sides had fresh bytecode for different modules {when} the runs "
+                         f"(base: {base}; change: {change})")
 
 
 def import_medians(stderrs: dict[str, list[str]]) -> dict:
@@ -259,6 +271,7 @@ def main(argv=None) -> int:
     packages = {side: checkout / "src" / "chargelimit" for side, checkout in checkouts.items()}
     fresh = {side: {"before": fresh_bytecode(package)} for side, package in packages.items()}
     try:
+        check_bytecode(fresh, "before")
         for index, seed in enumerate(args.seeds):
             for side in SIDES if index % 2 == 0 else SIDES[::-1]:
                 stdout = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
@@ -270,9 +283,12 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {side:<6} " + "  ".join(
                     f"{name}={value:.4g}" for name, value in metrics.items()
                     if isinstance(value, float)), file=sys.stderr)
-        envs = side_envs(records, os.environ)
         for side, package in packages.items():
-            envs[side]["fresh_bytecode"] = {**fresh[side], "after": fresh_bytecode(package)}
+            fresh[side]["after"] = fresh_bytecode(package)
+        check_bytecode(fresh, "after")
+        envs = side_envs(records, os.environ)
+        for side in SIDES:
+            envs[side]["fresh_bytecode"] = fresh[side]
         for side, imports in import_probe(checkouts).items():
             envs[side]["imports"] = imports
     except ValueError as error:

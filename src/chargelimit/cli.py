@@ -54,9 +54,7 @@ from .devices import (
     SnrResult,
     WireDevice,
     device_snr,
-    qpc_pipeline_snr,
-    set_pipeline_snr,
-    wire_pipeline_snr,
+    pipeline_snr,
     wire_snr,
 )
 from .errors import ParameterError, isfinite
@@ -206,17 +204,18 @@ _FLAGS = {
 _MATERIAL_FLAGS = ("material", "mass_ratio", "epsr")
 _OPERATING_FLAGS = ("df", "bias", "temperature", "modulation")
 
-#: device command -> (help, size flag, size input key, value flags, flag overrides).
-#: A sweep of the device takes the same value flags.
+#: device command -> (help, device record, size flag, size input key, value
+#: flags, flag overrides).  A sweep of the device takes the same value flags;
+#: a device without --material takes its host's epsilon_r from --epsr.
 _DEVICE_COMMANDS = {
-    "wire": ("cylindrical-wire FET detector", "radius", "radius_m",
+    "wire": ("cylindrical-wire FET detector", WireDevice, "radius", "radius_m",
              (*_MATERIAL_FLAGS, "radius", *_OPERATING_FLAGS),
              {"radius": {"help": "channel radius (default: effective bohr radius; "
                                  "SNR is radius-free)"}}),
-    "qpc": ("quantum point contact detector", "width", "width_m",
+    "qpc": ("quantum point contact detector", QpcDevice, "width", "width_m",
             (*_MATERIAL_FLAGS, "width", *_OPERATING_FLAGS),
             {"width": {"help": "constriction width", "required": True}}),
-    "set": ("single-electron transistor detector", "radius", "island_radius_m",
+    "set": ("single-electron transistor detector", SetDevice, "radius", "island_radius_m",
             ("radius", "epsr", *_OPERATING_FLAGS),
             {"radius": {"help": "island disk radius", "required": True},
              "epsr": {"help": "relative dielectric constant of the host (default 1)",
@@ -226,6 +225,10 @@ _DEVICE_COMMANDS = {
 _SWEEP_FLAGS = (*_MATERIAL_FLAGS, "radius", "width", "df", "temperature")
 #: simulate's value flags that are its JSON inputs, in their order.
 _SIM_FLAGS = ("current", "df", "temperature", "conductance", "trials", "seed", "threshold", "fano")
+
+#: perfbench times the pipeline of each device kind by wrapping these
+#: names, so _axis_result calls the one named after its device.
+wire_pipeline_snr = qpc_pipeline_snr = set_pipeline_snr = pipeline_snr
 
 
 def _add_flags(parser: argparse.ArgumentParser, dests, overrides: dict) -> None:
@@ -264,8 +267,11 @@ def find_material(name: str) -> Material:
     return table[key]
 
 
-def resolve_material(args: argparse.Namespace) -> Material:
-    """Material from --material NAME, or --mass-ratio/--epsr pair, or vacuum."""
+def resolve_material(args: argparse.Namespace) -> Material | None:
+    """Material from --material NAME, or --mass-ratio/--epsr pair, or vacuum;
+    None for a device command without --material."""
+    if "material" not in _DEVICE_COMMANDS[args.device][4]:
+        return None
     custom = args.mass_ratio is not None or args.epsr is not None
     if args.material is not None and custom:
         args.parser.error("--material cannot be combined with --mass-ratio/--epsr")
@@ -417,9 +423,9 @@ def _material_inputs(material: Material) -> dict:
 
 def cmd_device(args: argparse.Namespace) -> int:
     """wire, qpc or set: one detector at one operating point."""
-    material = None if args.device == "set" else resolve_material(args)
+    material = resolve_material(args)
     result = _axis_result(args, material)
-    _, size, size_key, dests, _ = _DEVICE_COMMANDS[args.device]
+    _, _, size, size_key, dests, _ = _DEVICE_COMMANDS[args.device]
     inputs = {} if material is None else _material_inputs(material)
     inputs[size_key] = getattr(args, size)
     inputs.update(_inputs(args, dests[dests.index(size) + 1:]))
@@ -471,23 +477,19 @@ def _axis_result(args: argparse.Namespace, material: Material | None,
     if material is not None and swept in _MATERIAL_FLAGS:
         material = Material("custom", pick("mass_ratio", material.mass_ratio),
                             pick("epsr", material.epsilon_r))
-    # the pipelines are looked up here, where perfbench's wrappers find them
-    device_class, pipeline, host = {
-        "wire": (WireDevice, wire_pipeline_snr, material),
-        "qpc": (QpcDevice, qpc_pipeline_snr, material),
-        "set": (SetDevice, set_pipeline_snr, pick("epsr", args.epsr)),
-    }[args.device]
-    size = _DEVICE_COMMANDS[args.device][1]
+    _, device_class, size, _, _, _ = _DEVICE_COMMANDS[args.device]
     extent = pick(size, getattr(args, size))
     if extent is None:  # the wire's default radius
         extent = effective_scales(material).bohr_radius
-    device = device_class(extent, host)
+    device = device_class(extent, material if material is not None else pick("epsr", args.epsr))
     bandwidth = pick("df", args.df)
     if (values is None and args.bias is None and args.temperature == 0.0
             and (args.device != "wire" or args.radius is None)):
         return device_snr(device, bandwidth, modulation=args.modulation)
-    return pipeline(device, bandwidth, bias=args.bias,
-                    temperature=pick("temperature", args.temperature), modulation=args.modulation)
+    # looked up by name here, where perfbench's wrappers find it
+    return globals()[f"{args.device}_pipeline_snr"](
+        device, bandwidth, bias=args.bias, temperature=pick("temperature", args.temperature),
+        modulation=args.modulation)
 
 
 def _number_cells(column, empty: str) -> list[str]:
@@ -545,22 +547,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"axis {axis!r} does not apply to device {args.device!r}; "
             f"valid devices: {', '.join(devices)}"
         )
-    takes = _DEVICE_COMMANDS[args.device][3]
-    rejected = None if args.device != "set" and swept in _MATERIAL_FLAGS else swept
+    _, _, size, size_key, takes, overrides = _DEVICE_COMMANDS[args.device]
+    rejected = None if "material" in takes and swept in _MATERIAL_FLAGS else swept
     for dest in _SWEEP_FLAGS:
         if getattr(args, dest) is not None and (dest not in takes or dest == rejected):
             what = f"a sweep over {axis}" if dest == rejected else f"device {args.device!r}"
             args.parser.error(f"{_FLAGS[dest][0][0]} does not apply to {what}")
     # --df, --temperature and the set's --epsr are None until here, so that the
     # check sees them given; now each takes its default of the device command
-    overrides = _DEVICE_COMMANDS[args.device][4]
     vars(args).update({dest: overrides.get(dest, {}).get("default", _FLAGS[dest][2])
                        for dest in ("df", "temperature", "epsr") if getattr(args, dest) is None})
-    if args.device == "qpc" and axis != "W" and args.width is None:
-        args.parser.error("qpc sweeps need --width unless the axis is W")
-    if args.device == "set" and axis != "R_island" and args.radius is None:
-        args.parser.error("set sweeps need --radius unless the axis is R_island")
-    material = None if args.device == "set" else resolve_material(args)
+    if overrides[size].get("required") and swept != size and getattr(args, size) is None:
+        size_axis = next(token for token, (dest, kinds) in SWEEP_AXES.items()
+                         if dest == size and args.device in kinds)
+        args.parser.error(f"{args.device} sweeps need {_FLAGS[size][0][0]} unless the axis is "
+                          f"{size_axis}")
+    material = resolve_material(args)
     values = _sweep_values(args)
     try:
         result = _axis_result(args, material, values)
@@ -576,10 +578,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         inputs.update(_inputs(args, ("df", "temperature")))
         if material is not None:
             inputs.update(_material_inputs(material))
-        _, size, size_key, _, _ = _DEVICE_COMMANDS[args.device]
         # null where the flag is not given, as the one-shot commands write it
         inputs[size_key] = getattr(args, size)
-        if args.device == "set":
+        if material is None:
             inputs.update(_inputs(args, ("epsr",)))
         # the axis replaces this input: each row names its value
         del inputs[size_key if swept == size else _FLAGS[swept][3] or swept]
@@ -689,13 +690,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", help="material name (for show)")
     p.set_defaults(func=cmd_material, parser=p)
 
-    for kind, (summary, _, _, dests, overrides) in _DEVICE_COMMANDS.items():
+    for kind, (summary, _, _, _, dests, overrides) in _DEVICE_COMMANDS.items():
         p = sub.add_parser(kind, parents=[common], help=summary)
         _add_flags(p, dests, overrides)
         p.set_defaults(func=cmd_device, parser=p, device=kind, axis=None)
 
     p = sub.add_parser("sweep", parents=[deterministic], help="sweep one parameter axis")
-    p.add_argument("--device", choices=("wire", "qpc", "set"), required=True)
+    p.add_argument("--device", choices=tuple(_DEVICE_COMMANDS), required=True)
     p.add_argument("--axis", choices=tuple(SWEEP_AXES), required=True)
     p.add_argument("--start", required=True, help="axis start (unit suffix allowed)")
     p.add_argument("--stop", required=True, help="axis stop (unit suffix allowed)")

@@ -18,19 +18,19 @@ Three archetypes are modeled:
 * **set** — a single-electron transistor whose island is a thin
   conducting disk; the energy window is the charging energy e^2/2C.
 
-Each device kind supplies one on-state: its conductance G and bias V,
-the current it publishes, the transport state behind them, and its
+One kind table maps each device record class to two states, one for
+each route.  Its on-state gives the conductance G and bias V, the
+current it publishes, the transport state behind them, and the
 unity-SNR bandwidth at full modulation (the effective Rydberg frequency
 for the wire, the sub-band spacing or the charging energy over h for the
-QPC and the SET).  :func:`device_snr` reads every kind through that one
-lookup and evaluates the noise at G*V; the closed form is
-snr = sqrt(f_unity/df).
-
-Every device also has a step-by-step pipeline (bias -> conductance ->
-current -> generic noise SNR) that shares only the default bias with the
-on-state; the two routes agree to relative 1e-12 and the tests enforce
-it.  Both routes, and every helper under them, take the same device
-record, which has checked its inputs when it was made.
+QPC and the SET); :func:`device_snr` evaluates the noise at G*V, and its
+closed form is snr = sqrt(f_unity/df).  Its pipeline state gives the
+bias (the default one unless given), the number of e^2/h modes and any
+flags; :func:`pipeline_snr` takes them step by step through conductance,
+current and the generic noise SNR.  The two routes share the table and
+the helpers under it, never each other's state; they agree to relative
+1e-12 and the tests enforce it.  Both take the same device record, which
+has checked its inputs when it was made.
 """
 
 from __future__ import annotations
@@ -58,13 +58,11 @@ __all__ = [
     "wire_mode_count",
     "wire_sense_current",
     "wire_snr",
-    "wire_pipeline_snr",
     "qpc_subband_spacing",
-    "qpc_pipeline_snr",
     "set_island_capacitance",
     "set_blockade",
-    "set_pipeline_snr",
     "device_snr",
+    "pipeline_snr",
 ]
 
 # --------------------------------------------------------------------------
@@ -152,8 +150,8 @@ class SetElectrostatics:
 class SnrResult:
     """SNR of a detector at one bandwidth, plus its unity-SNR summary.
 
-    The pipelines accept an array for any swept input (a size, df, T, m*
-    or epsilon_r) and then give arrays with the bits of one call per point.
+    The pipeline accepts an array for any swept input (a size, df, T, m*
+    or epsilon_r) and then gives arrays with the bits of one call per point.
 
     Attributes
     ----------
@@ -205,52 +203,6 @@ def _sensitivity_from_unity(f_unity: float) -> float:
     return 1.0 / math.sqrt(f_unity) if f_unity > 0.0 else math.inf
 
 
-def _pipeline_result(
-    *,
-    n_modes: float,
-    bias: float,
-    temperature: float,
-    bandwidth: float,
-    modulation: float,
-    electrostatics: SetElectrostatics | None = None,
-    flags: tuple[str, ...] = (),
-) -> SnrResult:
-    """Generic pipeline tail: operating point -> SNR -> unity bandwidth.
-
-    The channel carries ``n_modes`` modes of e^2/h each; its transport
-    state is reported unless an SET's ``electrostatics`` are given.
-
-    The signal is ``modulation`` times the sense current while the noise
-    is evaluated at the full current, so a partial modulation depth
-    scales the SNR linearly and f_unity quadratically.  Both intrinsic
-    noise terms grow linearly with bandwidth, hence snr^2 * bandwidth is
-    bandwidth-independent and equals f_unity at any temperature.  Only
-    an explicit zero bias may give f_unity = 0; any other zero or
-    non-finite f_unity left the float range and is a ParameterError.
-    """
-    conductance = n_modes * CONSTANTS.conductance_quantum
-    current = conductance * bias
-    transport = electrostatics if electrostatics is not None else TransportState(
-        n_modes=n_modes, kinetic_energy=CONSTANTS.e * bias)
-    breakdown = noise_breakdown(OperatingPoint(current=current, conductance=conductance,
-                                               temperature=temperature, bandwidth=bandwidth))
-    value = modulation * signal_to_noise(current, breakdown)
-    f_unity = value * value * bandwidth
-    require(isfinite(f_unity) & ((f_unity > 0.0) | (bias == 0.0)),
-            "the inputs put f_unity outside the float range", f_unity)
-    return SnrResult(
-        snr=value,
-        f_unity=f_unity,
-        sensitivity=_sensitivity_from_unity(f_unity),
-        breakdown=breakdown,
-        transport=transport,
-        bias=bias,
-        conductance=conductance,
-        current=current,
-        flags=flags,
-    )
-
-
 # --------------------------------------------------------------------------
 # Case 1: cylindrical-wire FET
 # --------------------------------------------------------------------------
@@ -290,7 +242,7 @@ def wire_mode_count(device: WireDevice, bias: float) -> float:
         Source-drain bias in V, >= 0.  Any bias is counted without a
         warning; above the optimal value the drain overwhelms the
         pinch-off potential of the sensed charge, and
-        :func:`wire_pipeline_snr` reports that through its
+        :func:`pipeline_snr` reports that through its
         ``bias-above-optimal`` flag.
     """
     require_nonnegative(bias, "bias")
@@ -334,35 +286,19 @@ def wire_snr(material: Material, bandwidth: float) -> SnrResult:
     return device_snr(WireDevice(effective_scales(material).bohr_radius, material), bandwidth)
 
 
-@float_range_checked
-def wire_pipeline_snr(
-    device: WireDevice,
-    bandwidth: float,
-    *,
-    bias: float | None = None,
-    temperature: float = 0.0,
-    modulation: float = 1.0,
-) -> SnrResult:
-    """Step-by-step wire-FET SNR: bias -> modes -> conductance -> current.
+def _wire_pipeline_state(device: WireDevice, bias: float | None) -> tuple:
+    """The optimal bias unless one is given, flagged when it is above it.
 
-    With the default optimal bias and T = 0 this reproduces
-    :func:`wire_snr` to relative 1e-12 for any radius — the radius
-    dependence cancels.  An explicit ``bias`` or finite temperature
-    moves the result off the closed form, which is the point of having
-    the pipeline.
+    With that default and T = 0 the pipeline reproduces :func:`wire_snr`
+    to relative 1e-12 for any radius: the radius dependence cancels.
     """
-    _check_modulation(modulation)
     optimal = wire_optimal_bias(device)
     flags: tuple[str, ...] = ()
     if bias is None:
         bias = optimal
     elif anywhere(bias > optimal):
         flags = ("bias-above-optimal",)
-    modes = wire_mode_count(device, bias)
-    return _pipeline_result(
-        n_modes=modes, bias=bias, temperature=temperature, bandwidth=bandwidth,
-        modulation=modulation, flags=flags,
-    )
+    return bias, wire_mode_count(device, bias), None, flags
 
 
 # --------------------------------------------------------------------------
@@ -404,29 +340,13 @@ def _qpc_on_state(device: QpcDevice) -> tuple:
     return conductance, bias, conductance * bias, transport, spacing / CONSTANTS.h
 
 
-@float_range_checked
-def qpc_pipeline_snr(
-    device: QpcDevice,
-    bandwidth: float,
-    *,
-    bias: float | None = None,
-    temperature: float = 0.0,
-    modulation: float = 1.0,
-) -> SnrResult:
-    """Step-by-step QPC SNR through the generic noise machinery.
-
-    The default bias drops the full sub-band spacing across the
-    constriction; T = 0 with that default matches :func:`device_snr` of
-    the same device to relative 1e-12.
-    """
-    _check_modulation(modulation)
+def _qpc_pipeline_state(device: QpcDevice, bias: float | None) -> tuple:
+    """One spin-degenerate sub-band, biased across the full sub-band
+    spacing unless a bias is given."""
     if bias is None:
         bias = qpc_subband_spacing(device) / CONSTANTS.e
     require_nonnegative(bias, "bias")
-    return _pipeline_result(
-        n_modes=QPC_SPIN_DEGENERACY, bias=bias, temperature=temperature, bandwidth=bandwidth,
-        modulation=modulation,
-    )
+    return bias, QPC_SPIN_DEGENERACY, None, ()
 
 
 # --------------------------------------------------------------------------
@@ -482,38 +402,38 @@ def _set_on_state(device: SetDevice) -> tuple:
             electrostatics.charging_energy / CONSTANTS.h)
 
 
-@float_range_checked
-def set_pipeline_snr(
-    device: SetDevice,
-    bandwidth: float,
-    *,
-    bias: float | None = None,
-    temperature: float = 0.0,
-    modulation: float = 1.0,
-) -> SnrResult:
-    """Step-by-step SET SNR through the generic noise machinery.
-
-    Defaults to the blockade-voltage bias; with T = 0 that matches
-    :func:`device_snr` of the same device to relative 1e-12.
-    """
-    _check_modulation(modulation)
+def _set_pipeline_state(device: SetDevice, bias: float | None) -> tuple:
+    """The on-state conductance 2e^2/h, biased at the blockade voltage
+    unless a bias is given; the island electrostatics are reported."""
     electrostatics = set_blockade(device)
     if bias is None:
         bias = electrostatics.blockade_voltage
     require_nonnegative(bias, "bias")
-    return _pipeline_result(
-        n_modes=SET_SPIN_DEGENERACY, bias=bias, temperature=temperature, bandwidth=bandwidth,
-        modulation=modulation, electrostatics=electrostatics,
-    )
+    return bias, SET_SPIN_DEGENERACY, electrostatics, ()
 
 
 # --------------------------------------------------------------------------
-# Every device kind through its on-state
+# Every device kind through its two states
 # --------------------------------------------------------------------------
 
-#: device kind -> its on-state: (G, V, published current, transport state,
-#: unity-SNR bandwidth at full modulation).
-_ON_STATES = {WireDevice: _wire_on_state, QpcDevice: _qpc_on_state, SetDevice: _set_on_state}
+#: device kind -> (its on-state, its pipeline state).  An on-state takes
+#: the device and gives (G, V, published current, transport state,
+#: unity-SNR bandwidth at full modulation); a pipeline state takes the
+#: device and a bias or None and gives (bias, n_modes, the SET's
+#: electrostatics or None, flags).
+_KINDS = {
+    WireDevice: (_wire_on_state, _wire_pipeline_state),
+    QpcDevice: (_qpc_on_state, _qpc_pipeline_state),
+    SetDevice: (_set_on_state, _set_pipeline_state),
+}
+
+
+def _kind(device: DeviceSpec) -> tuple:
+    """The (on-state, pipeline state) of the device's kind."""
+    kind = _KINDS.get(type(device))
+    if kind is None:
+        raise TypeError(f"unknown device kind: {type(device).__name__}")
+    return kind
 
 
 def device_snr(
@@ -526,10 +446,7 @@ def device_snr(
     noise of the on-state at T = 0.
     """
     _check_modulation(modulation)
-    on_state = _ON_STATES.get(type(device))
-    if on_state is None:
-        raise TypeError(f"unknown device kind: {type(device).__name__}")
-    conductance, bias, current, transport, f_on = on_state(device)
+    conductance, bias, current, transport, f_on = _kind(device)[0](device)
     op = OperatingPoint(current=conductance * bias, conductance=conductance, bandwidth=bandwidth)
     modulation_sq = modulation * modulation  # one IEEE multiply, in (0, 1] as the depth is
     f_unity = modulation_sq * f_on
@@ -551,4 +468,57 @@ def device_snr(
         bias=bias,
         conductance=conductance,
         current=current,
+    )
+
+
+@float_range_checked
+def pipeline_snr(
+    device: DeviceSpec,
+    bandwidth: float,
+    *,
+    bias: float | None = None,
+    temperature: float = 0.0,
+    modulation: float = 1.0,
+) -> SnrResult:
+    """Step-by-step SNR for any device kind: bias -> modes -> conductance
+    -> current -> generic noise SNR.
+
+    The default bias is the kind's own (the wire's optimal bias, the
+    QPC's sub-band spacing over e, the SET's blockade voltage); with it
+    and T = 0 this matches :func:`device_snr` of the same device to
+    relative 1e-12.  An explicit ``bias`` or a finite temperature moves
+    the result off the closed form, which is the point of the pipeline.
+    The channel carries n_modes modes of e^2/h each; its transport state
+    is reported unless the kind gives an SET's electrostatics.
+
+    The signal is ``modulation`` times the sense current while the noise
+    is evaluated at the full current, so a partial modulation depth
+    scales the SNR linearly and f_unity quadratically.  Both intrinsic
+    noise terms grow linearly with bandwidth, hence snr^2 * bandwidth is
+    bandwidth-independent and equals f_unity at any temperature.  Only
+    an explicit zero bias may give f_unity = 0; any other zero or
+    non-finite f_unity left the float range and is a ParameterError.
+    """
+    _check_modulation(modulation)
+    bias, n_modes, electrostatics, flags = _kind(device)[1](device, bias)
+    conductance = n_modes * CONSTANTS.conductance_quantum
+    current = conductance * bias
+    transport = electrostatics if electrostatics is not None else TransportState(
+        n_modes=n_modes, kinetic_energy=CONSTANTS.e * bias)
+    breakdown = noise_breakdown(OperatingPoint(current=current, conductance=conductance,
+                                               temperature=temperature, bandwidth=bandwidth))
+    value = modulation * signal_to_noise(current, breakdown)
+    f_unity = value * value * bandwidth
+    require(isfinite(f_unity) & ((f_unity > 0.0) | (bias == 0.0)),
+            "the inputs put f_unity outside the float range", f_unity)
+    return SnrResult(
+        snr=value,
+        f_unity=f_unity,
+        sensitivity=_sensitivity_from_unity(f_unity),
+        breakdown=breakdown,
+        transport=transport,
+        bias=bias,
+        conductance=conductance,
+        current=current,
+        flags=flags,
     )

@@ -24,10 +24,8 @@ from chargelimit import (
     SimConfig,
     WireDevice,
     device_snr,
-    qpc_pipeline_snr,
-    set_pipeline_snr,
+    pipeline_snr,
     simulate_detection,
-    wire_pipeline_snr,
     wire_snr,
 )
 
@@ -76,7 +74,7 @@ def test_criterion_2_gaas_wire_band():
 def test_criterion_3_wire_radius_cancellation():
     radii = np.geomspace(1e-9, 1e-6, 31)
     snrs = np.array(
-        [wire_pipeline_snr(WireDevice(float(r), GAAS_LIKE), 1e6).snr for r in radii]
+        [pipeline_snr(WireDevice(float(r), GAAS_LIKE), 1e6).snr for r in radii]
     )
     spread = float((snrs.max() - snrs.min()) / snrs.min())
     ok = spread < 1e-12
@@ -135,15 +133,15 @@ def test_criterion_5_closed_form_vs_pipeline():
         pairs = (
             (
                 wire_snr(material, bandwidth).snr,
-                wire_pipeline_snr(WireDevice(length, material), bandwidth).snr,
+                pipeline_snr(WireDevice(length, material), bandwidth).snr,
             ),
             (
                 device_snr(QpcDevice(length, material), bandwidth).snr,
-                qpc_pipeline_snr(QpcDevice(length, material), bandwidth).snr,
+                pipeline_snr(QpcDevice(length, material), bandwidth).snr,
             ),
             (
                 device_snr(SetDevice(length, epsilon_r), bandwidth).snr,
-                set_pipeline_snr(SetDevice(length, epsilon_r), bandwidth).snr,
+                pipeline_snr(SetDevice(length, epsilon_r), bandwidth).snr,
             ),
         )
         for closed, piped in pairs:

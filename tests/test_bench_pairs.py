@@ -144,24 +144,53 @@ def test_bytecode_setting_is_recorded_when_unset(monkeypatch, tmp_path):
     assert env["change"]["PYTHONDONTWRITEBYTECODE"] is None
 
 
-def test_fresh_bytecode_is_recorded_before_and_after_the_runs(monkeypatch, tmp_path):
-    # The change's package gets fresh bytecode during its runs; the base
-    # has no package at all.
-    package = tmp_path / "change" / "src" / "chargelimit"
-    package.mkdir(parents=True)
-    for name in ("cli", "kernels"):
-        (package / f"{name}.py").write_text("X = 1\n")
+def bytecode_packages(tmp_path):
+    """Each side's package of two modules, without bytecode."""
+    packages = {side: tmp_path / side / "src" / "chargelimit" for side in ("base", "change")}
+    for package in packages.values():
+        package.mkdir(parents=True)
+        for name in ("cli", "kernels"):
+            (package / f"{name}.py").write_text("X = 1\n")
+    return packages
 
-    def compile_change(checkout):
-        if checkout.name == "change":
-            compileall.compile_file(package / "kernels.py", quiet=1)
+
+def test_fresh_bytecode_is_recorded_before_and_after_the_runs(monkeypatch, tmp_path):
+    # Both sides' kernels get fresh bytecode during their runs.
+    packages = bytecode_packages(tmp_path)
+
+    def compile_kernels(checkout):
+        compileall.compile_file(packages[checkout.name] / "kernels.py", quiet=1)
 
     same = {side: {1: "a" * 64, 2: "a" * 64} for side in ("base", "change")}
-    code, out = run_main(monkeypatch, tmp_path, same, same, during=compile_change)
+    code, out = run_main(monkeypatch, tmp_path, same, same, during=compile_kernels)
     assert code == 0
     env = json.loads(out.read_text())["workloads"]["sim-noisy"]["env"]
-    assert env["base"]["fresh_bytecode"] == {"before": [], "after": []}
-    assert env["change"]["fresh_bytecode"] == {"before": [], "after": ["kernels"]}
+    for side in ("base", "change"):
+        assert env[side]["fresh_bytecode"] == {"before": [], "after": ["kernels"]}
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_a_pair_whose_sides_differ_in_bytecode_is_refused(monkeypatch, tmp_path, capsys, when):
+    # Only the change's kernels get fresh bytecode: before the runs, or during them.
+    packages = bytecode_packages(tmp_path)
+    runs = []
+
+    def compile_change(checkout):
+        runs.append(checkout.name)
+        if checkout.name == "change":
+            compileall.compile_file(packages["change"] / "kernels.py", quiet=1)
+
+    if when == "before":
+        compileall.compile_file(packages["change"] / "kernels.py", quiet=1)
+    out = tmp_path / "BENCH.json"
+    out.write_text("{}\n")
+    same = {side: {1: "a" * 64, 2: "a" * 64} for side in ("base", "change")}
+    code, _ = run_main(monkeypatch, tmp_path, same, same, during=compile_change)
+    assert code == 1
+    assert out.read_text() == "{}\n"
+    assert runs == ([] if when == "before" else ["base", "change", "change", "base"])
+    assert (f"the sides had fresh bytecode for different modules {when} the runs "
+            "(base: none; change: kernels)") in capsys.readouterr().err
 
 
 def test_a_side_with_mixed_sources_is_refused(monkeypatch, tmp_path, capsys):

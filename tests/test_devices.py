@@ -19,14 +19,12 @@ from chargelimit import (
     WireDevice,
     device_snr,
     effective_scales,
-    qpc_pipeline_snr,
+    pipeline_snr,
     qpc_subband_spacing,
     set_blockade,
     set_island_capacitance,
-    set_pipeline_snr,
     wire_mode_count,
     wire_optimal_bias,
-    wire_pipeline_snr,
     wire_sense_current,
     wire_snr,
 )
@@ -186,7 +184,7 @@ def test_wire_pipeline_matches_closed_form():
     for radius in (1e-9, 17e-9, 1e-6):
         for material in (VACUUM, GAAS_LIKE):
             closed = wire_snr(material, 1e6)
-            piped = wire_pipeline_snr(WireDevice(radius, material), 1e6)
+            piped = pipeline_snr(WireDevice(radius, material), 1e6)
             assert rel(piped.snr, closed.snr) < 1e-12
             assert rel(piped.f_unity, closed.f_unity) < 1e-12
 
@@ -194,7 +192,7 @@ def test_wire_pipeline_matches_closed_form():
 def test_wire_pipeline_radius_independence():
     radii = np.geomspace(1e-9, 1e-6, 31)
     snrs = [
-        wire_pipeline_snr(WireDevice(float(r), GAAS_LIKE), 1e6).snr
+        pipeline_snr(WireDevice(float(r), GAAS_LIKE), 1e6).snr
         for r in radii
     ]
     spread = (max(snrs) - min(snrs)) / min(snrs)
@@ -204,9 +202,9 @@ def test_wire_pipeline_radius_independence():
 def test_wire_pipeline_underbias_quadratic():
     # I = G(V) * V with G linear in V, so SNR drops linearly with bias.
     device = WireDevice(20e-9, GAAS_LIKE)
-    full = wire_pipeline_snr(device, 1e6)
+    full = pipeline_snr(device, 1e6)
     optimal = wire_optimal_bias(device)
-    half = wire_pipeline_snr(device, 1e6, bias=0.5 * optimal)
+    half = pipeline_snr(device, 1e6, bias=0.5 * optimal)
     assert rel(half.snr, 0.5 * full.snr) < 1e-12
     assert half.flags == ()
 
@@ -216,14 +214,14 @@ def test_wire_pipeline_overbias_flags():
     optimal = wire_optimal_bias(device)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = wire_pipeline_snr(device, 1e6, bias=2.0 * optimal)
+        result = pipeline_snr(device, 1e6, bias=2.0 * optimal)
     assert "bias-above-optimal" in result.flags
 
 
 def test_wire_pipeline_temperature_degrades_snr():
     device = WireDevice(20e-9, GAAS_LIKE)
-    cold = wire_pipeline_snr(device, 1e6)
-    warm = wire_pipeline_snr(device, 1e6, temperature=300.0)
+    cold = pipeline_snr(device, 1e6)
+    warm = pipeline_snr(device, 1e6, temperature=300.0)
     assert warm.snr < cold.snr
     assert warm.breakdown.thermal_sq > 0.0
 
@@ -307,14 +305,14 @@ def test_qpc_hydrogenic_identity():
 
 def test_qpc_pipeline_matches_closed_form():
     closed = device_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
-    piped = qpc_pipeline_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
+    piped = pipeline_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
     assert rel(piped.snr, closed.snr) < 1e-12
     assert rel(piped.f_unity, closed.f_unity) < 1e-12
 
 
 def test_qpc_pipeline_temperature_degrades_snr():
-    cold = qpc_pipeline_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
-    warm = qpc_pipeline_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6, temperature=77.0)
+    cold = pipeline_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6)
+    warm = pipeline_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6, temperature=77.0)
     assert warm.snr < cold.snr
 
 
@@ -377,14 +375,14 @@ def test_set_sensitivity_scaling():
 
 def test_set_pipeline_matches_closed_form():
     closed = device_snr(SetDevice(50e-9, 12.9), 1e6)
-    piped = set_pipeline_snr(SetDevice(50e-9, 12.9), 1e6)
+    piped = pipeline_snr(SetDevice(50e-9, 12.9), 1e6)
     assert rel(piped.snr, closed.snr) < 1e-12
     assert rel(piped.f_unity, closed.f_unity) < 1e-12
 
 
 def test_set_pipeline_temperature_degrades_snr():
-    cold = set_pipeline_snr(SetDevice(50e-9, 12.9), 1e6)
-    warm = set_pipeline_snr(SetDevice(50e-9, 12.9), 1e6, temperature=1.0)
+    cold = pipeline_snr(SetDevice(50e-9, 12.9), 1e6)
+    warm = pipeline_snr(SetDevice(50e-9, 12.9), 1e6, temperature=1.0)
     assert warm.snr < cold.snr
 
 
@@ -397,7 +395,7 @@ def test_set_pipeline_temperature_degrades_snr():
         lambda m: device_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, modulation=m),
         lambda m: device_snr(QpcDevice(20e-9, GAAS_LIKE), 1e6, modulation=m),
         lambda m: device_snr(SetDevice(50e-9, 12.9), 1e6, modulation=m),
-        lambda m: wire_pipeline_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, modulation=m),
+        lambda m: pipeline_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, modulation=m),
     ],
 )
 def test_modulation_scaling(factory):
@@ -422,7 +420,7 @@ def test_modulation_range(bad):
     with pytest.raises(ParameterError):
         device_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, modulation=bad)
     with pytest.raises(ParameterError):
-        set_pipeline_snr(SetDevice(50e-9, 12.9), 1e6, modulation=bad)
+        pipeline_snr(SetDevice(50e-9, 12.9), 1e6, modulation=bad)
 
 
 # --------------------------------------------------------------- dispatch
@@ -455,10 +453,11 @@ def test_device_operating_point_dispatch():
 
 
 def test_dispatch_rejects_unknown_kind():
-    with pytest.raises(TypeError, match="unknown device kind"):
-        device_snr(object(), 1e6)
-    with pytest.raises(TypeError, match="unknown device kind"):
-        device_snr(3.14, 1e6)
+    for route in (device_snr, pipeline_snr):
+        with pytest.raises(TypeError, match="unknown device kind"):
+            route(object(), 1e6)
+        with pytest.raises(TypeError, match="unknown device kind"):
+            route(3.14, 1e6)
 
 
 # --------------------------------------------------- property invariants
@@ -504,7 +503,7 @@ def test_wire_snr_material_scaling(mass_ratio, epsilon_r):
 )
 def test_wire_pipeline_radius_free_property(radius, mass_ratio):
     material = Material("m", mass_ratio, 5.0)
-    piped = wire_pipeline_snr(WireDevice(radius, material), 1e6)
+    piped = pipeline_snr(WireDevice(radius, material), 1e6)
     closed = wire_snr(material, 1e6)
     assert rel(piped.snr, closed.snr) < 1e-12
 
@@ -544,28 +543,28 @@ def _fields(result) -> dict:
 
 
 _ARRAY_CASES = {
-    "wire R": (lambda v: wire_pipeline_snr(WireDevice(v, GAAS_LIKE), 1e6), _RADII),
+    "wire R": (lambda v: pipeline_snr(WireDevice(v, GAAS_LIKE), 1e6), _RADII),
     "wire R thermal": (
-        lambda v: wire_pipeline_snr(WireDevice(v, GAAS_LIKE), 1e3, temperature=4.2), _RADII),
-    "wire df": (lambda v: wire_pipeline_snr(
+        lambda v: pipeline_snr(WireDevice(v, GAAS_LIKE), 1e3, temperature=4.2), _RADII),
+    "wire df": (lambda v: pipeline_snr(
         WireDevice(20e-9, GAAS_LIKE), v, temperature=1.0), _BANDWIDTHS),
-    "wire T": (lambda v: wire_pipeline_snr(
+    "wire T": (lambda v: pipeline_snr(
         WireDevice(20e-9, GAAS_LIKE), 1e3, temperature=v), _TEMPERATURES),
-    "wire m*": (lambda v: wire_pipeline_snr(
+    "wire m*": (lambda v: pipeline_snr(
         WireDevice(20e-9, Material("custom", v, 1.0)), 1e6), _RATIOS),
-    "wire m* bohr radius": (lambda v: wire_pipeline_snr(
+    "wire m* bohr radius": (lambda v: pipeline_snr(
         WireDevice(effective_scales(Material("custom", v, 1.0)).bohr_radius, Material("custom", v, 1.0)), 1e6), _RATIOS),
-    "wire eps": (lambda v: wire_pipeline_snr(
+    "wire eps": (lambda v: pipeline_snr(
         WireDevice(20e-9, Material("custom", 1.0, v)), 1e6), _RATIOS + 0.5),
-    "qpc W": (lambda v: qpc_pipeline_snr(QpcDevice(v, GAAS_LIKE), 1e9), _RADII),
-    "qpc T": (lambda v: qpc_pipeline_snr(
+    "qpc W": (lambda v: pipeline_snr(QpcDevice(v, GAAS_LIKE), 1e9), _RADII),
+    "qpc T": (lambda v: pipeline_snr(
         QpcDevice(20e-9, GAAS_LIKE), 1e9, temperature=v), _TEMPERATURES),
-    "qpc m*": (lambda v: qpc_pipeline_snr(
+    "qpc m*": (lambda v: pipeline_snr(
         QpcDevice(20e-9, Material("custom", v, 1.0)), 1e9), _RATIOS),
-    "set R": (lambda v: set_pipeline_snr(SetDevice(v, 12.9), 1e6), _RADII),
-    "set df": (lambda v: set_pipeline_snr(
+    "set R": (lambda v: pipeline_snr(SetDevice(v, 12.9), 1e6), _RADII),
+    "set df": (lambda v: pipeline_snr(
         SetDevice(50e-9, 12.9), v, temperature=0.1), _BANDWIDTHS),
-    "set eps": (lambda v: set_pipeline_snr(SetDevice(50e-9, v), 1e6), _RATIOS + 0.5),
+    "set eps": (lambda v: pipeline_snr(SetDevice(50e-9, v), 1e6), _RATIOS + 0.5),
 }
 
 
@@ -623,7 +622,7 @@ def test_an_overflowing_square_names_its_element(name, call, first):
 
 
 def test_scalar_call_returns_python_floats():
-    result = wire_pipeline_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, temperature=4.2)
+    result = pipeline_snr(WireDevice(20e-9, GAAS_LIKE), 1e6, temperature=4.2)
     for name, value in _fields(result).items():
         assert type(value) is float, name
 
@@ -631,13 +630,13 @@ def test_scalar_call_returns_python_floats():
 @pytest.mark.parametrize(
     "call, parameter",
     [
-        (lambda: wire_pipeline_snr(WireDevice(np.array([1e-9, 1e200]), VACUUM), 1.0),
+        (lambda: pipeline_snr(WireDevice(np.array([1e-9, 1e200]), VACUUM), 1.0),
          "radius"),
-        (lambda: wire_pipeline_snr(WireDevice(np.array([1e-9, 1e-200]), VACUUM), 1.0),
+        (lambda: pipeline_snr(WireDevice(np.array([1e-9, 1e-200]), VACUUM), 1.0),
          "radius"),
-        (lambda: qpc_pipeline_snr(QpcDevice(np.array([1e-8, 1e-300]), GAAS_LIKE), 1.0),
+        (lambda: pipeline_snr(QpcDevice(np.array([1e-8, 1e-300]), GAAS_LIKE), 1.0),
          "width"),
-        (lambda: set_pipeline_snr(SetDevice(np.array([5e-8, 1e-320]), 1.0), 1.0),
+        (lambda: pipeline_snr(SetDevice(np.array([5e-8, 1e-320]), 1.0), 1.0),
          "island_radius"),
     ],
 )
